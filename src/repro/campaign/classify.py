@@ -44,15 +44,19 @@ OUTCOME_ORDER = (Outcome.CRASHED, Outcome.NON_PROPAGATED,
 
 
 def classify(spec: WorkloadSpec, golden: Outputs, sim, process,
-             injector, run_result) -> Outcome:
-    """Classify one finished experiment against the golden outputs."""
+             injector, run_result,
+             outputs: Outputs | None = None) -> Outcome:
+    """Classify one finished experiment against the golden outputs.
+    *outputs*, when given, are the run's already-known outputs (a run
+    that rejoined the golden run ends with the golden outputs)."""
     if run_result.status == "limit":
         return Outcome.CRASHED          # hung: reaped by the watchdog
     if process.state == ProcessState.CRASHED:
         return Outcome.CRASHED
     if process.state != ProcessState.EXITED or process.exit_code != 0:
         return Outcome.CRASHED
-    outputs = extract_outputs(spec, sim, process)
+    if outputs is None:
+        outputs = extract_outputs(spec, sim, process)
     if outputs == golden:
         if any(record.propagated for record in injector.records):
             return Outcome.STRICTLY_CORRECT

@@ -37,7 +37,7 @@ from ..telemetry.campaign import (HEARTBEAT_DIR, MANIFEST_DIR,
 from ..telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
                                TraceContext, Tracer, span_log_path)
 from .backend import CampaignBackend, register_backend
-from .runner import CampaignRunner
+from .runner import CampaignRunner, GoldenRun
 
 
 def _write_text_atomic(path: str, text: str) -> None:
@@ -109,6 +109,8 @@ class SharedDirCampaign(CampaignBackend):
 
         share/
           checkpoint.bin          the post-init simulator checkpoint
+          golden.pkl              the golden run workers reuse (outputs,
+                                  profile, checkpoint ladder)
           workload.json           name/scale so workers rebuild the spec
           todo/exp_NNNN.txt       per-experiment fault input files
           claimed/exp_NNNN.txt    moved here atomically when claimed
@@ -325,7 +327,8 @@ class SharedDirCampaign(CampaignBackend):
         out = os.path.join(self.share_dir, "results",
                            experiment.replace(".txt", ".json"))
         _write_json_atomic(out, result.as_dict())
-        extra = {}
+        extra = {"replay_start": result.replay_start,
+                 "early_exit": result.early_exit}
         if result.divergence is not None:
             extra["divergence"] = result.divergence
         if result.propagation is not None:
@@ -336,7 +339,7 @@ class SharedDirCampaign(CampaignBackend):
             fault_text=fault_text, seed=seed, worker=worker_id,
             started=started, wall_seconds=result.wall_seconds,
             outcome=result.outcome.value, git_rev=git_rev,
-            extra=extra or None)
+            extra=extra)
         manifest_path = os.path.join(
             self.share_dir, MANIFEST_DIR,
             experiment.replace(".txt", ".json"))
@@ -478,13 +481,33 @@ class SharedDirCampaign(CampaignBackend):
         return results
 
 
+def load_golden(share_dir: str) -> GoldenRun:
+    """The coordinator's published golden run (``golden.pkl``: outputs,
+    profile, checkpoint and ladder).  A pickle, so only ever load it
+    from a share you trust.  A missing or corrupt file raises
+    SystemExit with a one-line message."""
+    path = os.path.join(share_dir, "golden.pkl")
+    try:
+        with open(path, "rb") as handle:
+            golden = pickle.load(handle)
+    except Exception as exc:  # unpickling corrupt bytes raises anything
+        detail = " ".join(str(exc).split())
+        raise SystemExit(f"gemfi worker: cannot load {path}: "
+                         f"{type(exc).__name__}: {detail}") from None
+    if not isinstance(golden, GoldenRun):
+        raise SystemExit(f"gemfi worker: {path} holds a "
+                         f"{type(golden).__name__}, not a golden run")
+    return golden
+
+
 def _worker_main(share_dir: str, worker_id: str, workload_name: str,
                  scale: str) -> None:
     """Entry point of one worker process: rebuild the workload spec and
-    runner (reusing the published checkpoint), then drain the queue."""
+    a runner around the published golden run (no golden simulation),
+    then drain the queue."""
     from ..workloads import build
-    spec = build(workload_name, scale)
-    runner = CampaignRunner(spec)
+    golden = load_golden(share_dir)
+    runner = CampaignRunner(build(workload_name, scale), golden=golden)
     campaign = SharedDirCampaign(share_dir, workload_name, scale)
     flight = campaign.published_flight()
     if flight:

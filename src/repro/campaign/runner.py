@@ -1,32 +1,49 @@
-"""Campaign execution: golden run, checkpoint, per-experiment restore.
+"""Campaign execution: golden run, checkpoint ladder, per-experiment
+restore.
 
 Implements the methodology of Section IV.B.1:
 
 1. run the application once without faults — this provides the golden
    outputs, the FI-window profile used for fault-time sampling, and (at
    the ``fi_read_init_all`` call, i.e. after boot + initialisation) the
-   checkpoint all experiments restore from (Fig. 3);
-2. per experiment: restore, install the experiment's fault configuration,
-   simulate (optionally starting in the detailed O3 model and dropping to
-   atomic once the fault has committed), and classify the outcome.
+   checkpoint all experiments restore from (Fig. 3).  The golden run
+   then continues on a restore of that checkpoint — the path every
+   experiment takes — and snapshots a bounded *ladder* of later points
+   (rungs) on the way;
+2. per experiment: restore the latest rung its faults cannot precede,
+   install the experiment's fault configuration, simulate (optionally
+   starting in the detailed O3 model and dropping to atomic once the
+   fault has committed), stop as soon as the faulty run's machine state
+   equals a later rung (the rest of the run is the golden run's), and
+   classify the outcome.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..compiler import compile_source
-from ..core.fault import Fault
+from ..core.fault import Fault, TimeMode
 from ..core.injector import FaultInjector
 from ..core.parser import render_fault_file
-from ..sim.checkpoint import dumps_checkpoint, restore_checkpoint
+from ..sim.checkpoint import (dumps_checkpoint, matches_rung,
+                              restore_checkpoint, rung_state)
 from ..sim.config import SimConfig
-from ..sim.simulator import Simulator
+from ..sim.simulator import RunResult, Simulator
+from ..system.process import Process, ProcessState
 from ..workloads.quality import Outputs, extract_outputs
 from ..workloads.spec import WorkloadSpec
 from .classify import Outcome, classify
 from .generator import WindowProfile
+
+#: Watchdog of the golden run and of the golden replays (instructions).
+GOLDEN_LIMIT = 50_000_000
+#: Most rungs a checkpoint ladder keeps, the boot rung included.
+LADDER_RUNGS = 32
+#: First distance between rungs, in scheduler poll intervals.  It
+#: doubles, dropping every other rung, whenever the ladder fills.
+RUNG_STRIDE_POLLS = 32
 
 
 @dataclass
@@ -73,6 +90,12 @@ class ExperimentResult:
     # injection) and drain (last injection to completion).  The four
     # values sum to wall_seconds.
     phases: dict | None = None
+    # Checkpoint ladder: instructions after the boot checkpoint where
+    # simulation resumed (0 = the boot checkpoint itself), and where
+    # the faulty run's state rejoined the golden run, ending the
+    # simulation early (None = it ran to completion).
+    replay_start: int = 0
+    early_exit: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -96,6 +119,8 @@ class ExperimentResult:
             "divergence": self.divergence,
             "propagation": self.propagation,
             "phases": self.phases,
+            "replay_start": self.replay_start,
+            "early_exit": self.early_exit,
         }
 
 
@@ -126,6 +151,20 @@ def _experiment_phases(start: float, run_start: float, run_end: float,
 
 
 @dataclass
+class Rung:
+    """One golden-run snapshot of the checkpoint ladder."""
+
+    position: int               # instructions after the boot checkpoint
+    state: dict | None = None   # rung_state(); None = the boot checkpoint
+    # The rung's single active FI thread (None when it has none, or has
+    # had another window) and its window position: committed
+    # instructions since activation.  Only faults of that thread timed
+    # after the position can start here.
+    thread_id: int | None = None
+    window: int = 0
+
+
+@dataclass
 class GoldenRun:
     """Artifacts of the fault-free reference run."""
 
@@ -138,6 +177,11 @@ class GoldenRun:
     boot_instructions: int      # instructions before the checkpoint
     console: str = ""
     stats_dump: str = ""
+    exit_code: int | None = 0
+    # The checkpoint ladder, by position; rungs[0] is the boot
+    # checkpoint.  Empty without a checkpoint.  Cutting it to rungs[:1]
+    # turns the ladder and the reconvergence exit off.
+    rungs: list[Rung] = field(default_factory=list)
 
 
 class CampaignRunner:
@@ -148,7 +192,7 @@ class CampaignRunner:
                  use_checkpoint: bool = True,
                  detailed_model: str | None = None,
                  watchdog_factor: float = 4.0,
-                 bus=None) -> None:
+                 bus=None, golden: GoldenRun | None = None) -> None:
         self.spec = spec
         self.config = config or SimConfig()
         self.use_checkpoint = use_checkpoint
@@ -168,34 +212,43 @@ class CampaignRunner:
         self._liveness = None
         self._flight = None
         self._flight_interval = None
+        # rung position -> (count, stores) of the golden flight replay
+        self._flight_marks: dict[int, tuple[int, int]] = {}
         self._experiment_index = 0
-        self.golden = self._golden_run()
+        # A published golden run (a worker's golden.pkl) is reused as is.
+        self.golden = golden if golden is not None else self._golden_run()
         spec.golden_instructions = self.golden.profile.committed
 
     # -- golden phase ----------------------------------------------------------
 
     def _golden_run(self) -> GoldenRun:
-        injector = FaultInjector()
-        sim = Simulator(self.config, injector=injector)
+        sim = Simulator(self.config, injector=FaultInjector())
         sim.load(self.asm, self.spec.name)
         checkpoint: bytes | None = None
         boot_instructions = 0
+        rungs: list[Rung] = []
         start = time.perf_counter()
         if self.use_checkpoint:
             holder: dict[str, bytes] = {}
             sim.on_checkpoint = lambda s: holder.__setitem__(
                 "blob", dumps_checkpoint(s))
             result = sim.run(until_checkpoint=True,
-                             max_instructions=50_000_000)
+                             max_instructions=GOLDEN_LIMIT)
             if "blob" not in holder:
                 raise RuntimeError(
                     f"workload '{self.spec.name}' never called "
                     "fi_read_init_all(); cannot checkpoint")
             checkpoint = holder["blob"]
             boot_instructions = sim.instructions
-            sim.on_checkpoint = None
-        result = sim.run(max_instructions=50_000_000)
+            # Continue on the path every experiment takes, so the
+            # ladder's rungs are states an experiment really passes.
+            sim = restore_checkpoint(checkpoint, faults=[])
+            rungs = [Rung(position=0)]
+            if self._ladder_enabled():
+                rungs = self._climb(sim, boot_instructions)
+        result = sim.run(max_instructions=GOLDEN_LIMIT)
         wall = time.perf_counter() - start
+        injector = sim.injector
         if result.status != "completed":
             raise RuntimeError(
                 f"golden run of '{self.spec.name}' did not complete: "
@@ -215,7 +268,118 @@ class CampaignRunner:
             outputs=outputs, profile=profile, checkpoint=checkpoint,
             instructions=result.instructions, ticks=result.ticks,
             wall_seconds=wall, boot_instructions=boot_instructions,
-            console=process.console_text(), stats_dump=sim.stats_dump())
+            console=process.console_text(), stats_dump=sim.stats_dump(),
+            exit_code=process.exit_code, rungs=rungs)
+
+    # -- checkpoint ladder ---------------------------------------------------
+
+    def _ladder_enabled(self) -> bool:
+        """O3's step-boundary snapshot drops in-flight pipeline state,
+        and a detailed-model experiment does not follow the golden
+        run's timing, so both keep only the boot rung — which also
+        leaves their experiments no later rung to start or exit at."""
+        return self.detailed_model is None \
+            and self.config.cpu_model != "o3"
+
+    def _climb(self, sim: Simulator, boot: int) -> list[Rung]:
+        """Run the golden simulator towards completion, snapshotting a
+        rung at every stride-th poll boundary after the boot checkpoint
+        (*boot* instructions).  A full ladder doubles the stride and
+        keeps every other rung."""
+        rungs = [Rung(position=0)]
+        stride = RUNG_STRIDE_POLLS * sim.config.poll_interval
+        state = None
+        while True:
+            target = boot + rungs[-1].position + stride
+            if target >= GOLDEN_LIMIT or \
+                    sim.run(max_instructions=target).status != "limit":
+                return rungs
+            state = rung_state(sim, state)
+            rungs.append(self._rung(sim, boot, state))
+            if len(rungs) > LADDER_RUNGS:
+                stride *= 2
+                rungs = rungs[:1] + rungs[2::2]
+
+    @staticmethod
+    def _rung(sim: Simulator, boot: int, state: dict) -> Rung:
+        rung = Rung(position=sim.instructions - boot, state=state)
+        injector = sim.injector
+        threads = injector.threads.active_threads()
+        if len(threads) == 1 and not injector.windows:
+            thread = threads[0]
+            rung.thread_id = thread.thread_id
+            rung.window = (
+                thread.effective_committed(sim.core.committed)
+                if sim.core.fi_thread is thread else thread.committed)
+        return rung
+
+    def _start_rung(self, faults: list[Fault]) -> Rung | None:
+        """The latest rung no fault can fire before: every fault is
+        instruction-timed and targets the rung's single active FI
+        thread, and the rung's window position is below the earliest
+        fault time.  Otherwise the boot rung (None without a
+        checkpoint)."""
+        rungs = self.golden.rungs
+        if not rungs:
+            return None
+        start = rungs[0]
+        if not faults or any(f.time_mode is not TimeMode.INSTRUCTIONS
+                             for f in faults):
+            return start
+        earliest = min(f.time for f in faults)
+        for rung in rungs[1:]:
+            if (rung.thread_id is not None and rung.window < earliest
+                    and all(f.thread_id == rung.thread_id
+                            for f in faults)):
+                start = rung
+        return start
+
+    def _simulate(self, sim: Simulator, start: int, base: int,
+                  limit: int, scanner) -> tuple[RunResult, Rung | None]:
+        """Run *sim* to completion or to the *limit* watchdog, stopping
+        at each rung past *start* (positions count from *base*, the
+        boot checkpoint's instruction count) to test for reconvergence.
+        Returns the run's result and the rung it rejoined the golden
+        run at, if any."""
+        for rung in self.golden.rungs:
+            if rung.position <= start:
+                continue
+            target = base + rung.position
+            if target >= limit:
+                break
+            result = sim.run(max_instructions=target)
+            if result.status != "limit":
+                return result, None
+            if self._rejoined(sim, rung, scanner):
+                return result, rung
+        return sim.run(max_instructions=limit), None
+
+    def _rejoined(self, sim: Simulator, rung: Rung, scanner) -> bool:
+        """True once every fault has fired and expired, no register
+        watch is pending, a flight scan would find nothing more, and
+        the machine state equals the rung exactly: from here on the
+        run is the golden run."""
+        injector = sim.injector
+        if not injector.records or not injector.all_faults_done \
+                or injector.has_watches:
+            return False
+        if scanner is not None and scanner.divergence is None \
+                and scanner.position != self._flight_marks.get(
+                    rung.position):
+            return False
+        return matches_rung(sim, rung.state)
+
+    def _golden_end(self) -> tuple[RunResult, Process]:
+        """The golden run's end state: the run result and a process
+        carrying its exit status and console."""
+        golden = self.golden
+        process = Process(pid=0, name=self.spec.name, entry=0,
+                          state=ProcessState.EXITED,
+                          exit_code=golden.exit_code)
+        process.console = bytearray(golden.console.encode("utf-8"))
+        return RunResult(status="completed",
+                         instructions=golden.instructions,
+                         ticks=golden.ticks), process
 
     # -- experiment phase ----------------------------------------------------------
 
@@ -242,26 +406,44 @@ class CampaignRunner:
                                     experiment=f"exp_{index:04d}")
                 owns_span = True
         start = time.perf_counter()
-        sim = self._fresh_simulator(faults)
+        log = self.flight_log() if self._flight_interval is not None \
+            else None
+        rung = self._start_rung(faults)
+        replay_start = rung.position if rung is not None else 0
+        sim = self._fresh_simulator(faults, rung)
         start_tick = sim.tick
         scanner = None
-        if self._flight_interval is not None:
+        if log is not None:
             from ..telemetry.flight import DivergenceScanner
-            scanner = DivergenceScanner(self.flight_log())
+            scanner = DivergenceScanner(log)
+            if replay_start:
+                scanner.resume(*self._flight_marks[replay_start])
             sim.injector.install_tracer(scanner)
-        start_instructions = sim.instructions
+        # Instructions and the watchdog count from the boot checkpoint,
+        # wherever the run resumed.
+        base = sim.instructions - replay_start
         budget = int(self.golden.instructions * self.watchdog_factor) \
             + 100_000
         run_start = time.perf_counter()
-        result = sim.run(max_instructions=start_instructions + budget)
+        result, rejoined = self._simulate(sim, replay_start, base,
+                                          base + budget, scanner)
         run_end = time.perf_counter()
         wall = run_end - start
         phases = _experiment_phases(start, run_start, run_end,
                                     sim.injector)
-        process = sim.process(0)
         injector = sim.injector
+        outputs = None
+        if rejoined is None:
+            process = sim.process(0)
+        else:
+            if self.bus is not None:
+                self.bus.emit("reconverged", tick=sim.tick,
+                              experiment=index,
+                              instructions=rejoined.position)
+            result, process = self._golden_end()
+            outputs = self.golden.outputs
         outcome = classify(self.spec, self.golden.outputs, sim, process,
-                           injector, result)
+                           injector, result, outputs=outputs)
         fault = faults[0]
         window = max(1, self.golden.profile.count_for(fault.location))
         first = injector.records[0] if injector.records else None
@@ -270,16 +452,15 @@ class CampaignRunner:
             divergence, propagation = self._flight_artifacts(
                 scanner, fault, first, outcome, process, index, sim)
         if self.bus is not None:
-            self.bus.emit("experiment_end", tick=sim.tick,
+            self.bus.emit("experiment_end", tick=result.ticks,
                           experiment=index, workload=self.spec.name,
                           outcome=outcome.value,
                           injected=bool(injector.records),
                           wall_seconds=wall)
         if span is not None:
-            self._emit_spans(tracer, span, phases, start_tick, sim,
-                             injector, outcome, wall,
-                             result.instructions - start_instructions,
-                             divergence)
+            self._emit_spans(tracer, span, phases, start_tick,
+                             result.ticks, injector, outcome, wall,
+                             result.instructions - base, divergence)
             if owns_span:
                 tracer.finish(span)
         return ExperimentResult(
@@ -288,7 +469,7 @@ class CampaignRunner:
             injected=bool(injector.records),
             propagated=(first.propagated if first is not None else None),
             crash_reason=process.crash_reason,
-            instructions=result.instructions - start_instructions,
+            instructions=result.instructions - base,
             ticks=result.ticks,
             wall_seconds=wall,
             console=process.console_text(),
@@ -304,6 +485,9 @@ class CampaignRunner:
             divergence=divergence,
             propagation=propagation,
             phases=phases,
+            replay_start=replay_start,
+            early_exit=rejoined.position if rejoined is not None
+            else None,
         )
 
     def run_campaign(self, fault_sets, progress=None,
@@ -324,7 +508,7 @@ class CampaignRunner:
         save/restore spans nested inside."""
         self.tracer = tracer
 
-    def _emit_spans(self, tracer, span, phases, start_tick, sim,
+    def _emit_spans(self, tracer, span, phases, start_tick, end_tick,
                     injector, outcome, wall, instructions,
                     divergence) -> None:
         """Retro-record the phase children and annotate the experiment
@@ -332,7 +516,6 @@ class CampaignRunner:
         already-computed phase split, so this costs four dict writes per
         experiment)."""
         records = injector.records
-        end_tick = sim.tick
         first_tick = records[0].tick if records else None
         last_tick = records[-1].tick if records else None
         if first_tick is None:
@@ -386,13 +569,16 @@ class CampaignRunner:
         from ..telemetry.flight import DEFAULT_INTERVAL, FlightRecorder
         recorder = FlightRecorder(self._flight_interval
                                   or DEFAULT_INTERVAL)
-        if self.use_checkpoint and self.golden.checkpoint is not None:
-            sim = restore_checkpoint(self.golden.checkpoint)
-        else:
-            sim = Simulator(self.config, injector=FaultInjector())
-            sim.load(self.asm, self.spec.name)
+        sim = self._golden_replay()
         sim.injector.install_tracer(recorder)
-        result = sim.run(max_instructions=50_000_000)
+        # Where the recorder stands at each rung, so scans of runs that
+        # start or end at a rung stay aligned with the log.
+        base = sim.instructions
+        for rung in self.golden.rungs[1:]:
+            sim.run(max_instructions=base + rung.position)
+            self._flight_marks[rung.position] = (
+                recorder.count, len(recorder.log.stores))
+        result = sim.run(max_instructions=GOLDEN_LIMIT)
         if result.status != "completed":
             raise RuntimeError(
                 f"flight replay of '{self.spec.name}' did not "
@@ -444,13 +630,9 @@ class CampaignRunner:
             return self._trace
         from ..analysis import DefUseTracer
         tracer = DefUseTracer()
-        if self.use_checkpoint and self.golden.checkpoint is not None:
-            sim = restore_checkpoint(self.golden.checkpoint)
-        else:
-            sim = Simulator(self.config, injector=FaultInjector())
-            sim.load(self.asm, self.spec.name)
+        sim = self._golden_replay()
         sim.injector.install_tracer(tracer)
-        result = sim.run(max_instructions=50_000_000)
+        result = sim.run(max_instructions=GOLDEN_LIMIT)
         if result.status != "completed":
             raise RuntimeError(
                 f"trace replay of '{self.spec.name}' did not complete: "
@@ -492,17 +674,29 @@ class CampaignRunner:
 
     # -- helpers ----------------------------------------------------------------------
 
-    def _fresh_simulator(self, faults: list[Fault]) -> Simulator:
+    def _golden_replay(self) -> Simulator:
+        """A fault-free simulator at the start of the golden run's
+        post-checkpoint part (at power-on without a checkpoint)."""
+        if self.use_checkpoint and self.golden.checkpoint is not None:
+            return restore_checkpoint(self.golden.checkpoint)
+        sim = Simulator(self.config, injector=FaultInjector())
+        sim.load(self.asm, self.spec.name)
+        return sim
+
+    def _fresh_simulator(self, faults: list[Fault],
+                         rung: Rung | None = None) -> Simulator:
+        """A simulator armed with *faults*, restored from *rung*
+        (default: the boot checkpoint) or at power-on without one."""
         if self.use_checkpoint and self.golden.checkpoint is not None:
             config_override = None
             if self.detailed_model is not None:
                 config_override = self._detailed_config()
-            sim = restore_checkpoint(self.golden.checkpoint,
-                                     faults=faults,
-                                     config_override=config_override,
-                                     bus=self.bus,
-                                     tracer=self.tracer)
-            return sim
+            source = self.golden.checkpoint
+            if rung is not None and rung.state is not None:
+                source = rung.state
+            return restore_checkpoint(source, faults=faults,
+                                      config_override=config_override,
+                                      bus=self.bus, tracer=self.tracer)
         config = (self._detailed_config()
                   if self.detailed_model is not None else self.config)
         injector = FaultInjector(faults)

@@ -49,9 +49,11 @@ from .campaign import (
     sample_size,
 )
 from .compiler import compile_source
-from .core import FaultInjector, parse_fault_file
+from .core import FaultInjector, LocationKind, parse_fault_file
 from .sim import SimConfig, Simulator
 from .workloads import WORKLOAD_NAMES, build
+
+LOCATION_CHOICES = tuple(kind.value for kind in LocationKind)
 
 
 def _load_program(path: str) -> str:
@@ -116,7 +118,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               f"{len(log.intervals)} digests, {len(log.stores)} stores")
     location = None
     if args.location:
-        from .core import LocationKind
         location = LocationKind(args.location)
     if args.share_dir:
         # Shared-directory (NoW) mode: publish the experiments and the
@@ -190,7 +191,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
           + (" (tainted)" if trace.tainted else ""))
     location = None
     if args.location:
-        from .core import LocationKind
         location = LocationKind(args.location)
     plan = runner.pruned_generator(seed=args.seed).plan(
         args.experiments, location=location)
@@ -991,8 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--experiments", "-n", type=int, default=40)
     camp_p.add_argument("--seed", type=int, default=0)
     camp_p.add_argument("--location", default=None,
-                        help="pin the fault location (e.g. pc, fetch, "
-                             "int_reg)")
+                        choices=LOCATION_CHOICES,
+                        help="pin the fault location")
     camp_p.add_argument("--detailed-model", default=None,
                         choices=(None, "o3", "inorder", "timing"),
                         help="inject in this model, then switch to "
@@ -1028,8 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana_p.add_argument("--experiments", "-n", type=int, default=200)
     ana_p.add_argument("--seed", type=int, default=0)
     ana_p.add_argument("--location", default=None,
-                       help="pin the fault location (e.g. pc, fetch, "
-                            "int_reg)")
+                       choices=LOCATION_CHOICES,
+                       help="pin the fault location")
     ana_p.set_defaults(func=cmd_analyze)
 
     trace_p = sub.add_parser(
@@ -1338,8 +1338,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub_p.add_argument("--experiments", "-n", type=int, default=40)
     sub_p.add_argument("--seed", type=int, default=0)
     sub_p.add_argument("--location", default=None,
-                       help="pin the fault location (e.g. pc, fetch, "
-                            "int_reg)")
+                       choices=LOCATION_CHOICES,
+                       help="pin the fault location")
     sub_p.add_argument("--workers", type=int, default=1,
                        help="worker processes for this job (0/1 = run "
                             "inside the dispatcher)")

@@ -80,6 +80,10 @@ class ThreadTable:
         self._by_pcb[pcb_addr] = thread
         return thread
 
+    def insert(self, thread: ThreadEnabledFault) -> None:
+        """Reinstate an active thread (checkpoint-ladder restores)."""
+        self._by_pcb[thread.pcb_addr] = thread
+
     def lookup(self, pcb_addr: int) -> ThreadEnabledFault | None:
         return self._by_pcb.get(pcb_addr)
 

@@ -152,12 +152,24 @@ class MainMemory:
 
     # -- checkpoint support ----------------------------------------------------
 
-    def snapshot(self) -> dict:
-        return {
-            "pages": {idx: bytes(page) for idx, page in self._pages.items()},
-            "regions": [(r.name, r.start, r.end, r.writable)
-                        for r in self._regions],
-        }
+    def snapshot(self, previous: dict | None = None) -> dict:
+        """Copy the pages and regions.  Pages equal to one in
+        *previous* (an earlier snapshot) share its bytes object."""
+        shared = previous["pages"] if previous is not None else {}
+        pages = {}
+        for idx, page in self._pages.items():
+            old = shared.get(idx)
+            pages[idx] = old if old == page else bytes(page)
+        return {"pages": pages, "regions": self._region_tuples()}
+
+    def matches(self, snap: dict) -> bool:
+        """True when pages and regions equal the snapshot *snap*."""
+        return (self._pages == snap["pages"]
+                and self._region_tuples() == snap["regions"])
+
+    def _region_tuples(self) -> list[tuple]:
+        return [(r.name, r.start, r.end, r.writable)
+                for r in self._regions]
 
     def restore(self, snap: dict) -> None:
         self._pages = {idx: bytearray(page)

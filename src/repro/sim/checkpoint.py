@@ -10,6 +10,12 @@ architectural state, kernel state, predictor tables and the tick clock.
 Restoring re-parses the fault configuration (``FaultInjector.reset`` +
 ``load_faults``), so one checkpoint fast-forwards *every* experiment of a
 campaign past boot + application initialisation (Fig. 3).
+
+Campaigns also snapshot the golden run at later points (the *rungs* of
+a checkpoint ladder, :func:`rung_state`): an experiment whose faults
+cannot fire before a rung starts there, and a faulty run whose machine
+state equals a later rung exactly (:func:`matches_rung`) has rejoined
+the golden run.
 """
 
 from __future__ import annotations
@@ -19,10 +25,15 @@ import pickle
 
 from ..core.fault import Fault
 from ..core.injector import FaultInjector
+from ..core.thread_state import ThreadEnabledFault
 from .config import SimConfig
 from .simulator import Simulator
 
 FORMAT_VERSION = 3
+
+#: CPU models that never touch the cache hierarchy: their rungs share
+#: one hierarchy snapshot and comparisons skip it.
+CACHELESS_MODELS = ("atomic",)
 
 
 class CheckpointError(Exception):
@@ -31,19 +42,74 @@ class CheckpointError(Exception):
 
 def snapshot_state(sim: Simulator) -> dict:
     """Capture everything needed to resume *sim* exactly where it is."""
+    return _state(sim, sim.memory.snapshot(), sim.hierarchy.snapshot())
+
+
+def _state(sim: Simulator, memory: dict, hierarchy) -> dict:
     return {
         "version": FORMAT_VERSION,
         "config": sim.config,
         "tick": sim.tick,
         "instructions": sim.instructions,
-        "memory": sim.memory.snapshot(),
-        "hierarchy": sim.hierarchy.snapshot(),
+        "memory": memory,
+        "hierarchy": hierarchy,
         "core": sim.core.snapshot(),
         "cpu_model": sim.cpu.model_name,
         "cpu": sim.cpu.snapshot(),
         "system": sim.system.snapshot(),
         "program_sources": dict(sim.program_sources),
     }
+
+
+def rung_state(sim: Simulator, previous: dict | None = None) -> dict:
+    """Snapshot *sim* mid-run as one rung of a checkpoint ladder.
+
+    On top of :func:`snapshot_state` a rung carries what a resume past
+    the FI activation needs and a boot checkpoint does not: the
+    scheduler's quantum counter and the FI thread table (thread id,
+    PCB, activation tick, committed, base_committed).  Memory pages
+    equal to *previous*'s share its bytes objects, and so does the
+    hierarchy on cacheless models, so a ladder costs little more than
+    the pages each rung dirtied.  The hierarchy is kept pickled: as
+    thousands of per-set lists it would swell the garbage collector's
+    long-lived generation for as long as the ladder lives.
+    """
+    if previous is not None and sim.cpu.model_name in CACHELESS_MODELS:
+        hierarchy = previous["hierarchy"]
+    else:
+        hierarchy = _hierarchy_blob(sim)
+    state = _state(sim, sim.memory.snapshot(
+        previous["memory"] if previous is not None else None), hierarchy)
+    state["quantum_counter"] = sim._quantum_counter
+    state["fi_threads"] = [
+        (t.thread_id, t.pcb_addr, t.activation_tick, t.committed,
+         t.base_committed)
+        for t in sim.injector.threads.active_threads()]
+    return state
+
+
+def matches_rung(sim: Simulator, state: dict) -> bool:
+    """True when *sim*'s machine state equals the rung *state* exactly:
+    clock, instruction count and quantum counter; register files, PC,
+    PCB and committed count; memory; the kernel (consoles included);
+    the CPU model; and, on models that read it, the cache hierarchy.
+    Cheap fields are compared first."""
+    if (sim.tick != state["tick"]
+            or sim.instructions != state["instructions"]
+            or sim._quantum_counter != state["quantum_counter"]
+            or sim.core.snapshot() != state["core"]
+            or not sim.memory.matches(state["memory"])
+            or sim.system.snapshot() != state["system"]
+            or sim.cpu.model_name != state["cpu_model"]
+            or sim.cpu.snapshot() != state["cpu"]):
+        return False
+    return (sim.cpu.model_name in CACHELESS_MODELS
+            or _hierarchy_blob(sim) == state["hierarchy"])
+
+
+def _hierarchy_blob(sim: Simulator) -> bytes:
+    return pickle.dumps(sim.hierarchy.snapshot(),
+                        protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def save_checkpoint(sim: Simulator, path) -> None:
@@ -66,7 +132,8 @@ def restore_checkpoint(source, faults: list[Fault] | None = None,
                        bus=None, tracer=None) -> Simulator:
     """Rebuild a simulator from a checkpoint.
 
-    ``source`` is a path or a bytes blob.  ``faults`` installs a fresh
+    ``source`` is a path, a bytes blob or an in-memory rung
+    (:func:`rung_state`; never mutated).  ``faults`` installs a fresh
     fault configuration (the per-experiment input file); the injector is
     always reset, matching ``fi_read_init_all`` semantics.
     ``config_override`` lets campaigns restore into a different CPU model
@@ -94,7 +161,9 @@ def restore_checkpoint(source, faults: list[Fault] | None = None,
 
 
 def _restore(source, faults, config_override, bus) -> Simulator:
-    if isinstance(source, (bytes, bytearray)):
+    if isinstance(source, dict):
+        state = source
+    elif isinstance(source, (bytes, bytearray)):
         state = pickle.loads(bytes(source))
     else:
         with open(source, "rb") as handle:
@@ -112,7 +181,10 @@ def _restore(source, faults, config_override, bus) -> Simulator:
     sim.tick = state["tick"]
     sim.instructions = state["instructions"]
     sim.memory.restore(state["memory"])
-    sim.hierarchy.restore(state["hierarchy"])
+    hierarchy = state["hierarchy"]
+    if isinstance(hierarchy, bytes):    # a rung's pickled hierarchy
+        hierarchy = pickle.loads(hierarchy)
+    sim.hierarchy.restore(hierarchy)
     sim.core.restore(state["core"])
     sim.system.restore(state["system"])
     sim.program_sources = dict(state["program_sources"])
@@ -131,7 +203,15 @@ def _restore(source, faults, config_override, bus) -> Simulator:
     if sim.system.current_pid is not None:
         current = sim.system.processes[sim.system.current_pid]
         sim.core.pcb_addr = current.pcb_addr
-    sim.core.fi_thread = None
+    # Rungs resume mid-window: reinstate the FI threads and the quantum
+    # (a boot checkpoint has neither, so both start empty).
+    sim._quantum_counter = state.get("quantum_counter", 0)
+    for thread_id, pcb_addr, tick, committed, base in \
+            state.get("fi_threads", ()):
+        injector.threads.insert(ThreadEnabledFault(
+            thread_id=thread_id, pcb_addr=pcb_addr, activation_tick=tick,
+            committed=committed, base_committed=base))
+    sim.core.fi_thread = injector.threads.lookup(sim.core.pcb_addr)
     if bus is not None:
         sim.attach_bus(bus)
         bus.emit("checkpoint_restore", tick=sim.tick,

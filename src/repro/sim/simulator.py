@@ -187,9 +187,6 @@ class Simulator:
                             and injector.injection_happened
                             and injector.all_faults_done):
                         self.switch_model("atomic")
-                if limit is not None and self.instructions >= limit:
-                    status = "limit"
-                    break
                 if system.yield_requested or (
                         self._quantum_counter >= system.quantum
                         and len(system.runnable) > 1):
@@ -197,6 +194,12 @@ class Simulator:
                     self._quantum_counter = 0
                     self.cpu.drain()
                     system.schedule(core)
+                # Stop after this poll's scheduling decision, so a run
+                # resumed from here continues exactly as an unbroken one
+                # (the checkpoint ladder stops and resumes runs here).
+                if limit is not None and self.instructions >= limit:
+                    status = "limit"
+                    break
         return self._result(status)
 
     def _result(self, status: str) -> RunResult:

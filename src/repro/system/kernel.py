@@ -227,9 +227,8 @@ class System:
         self.quantum = snap["quantum"]
         self._thread_counts = dict(snap.get("thread_counts", {}))
         # Threads share their slot owner's console buffer; restore
-        # the aliasing that per-process snapshots flattened.
+        # the aliasing that per-process snapshots flattened (each
+        # snapshot holds the whole shared buffer, so no concatenation).
         for process in self.processes.values():
             if process.is_thread and process.slot_pid in self.processes:
-                owner = self.processes[process.slot_pid]
-                owner.console += process.console
-                process.console = owner.console
+                process.console = self.processes[process.slot_pid].console

@@ -127,7 +127,12 @@ class Process:
         proc.exit_code = snap["exit_code"]
         proc.crash_reason = snap["crash_reason"]
         proc.crash_pc = snap["crash_pc"]
-        proc.context = snap["context"]
+        context = snap["context"]
+        # Copied: in-memory checkpoint-ladder rungs are restored many
+        # times and must never see a process's later register state.
+        proc.context = None if context is None else {
+            key: list(value) if isinstance(value, list) else value
+            for key, value in context.items()}
         proc.console = bytearray(snap["console"])
         proc.brk = snap["brk"]
         proc.symbols = dict(snap["symbols"])

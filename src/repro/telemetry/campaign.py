@@ -196,6 +196,20 @@ def read_heartbeats(share_dir: str) -> dict[str, dict]:
 # -- live campaign status ----------------------------------------------------
 
 
+def ladder_savings(entry: dict) -> tuple[int, int, int]:
+    """Checkpoint-ladder figures of one result record: (1 if it started
+    past the boot checkpoint else 0, instructions it did not simulate,
+    1 if it exited early else 0).  The skipped instructions are the
+    replay it started past plus, after an early exit, the rest of the
+    run."""
+    start = int(entry.get("replay_start") or 0)
+    exit_at = entry.get("early_exit")
+    skipped = start
+    if isinstance(exit_at, int):
+        skipped += max(0, int(entry.get("instructions") or 0) - exit_at)
+    return int(start > 0), skipped, int(isinstance(exit_at, int))
+
+
 def percentile(values: list[float], fraction: float) -> float | None:
     """Nearest-rank percentile (deterministic, no interpolation)."""
     if not values:
@@ -229,6 +243,12 @@ class CampaignStatus:
     wall_p90: float | None = None
     slowest: list[tuple[str, float]] = field(default_factory=list)
     kips: float = 0.0
+    # Checkpoint-ladder roll-up over the same results: how many started
+    # past the boot checkpoint, how many instructions they did not
+    # simulate, and how many exited early on rejoining the golden run.
+    ladder_started: int = 0
+    instructions_skipped: int = 0
+    early_exits: int = 0
     # Service context (only when the share belongs to a repro.service
     # job, i.e. service.json is present): the owning job and tenant,
     # plus queue depth and per-tenant job-state counts read straight
@@ -271,6 +291,9 @@ class CampaignStatus:
             "wall_p90": self.wall_p90,
             "slowest": [list(item) for item in self.slowest],
             "kips": self.kips,
+            "ladder_started": self.ladder_started,
+            "instructions_skipped": self.instructions_skipped,
+            "early_exits": self.early_exits,
             "workers": {name: dict(beat) for name, beat
                         in self.workers.items()},
         }
@@ -373,6 +396,10 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
         if isinstance(wall, (int, float)):
             walls.append((float(wall), name[:-len(".json")]))
             instructions_total += int(entry.get("instructions") or 0)
+        started, skipped, exited = ladder_savings(entry)
+        status.ladder_started += started
+        status.instructions_skipped += skipped
+        status.early_exits += exited
         try:
             result_times.append(os.path.getmtime(path))
         except OSError:
@@ -509,6 +536,12 @@ def render_status(status: CampaignStatus) -> str:
         if status.kips > 0:
             lines.append(f"sim rate    : {status.kips:.1f} KIPS "
                          f"(campaign aggregate)")
+        runs = status.completed
+        lines.append(
+            f"ladder      : {status.ladder_started / runs:.0%} started "
+            f"past the boot checkpoint, "
+            f"{status.instructions_skipped / runs:.0f} instructions "
+            f"skipped per experiment, {status.early_exits} early exits")
         if status.slowest:
             outliers = "  ".join(f"{name}={wall:.3f}s"
                                  for name, wall in status.slowest)

@@ -38,8 +38,10 @@ EVENT_KINDS = frozenset({
     "pipe_inst", "pipe_squash",
     # flight recorder (first golden-vs-faulty divergence)
     "flight_divergence",
-    # campaign lifecycle
+    # campaign lifecycle (reconverged: a faulty run rejoined the golden
+    # run at a checkpoint-ladder rung and stopped early)
     "experiment_start", "experiment_end", "worker_heartbeat",
+    "reconverged",
 })
 
 

@@ -222,6 +222,18 @@ class DivergenceScanner(_CommitHook):
         self.divergence: Divergence | None = None
         self._store_seq = 0
 
+    def resume(self, count: int, stores: int) -> None:
+        """Scan a run restored mid-way from a golden snapshot: *count*
+        instructions and *stores* stores of the log already happened."""
+        self.started = True
+        self.count = count
+        self._store_seq = stores
+
+    @property
+    def position(self) -> tuple[int, int]:
+        """(instructions, stores) scanned so far."""
+        return self.count, self._store_seq
+
     def record(self, window_index, pc, decoded, result, core=None) -> None:
         self.count += 1
         if self.divergence is not None or core is None:

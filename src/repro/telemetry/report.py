@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from ..core.fault import LocationKind
 from ..core.parser import FaultParseError, parse_fault_file
+from .campaign import ladder_savings
 
 # Keep in sync with repro.campaign.classify.OUTCOME_ORDER (imported
 # lazily nowhere: the report only handles result *dicts*, and unknown
@@ -68,6 +69,10 @@ class CampaignReport:
     walls: list[tuple[float, str]] = field(default_factory=list)
     instructions_total: int = 0
     phase_totals: dict[str, float] = field(default_factory=dict)
+    # checkpoint-ladder roll-up (repro.telemetry.campaign.ladder_savings)
+    ladder_started: int = 0
+    instructions_skipped: int = 0
+    early_exits: int = 0
     # Fault-space coverage payload (repro.analysis.coverage
     # FaultSpaceMap.as_dict()); None when the share carries no results.
     coverage: dict | None = None
@@ -152,6 +157,10 @@ def add_result(report: CampaignReport, entry: dict,
         report.walls.append((float(wall),
                              name or f"exp_{report.experiments:05d}"))
         report.instructions_total += int(entry.get("instructions") or 0)
+    started, skipped, exited = ladder_savings(entry)
+    report.ladder_started += started
+    report.instructions_skipped += skipped
+    report.early_exits += exited
     phases = entry.get("phases")
     if isinstance(phases, dict):
         for phase, seconds in phases.items():
@@ -240,6 +249,14 @@ def _host_table(report: CampaignReport
     if total > 0 and report.instructions_total:
         kips = report.instructions_total / total / 1e3
         rows.append(["campaign KIPS", f"{kips:.1f}"])
+    runs = report.experiments
+    rows += [
+        ["started past boot checkpoint",
+         f"{report.ladder_started / runs:.1%}"],
+        ["instructions skipped (mean)",
+         f"{report.instructions_skipped / runs:.0f}"],
+        ["early exits", str(report.early_exits)],
+    ]
     return ["metric", "value"], rows
 
 

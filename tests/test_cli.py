@@ -104,6 +104,16 @@ class TestOtherCommands:
                      "-n", "3", "--location", "pc"]) == 0
         assert "pc" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["campaign"], ["analyze"], ["submit", "--url", "http://127.0.0.1:9"]])
+    def test_bad_location_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(command + ["--location", "bogus"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
+
     def test_campaign_pruned(self, capsys):
         assert main(["campaign", "--workload", "dct", "--scale", "tiny",
                      "-n", "10", "--seed", "7", "--prune"]) == 0

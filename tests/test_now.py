@@ -263,3 +263,62 @@ class TestAtomicPublication:
         for worker in ("w0", "w1", "w2"):
             campaign.worker_loop(worker, runner)
         assert threading.active_count() == before
+
+
+class TestWorkersReuseGolden:
+    """Workers load the coordinator's golden.pkl (with its checkpoint
+    ladder) instead of re-running the golden simulation."""
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return CampaignRunner(build("pi", "tiny"))
+
+    @staticmethod
+    def _canonical(entries):
+        return [json.dumps({k: v for k, v in entry.items()
+                            if k not in ("wall_seconds", "phases")},
+                           sort_keys=True)
+                for entry in entries]
+
+    def test_workers_run_no_golden_and_match_a_direct_run(
+            self, tmp_path, runner, monkeypatch):
+        from repro.campaign.now import _worker_main
+        faults = SEUGenerator(runner.golden.profile, seed=21).batch(6)
+        direct = [r.as_dict()
+                  for r in runner.run_campaign(faults, seed=21)]
+        share_a, share_b = str(tmp_path / "a"), str(tmp_path / "b")
+        for share in (share_a, share_b):
+            SharedDirCampaign(share, "pi", "tiny").publish(
+                runner, faults, seed=21)
+
+        def no_golden(self):
+            raise AssertionError("worker re-ran the golden simulation")
+        monkeypatch.setattr(CampaignRunner, "_golden_run", no_golden)
+        # In-process worker, then forked workers (which inherit the
+        # patch under the fork start method).
+        _worker_main(share_a, "w0", "pi", "tiny")
+        forked = SharedDirCampaign(share_b, "pi", "tiny").run_local(
+            workers=2)
+        in_process = SharedDirCampaign(share_a, "pi", "tiny").collect()
+        assert self._canonical(in_process) == self._canonical(direct)
+        assert self._canonical(forked) == self._canonical(direct)
+
+    @pytest.mark.parametrize("content", [None, b"not a pickle",
+                                         b"\x80\x05N."])
+    def test_missing_or_corrupt_golden_fails_in_one_line(
+            self, tmp_path, runner, content):
+        from repro.campaign.now import _worker_main
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
+        campaign.publish(runner, SEUGenerator(runner.golden.profile,
+                                              seed=22).batch(1))
+        path = tmp_path / "golden.pkl"
+        if content is None:
+            path.unlink()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as caught:
+            _worker_main(str(tmp_path), "w0", "pi", "tiny")
+        message = str(caught.value.code)
+        assert "golden.pkl" in message
+        assert "\n" not in message
+        assert os.listdir(tmp_path / "results") == []

@@ -35,7 +35,7 @@ from repro.telemetry import (
     sim_rates,
 )
 from repro.telemetry.campaign import percentile
-from repro.telemetry.report import CampaignReport, add_result, \
+from repro.telemetry.report import CampaignReport, add_result, load_share, \
     render_markdown
 
 from conftest import MIXED_PROGRAM, run_asm
@@ -334,6 +334,27 @@ class TestHostTimeRollups:
         assert "p90=1.500s" in text
         assert "sim rate    : 10.0 KIPS" in text
         assert "exp_0001=1.500s" in text
+
+    def test_status_and_report_roll_up_the_ladder(self, tmp_path):
+        self._share(tmp_path)
+        ladder = [(0, None), (4_000, 6_000), (2_000, None)]
+        for index, (start, exit_at) in enumerate(ladder):
+            path = tmp_path / "results" / f"exp_{index:04d}.json"
+            entry = json.loads(path.read_text())
+            entry.update(replay_start=start, early_exit=exit_at)
+            path.write_text(json.dumps(entry))
+        status = read_status(str(tmp_path), clock=lambda: 0.0)
+        # skipped: 0 + (4000 + 10000 - 6000) + 2000
+        assert (status.ladder_started, status.instructions_skipped,
+                status.early_exits) == (2, 10_000, 1)
+        assert status.as_dict()["early_exits"] == 1
+        assert ("ladder      : 67% started past the boot checkpoint, "
+                "3333 instructions skipped per experiment, 1 early "
+                "exits") in render_status(status)
+        text = render_markdown(load_share(str(tmp_path)))
+        assert "| started past boot checkpoint | 66.7% |" in text
+        assert "| instructions skipped (mean) | 3333 |" in text
+        assert "| early exits | 1 |" in text
 
     def test_campaign_metrics_phase_and_kips(self):
         results = [

@@ -322,10 +322,11 @@ class TestZeroOverheadWhenDisabled:
         generator = SEUGenerator(runner.golden.profile, seed=6)
         result = runner.run_experiment(generator.batch(1)[0])
         assert sorted(result.as_dict()) == [
-            "crash_reason", "divergence", "fault", "fault_file",
-            "injected", "injection_asm", "injection_detail",
-            "injection_pc", "instructions", "outcome", "phases",
-            "predicted", "propagated", "propagation", "seed", "ticks",
+            "crash_reason", "divergence", "early_exit", "fault",
+            "fault_file", "injected", "injection_asm",
+            "injection_detail", "injection_pc", "instructions",
+            "outcome", "phases", "predicted", "propagated",
+            "propagation", "replay_start", "seed", "ticks",
             "time_fraction", "wall_seconds", "weight", "workload"]
 
 
