@@ -148,6 +148,7 @@ class CampaignSummary:
         """Summarise an in-memory result list (dicts or objects with
         ``as_dict``).  *window* is the FI window's committed count
         when known (sizes the enumerated fault space)."""
+        from ..telemetry.campaign import simulated_instructions
         from ..telemetry.report import latency_histogram
         space = FaultSpaceMap(window=window, confidence=confidence)
         counts: dict[str, int] = {}
@@ -175,7 +176,7 @@ class CampaignSummary:
             if isinstance(wall, (int, float)):
                 timed += 1
                 wall_total += float(wall)
-                instructions += int(entry.get("instructions") or 0)
+                instructions += simulated_instructions(entry)
         total_weight = sum(weights.values())
         outcomes = {}
         for outcome in sorted(counts):
@@ -476,8 +477,8 @@ class CampaignDiff:
 
 def compare_gauges(payload: dict) -> dict[str, float]:
     """Flatten a diff payload into ``compare.*`` gauges for the shared
-    metrics registry, so ``/metrics``, ``/v1/history`` and the console
-    sparklines pick differential state up for free."""
+    metrics registry, so ``/metrics`` picks differential state up for
+    free."""
     rows = payload["outcomes"]
     verdicts = [row["verdict"] for row in rows.values()]
     gauges: dict[str, float] = {

@@ -108,9 +108,9 @@ class SharedDirCampaign(CampaignBackend):
     Layout of the share::
 
         share/
-          checkpoint.bin          the post-init simulator checkpoint
           golden.pkl              the golden run workers reuse (outputs,
-                                  profile, checkpoint ladder)
+                                  profile, post-init checkpoint and
+                                  checkpoint ladder)
           workload.json           name/scale so workers rebuild the spec
           todo/exp_NNNN.txt       per-experiment fault input files
           claimed/exp_NNNN.txt    moved here atomically when claimed
@@ -159,10 +159,6 @@ class SharedDirCampaign(CampaignBackend):
             workload["request"] = request
         _write_json_atomic(
             os.path.join(self.share_dir, "workload.json"), workload)
-        if runner.golden.checkpoint is not None:
-            _write_bytes_atomic(
-                os.path.join(self.share_dir, "checkpoint.bin"),
-                runner.golden.checkpoint)
         _write_bytes_atomic(os.path.join(self.share_dir, "golden.pkl"),
                             pickle.dumps(runner.golden))
         for index, faults in enumerate(fault_sets):

@@ -17,7 +17,7 @@ Observability surfaces (repro.telemetry):
     gemfi trace --follow run.jsonl
     gemfi trace app.mc --cpu o3 --pipe -o pipe.jsonl
     gemfi pipeview pipe.jsonl
-    gemfi status /mnt/share/campaign [--watch 5]
+    gemfi status /mnt/share/campaign [--json]
     gemfi stats-diff golden.txt faulty.txt [--tolerance 0.02]
     gemfi report /mnt/share/campaign --format html -o report.html
     gemfi coverage /mnt/share/campaign [--json|--format md]
@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
+from .analysis.coverage import DIMENSIONS
 from .campaign import (
     CampaignRunner,
     SEUGenerator,
@@ -54,6 +56,54 @@ from .sim import SimConfig, Simulator
 from .workloads import WORKLOAD_NAMES, build
 
 LOCATION_CHOICES = tuple(kind.value for kind in LocationKind)
+
+
+# -- argument types: bad values are argparse errors (exit 2), not
+# tracebacks from deep inside a command.
+
+
+def _open_unit(name: str, low: float, high: float):
+    """A float strictly inside (*low*, *high*)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a number, got {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be in ({low:g}, {high:g}), got {text}")
+        return value
+    return parse
+
+
+_confidence = _open_unit("confidence", 0.5, 1.0)
+_margin = _open_unit("margin", 0.0, 1.0)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text}")
+    return text
+
+
+def _file_or_stdin(text: str) -> str:
+    return text if text == "-" else _existing_file(text)
+
+
+def _workload_or_file(text: str) -> str:
+    return text if text in WORKLOAD_NAMES else _existing_file(text)
 
 
 def _load_program(path: str) -> str:
@@ -121,7 +171,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         location = LocationKind(args.location)
     if args.share_dir:
         # Shared-directory (NoW) mode: publish the experiments and the
-        # checkpoint, drain the queue with local worker processes, and
+        # golden run, drain the queue with local worker processes, and
         # leave the share behind for gemfi status / gemfi report.
         from .campaign import SharedDirCampaign, outcome_counts
         campaign = SharedDirCampaign(args.share_dir, args.workload,
@@ -141,6 +191,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.trace:
             print(f"# span tracing on: gemfi timeline {args.share_dir} "
                   f"/ gemfi dashboard {args.share_dir}")
+        if len(results) < args.experiments:
+            # Dead workers leave experiments unrun; never pass that
+            # off as a finished campaign.
+            print(f"error: {len(results)} results for "
+                  f"{args.experiments} experiments (a worker failed)",
+                  file=sys.stderr)
+            return 1
         return 0
     if args.trace:
         print("# warning: --trace needs --share-dir (span tracing "
@@ -277,43 +334,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    """Live status of a shared-directory campaign (optionally a
-    self-refreshing watch loop)."""
-    import time as _time
-
+    """Live status of a shared-directory campaign."""
     from .telemetry import read_status, render_status
 
-    def show() -> None:
-        status = read_status(args.share_dir,
-                             stale_claim_seconds=args.stale_seconds,
-                             heartbeat_timeout=args.heartbeat_timeout,
-                             coverage=args.coverage)
-        if args.json:
-            import json
-            print(json.dumps(status.as_dict(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_status(status))
-
-    if not args.watch:
-        show()
-        return 0
-    iterations = 0
-    try:
-        while True:
-            if not args.json:
-                # Rehome the cursor and clear: each refresh repaints
-                # one screen instead of scroll-stacking frames.
-                print("\x1b[H\x1b[2J", end="")
-            show()
-            sys.stdout.flush()
-            iterations += 1
-            if args.watch_count and iterations >= args.watch_count:
-                return 0
-            _time.sleep(args.watch)
-    except KeyboardInterrupt:
-        print()
-        return 0
+    status = read_status(args.share_dir,
+                         stale_claim_seconds=args.stale_seconds,
+                         heartbeat_timeout=args.heartbeat_timeout,
+                         coverage=args.coverage)
+    if args.json:
+        import json
+        print(json.dumps(status.as_dict(), indent=2, sort_keys=True))
+    else:
+        print(render_status(status))
+    return 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
@@ -466,7 +499,6 @@ def _load_summary(ref: str, url: str | None = None,
     summary/diff JSON file, or (with *url*) a job id / baseline name
     on a running service — into a CampaignSummary."""
     import json
-    import os
 
     from .analysis.diff import CampaignSummary
     if os.path.isdir(ref):
@@ -518,10 +550,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     visited, per-dimension outcome heatmaps with Wilson intervals,
     and margin convergence."""
     import json
-    import os
 
     from .analysis.coverage import (
-        DIMENSIONS,
         coverage_from_share,
         render_coverage_markdown,
         render_coverage_tables,
@@ -537,11 +567,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         name = os.path.basename(os.path.normpath(args.share_dir))
         text = render_coverage_markdown(payload, name=name)
     elif args.dimension:
-        if args.dimension not in DIMENSIONS:
-            print(f"# unknown dimension '{args.dimension}' "
-                  f"(choose from {', '.join(DIMENSIONS)})",
-                  file=sys.stderr)
-            return 2
         text = render_heatmap_table(payload, args.dimension) + "\n"
     else:
         text = render_coverage_tables(payload)
@@ -607,7 +632,6 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     object's digest and list corrupt/orphaned entries, exiting
     nonzero when anything is wrong."""
     import json
-    import os
 
     from .service.store import ContentStore
     root = args.data_dir
@@ -748,9 +772,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       default_quota=args.quota,
                       lease_seconds=args.lease_seconds,
                       watchdog_config=WatchdogConfig(),
-                      ui=args.ui,
-                      history_interval=args.history_interval,
-                      history_retention=args.history_retention)
+                      ui=args.ui)
     service.start_http()
     print(f"# gemfi service on {service.url}  data={args.data_dir}",
           file=sys.stderr)
@@ -868,52 +890,6 @@ def cmd_usage(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_history(args: argparse.Namespace) -> int:
-    """Recorded metrics time series from a running service
-    (GET /v1/history): one line per series with sample count, range
-    and latest value; --series prints one series' points."""
-    import json
-
-    from .service import ServiceClient, ServiceError
-    client = ServiceClient(args.url, tenant=args.tenant)
-    try:
-        payload = client.history(prefix=args.prefix,
-                                 since=args.since, limit=args.limit)
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        client.close()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    meta = payload["meta"]
-    history = payload["history"]
-    print(f"# {meta['series']} series, {meta['samples']} samples, "
-          f"round {meta['rounds']}  (every {meta['interval']}s, "
-          f"keep {meta['retention']}/series)")
-    if args.series:
-        points = history.get(args.series)
-        if points is None:
-            print(f"error: no series {args.series!r} recorded",
-                  file=sys.stderr)
-            return 1
-        for stamp, value in points:
-            print(f"{stamp:.3f} {value:g}")
-        return 0
-    if not history:
-        print("# no samples recorded yet")
-        return 0
-    width = max(len(name) for name in history)
-    for name in sorted(history):
-        points = history[name]
-        values = [value for _, value in points]
-        print(f"{name:<{width}} n={len(points):>4} "
-              f"min={min(values):<12g} max={max(values):<12g} "
-              f"last={values[-1]:g}")
-    return 0
-
-
 def cmd_fetch(args: argparse.Namespace) -> int:
     """Fetch a stored artifact by digest (or a job's results/report)
     and verify the content address on the way out."""
@@ -967,9 +943,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser(
         "run", help="simulate one program, optionally injecting faults")
-    run_p.add_argument("program",
+    run_p.add_argument("program", type=_existing_file,
                        help="MiniC source (.mc/.py) or assembly (.s)")
-    run_p.add_argument("--fault-file", "-f",
+    run_p.add_argument("--fault-file", "-f", type=_existing_file,
                        help="Listing-1 style fault input file")
     run_p.add_argument("--fault", action="append",
                        help="inline fault description (repeatable)")
@@ -988,7 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=WORKLOAD_NAMES)
     camp_p.add_argument("--scale", default="tiny",
                         choices=("tiny", "small", "medium", "paper"))
-    camp_p.add_argument("--experiments", "-n", type=int, default=40)
+    camp_p.add_argument("--experiments", "-n", type=_positive_int,
+                        default=40)
     camp_p.add_argument("--seed", type=int, default=0)
     camp_p.add_argument("--location", default=None,
                         choices=LOCATION_CHOICES,
@@ -1009,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run as a shared-directory (NoW) campaign "
                              "rooted here, leaving the share behind for "
                              "gemfi status / gemfi report")
-    camp_p.add_argument("--workers", type=int, default=2,
+    camp_p.add_argument("--workers", type=_positive_int, default=2,
                         help="local worker processes in --share-dir "
                              "mode")
     camp_p.add_argument("--trace", action="store_true",
@@ -1025,7 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=WORKLOAD_NAMES)
     ana_p.add_argument("--scale", default="tiny",
                        choices=("tiny", "small", "medium", "paper"))
-    ana_p.add_argument("--experiments", "-n", type=int, default=200)
+    ana_p.add_argument("--experiments", "-n", type=_positive_int,
+                       default=200)
     ana_p.add_argument("--seed", type=int, default=0)
     ana_p.add_argument("--location", default=None,
                        choices=LOCATION_CHOICES,
@@ -1038,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("program", nargs="?", default=None,
                          help="MiniC source (.mc/.py) or assembly (.s); "
                               "with --follow, the JSONL file to tail")
-    trace_p.add_argument("--fault-file", "-f",
+    trace_p.add_argument("--fault-file", "-f", type=_existing_file,
                          help="Listing-1 style fault input file")
     trace_p.add_argument("--fault", action="append",
                          help="inline fault description (repeatable)")
@@ -1067,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_p = sub.add_parser(
         "pipeview",
         help="render an O3 fetch->commit timeline from a --pipe trace")
-    pipe_p.add_argument("trace",
+    pipe_p.add_argument("trace", type=_file_or_stdin,
                         help="JSONL trace file ('-' reads stdin)")
     pipe_p.set_defaults(func=cmd_pipeview)
 
@@ -1089,13 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="append the fault-space coverage frame "
                                "(space visited, Wilson-interval "
                                "outcome rates, margin convergence)")
-    status_p.add_argument("--watch", type=float, default=0.0,
-                          metavar="SECONDS",
-                          help="re-read and re-print the status every "
-                               "SECONDS until interrupted")
-    status_p.add_argument("--watch-count", type=int, default=0,
-                          help="stop --watch after N refreshes "
-                               "(0 = until interrupted)")
     status_p.set_defaults(func=cmd_status)
 
     tl_p = sub.add_parser(
@@ -1151,8 +1122,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p = sub.add_parser(
         "stats-diff",
         help="diff two stats dumps (Section IV.A validation)")
-    diff_p.add_argument("a", help="baseline stats dump")
-    diff_p.add_argument("b", help="comparison stats dump")
+    diff_p.add_argument("a", type=_existing_file,
+                        help="baseline stats dump")
+    diff_p.add_argument("b", type=_existing_file,
+                        help="comparison stats dump")
     diff_p.add_argument("--tolerance", type=float, default=0.0,
                         help="ignore relative differences up to this "
                              "fraction on timing-sensitive counters "
@@ -1246,14 +1219,13 @@ def build_parser() -> argparse.ArgumentParser:
     cov_p.add_argument("--json", dest="format", action="store_const",
                        const="json",
                        help="shorthand for --format json")
-    cov_p.add_argument("--dimension", default=None,
+    cov_p.add_argument("--dimension", default=None, choices=DIMENSIONS,
                        help="render only this heatmap dimension "
-                            "(table format): location, bit, "
-                            "time_decile, register, pc_region")
-    cov_p.add_argument("--confidence", type=float, default=0.99,
+                            "(table format)")
+    cov_p.add_argument("--confidence", type=_confidence, default=0.99,
                        help="Wilson interval confidence level "
                             "(default 0.99)")
-    cov_p.add_argument("--margin", type=float, default=0.01,
+    cov_p.add_argument("--margin", type=_margin, default=0.01,
                        help="convergence margin on outcome-rate "
                             "half-widths (default 0.01 = +-1%%)")
     cov_p.add_argument("--output", "-o", default=None,
@@ -1264,7 +1236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="self-profile the simulator: host-time attribution and "
              "sim-rate (KIPS) for one run")
-    prof_p.add_argument("workload",
+    prof_p.add_argument("workload", type=_workload_or_file,
                         help="paper workload name, MiniC source "
                              "(.mc/.py) or assembly (.s)")
     prof_p.add_argument("--scale", default="tiny",
@@ -1272,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload scale (workload names only)")
     prof_p.add_argument("--cpu", default="atomic",
                         choices=("atomic", "timing", "inorder", "o3"))
-    prof_p.add_argument("--fault-file", "-f",
+    prof_p.add_argument("--fault-file", "-f", type=_existing_file,
                         help="Listing-1 style fault input file")
     prof_p.add_argument("--fault", action="append",
                         help="inline fault description (repeatable)")
@@ -1316,14 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--ui", action="store_true",
                          help="serve the embedded web console at /ui "
                               "(stdlib-rendered, zero dependencies)")
-    serve_p.add_argument("--history-interval", type=float,
-                         default=5.0, metavar="SECONDS",
-                         help="metrics-history sampling interval; "
-                              "<= 0 disables the recorder")
-    serve_p.add_argument("--history-retention", type=int,
-                         default=720, metavar="SAMPLES",
-                         help="samples kept per series (ring "
-                              "retention; default 720 = 1h at 5s)")
     serve_p.set_defaults(func=cmd_serve)
 
     sub_p = sub.add_parser(
@@ -1381,25 +1345,6 @@ def build_parser() -> argparse.ArgumentParser:
     usage_p.add_argument("--json", action="store_true")
     usage_p.set_defaults(func=cmd_usage)
 
-    hist_p = sub.add_parser(
-        "history",
-        help="recorded metrics time series from a running service")
-    hist_p.add_argument("--url", default="http://127.0.0.1:8642")
-    hist_p.add_argument("--tenant", default="default")
-    hist_p.add_argument("--prefix", default=None,
-                        help="only series whose name starts with this "
-                             "(e.g. queue., usage.kips)")
-    hist_p.add_argument("--since", type=float, default=None,
-                        help="only samples newer than this UNIX time")
-    hist_p.add_argument("--limit", type=int, default=None,
-                        help="newest N samples per series")
-    hist_p.add_argument("--series", default=None,
-                        help="print this one series' points "
-                             "(time value per line)")
-    hist_p.add_argument("--json", action="store_true",
-                        help="print the raw /v1/history payload")
-    hist_p.set_defaults(func=cmd_history)
-
     fetch_p = sub.add_parser(
         "fetch",
         help="fetch a stored artifact by digest (sha256-verified), "
@@ -1419,9 +1364,10 @@ def build_parser() -> argparse.ArgumentParser:
     size_p = sub.add_parser(
         "sample-size",
         help="Leveugle DATE'09 statistical campaign sizing")
-    size_p.add_argument("--population", type=int, default=None)
-    size_p.add_argument("--confidence", type=float, default=0.99)
-    size_p.add_argument("--margin", type=float, default=0.01)
+    size_p.add_argument("--population", type=_positive_int,
+                        default=None)
+    size_p.add_argument("--confidence", type=_confidence, default=0.99)
+    size_p.add_argument("--margin", type=_margin, default=0.01)
     size_p.set_defaults(func=cmd_sample_size)
     return parser
 
@@ -1432,10 +1378,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # `gemfi history | head` (or any table command piped into a
+        # `gemfi jobs | head` (or any table command piped into a
         # pager that exits early) closes stdout mid-print; point the
         # fd at devnull so the interpreter-exit flush stays quiet too.
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 

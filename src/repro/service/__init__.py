@@ -27,9 +27,8 @@ directories and become **jobs** submitted to a long-lived service —
   JSONL access/error logs;
 * :mod:`repro.service.console` — the embedded web console
   (``gemfi serve --ui``): stdlib-rendered HTML pages at ``GET /ui``
-  over the API — live job explorer, metrics-history charts
-  (:mod:`repro.telemetry.history` behind ``GET /v1/history``),
-  SVG timelines, the merged alerts feed and inlined reports.
+  over the API — live job explorer, SVG timelines, the merged alerts
+  feed and inlined reports.
 
 The existing heartbeat/span/watchdog machinery is the service's
 health plane: job status streams reuse ``read_status`` and the

@@ -20,7 +20,6 @@ content store::
     GET    /v1/blobs/{digest}        any stored artifact by digest
     GET    /v1/store/stats           content-store object/byte counts
     GET    /v1/usage[?tenant=]       persisted per-tenant metering
-    GET    /v1/history               bounded metrics time series
     GET    /v1/archive[?tenant=]     archived campaign summaries index
     GET    /v1/baselines             named baselines
     POST   /v1/baselines             tag an archived job as a baseline
@@ -54,12 +53,6 @@ from ..telemetry.campaign import read_status
 from ..telemetry.export import (
     OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
-)
-from ..telemetry.history import (
-    DEFAULT_INTERVAL,
-    DEFAULT_RETENTION,
-    HistoryRecorder,
-    HistoryStore,
 )
 from ..telemetry.watchdog import (
     WatchdogConfig,
@@ -122,16 +115,12 @@ class ServiceApp:
     def __init__(self, queue: JobQueue, store: ContentStore,
                  watchdog_config: WatchdogConfig | None = None,
                  observer: ServiceObserver | None = None,
-                 history: HistoryStore | None = None,
-                 history_interval: float = DEFAULT_INTERVAL,
                  ui: bool = False,
                  clock=time.time) -> None:
         self.queue = queue
         self.store = store
         self.watchdog_config = watchdog_config or WatchdogConfig()
         self.observer = observer
-        self.history = history
-        self.history_interval = history_interval
         self._clock = clock
         # share-signature cache for the coverage.* gauges: job id ->
         # ((result count, newest mtime), gauges).
@@ -156,7 +145,6 @@ class ServiceApp:
         add("GET", "/v1/blobs/{digest}", self.blob)
         add("GET", "/v1/store/stats", self.store_stats)
         add("GET", "/v1/usage", self.usage)
-        add("GET", "/v1/history", self.history_series)
         add("GET", "/v1/archive", self.archive_index)
         add("GET", "/v1/baselines", self.baselines_index)
         add("POST", "/v1/baselines", self.tag_baseline)
@@ -468,24 +456,6 @@ class ServiceApp:
         tenant = request.query.get("tenant")
         return Response.json({"usage": self.queue.usage(tenant=tenant)})
 
-    async def history_series(self, request: Request) -> Response:
-        """Bounded time series sampled from the same registry that
-        ``/metrics`` renders: ``?prefix=`` filters by series name,
-        ``?since=`` by sample time, ``?limit=`` caps the newest
-        samples per series.  ``meta.rounds`` is monotone across the
-        recorder's life even though retention bounds the samples."""
-        if self.history is None:
-            raise HTTPError(404, "metrics history is not enabled on "
-                                 "this service")
-        since = _query_float(request, "since")
-        limit = _query_int(request, "limit", 0) or None
-        series = self.history.series(
-            prefix=request.query.get("prefix") or None,
-            since=since, limit=limit)
-        meta = self.history.summary()
-        meta["interval"] = self.history_interval
-        return Response.json({"history": series, "meta": meta})
-
     # -- metrics --------------------------------------------------------------
 
     #: coverage.* gauges are computed for at most this many jobs
@@ -496,7 +466,7 @@ class ServiceApp:
     def _coverage_gauge_sets(self) -> list[tuple[str, dict]]:
         """(job id, coverage gauges) for the newest jobs with shares.
 
-        Re-reading every result on every history beat would dwarf the
+        Re-reading every result on every scrape would dwarf the
         scrape itself, so each share's gauges are cached against a
         cheap signature (result-file count + newest mtime) and only
         recomputed when new results have landed."""
@@ -560,8 +530,8 @@ class ServiceApp:
                 observer.set_gauge(name, value, job=job_id)
         if compare_state is not None:
             # The most recent diff computed on this service; labelled
-            # with its operands, so /v1/history keeps distinct series
-            # per comparison pair.
+            # with its operands, so a scraper keeps distinct series per
+            # comparison pair.
             gauges, labels = compare_state
             for name, value in sorted(gauges.items()):
                 observer.set_gauge(name, value, **labels)
@@ -580,8 +550,8 @@ class ServiceApp:
                 observer.set_gauge(f"usage.{field}", totals[field],
                                    tenant=tenant)
             # Aggregate sim rate per tenant (KIPS, the paper's unit),
-            # derived from the persisted metering so the console's
-            # trend chart works even across service restarts.
+            # derived from the persisted metering so it survives
+            # service restarts.
             wall = totals.get("wall_seconds") or 0.0
             if wall > 0:
                 observer.set_gauge(
@@ -609,13 +579,10 @@ class Service:
           store/        the content-addressed artifact store
           shares/<job>  one campaign share per job (telemetry plane)
           logs/         JSONL access + error logs (observability)
-          history.db    bounded metrics time series (ring retention)
 
-    *ui* registers the embedded web console under ``GET /ui``;
-    *history_interval* (seconds; <= 0 disables the recorder beat) and
-    *history_retention* (samples kept per series) size the metrics
-    history.  Neither ever writes inside a job share, so same-seed
-    campaign results stay byte-identical with the console enabled.
+    *ui* registers the embedded web console under ``GET /ui``; it never
+    writes inside a job share, so same-seed campaign results stay
+    byte-identical with the console enabled.
     """
 
     def __init__(self, data_dir: str, host: str = "127.0.0.1",
@@ -624,8 +591,6 @@ class Service:
                  poll_seconds: float = 0.5,
                  watchdog_config: WatchdogConfig | None = None,
                  ui: bool = False,
-                 history_interval: float = DEFAULT_INTERVAL,
-                 history_retention: int = DEFAULT_RETENTION,
                  clock=time.time) -> None:
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
@@ -643,19 +608,10 @@ class Service:
             self.queue, self.store, data_dir,
             lease_seconds=lease_seconds, poll_seconds=poll_seconds,
             observer=self.observer, clock=clock)
-        self.history = HistoryStore(
-            os.path.join(data_dir, "history.db"),
-            retention=history_retention)
         self.app = ServiceApp(self.queue, self.store,
                               watchdog_config=watchdog_config,
                               observer=self.observer,
-                              history=self.history,
-                              history_interval=history_interval,
                               ui=ui, clock=clock)
-        self.recorder = HistoryRecorder(
-            self.observer.snapshot, self.history,
-            interval=history_interval,
-            refresh=self.app._refresh_gauges, clock=clock)
         self._stop = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._http_thread: threading.Thread | None = None
@@ -714,7 +670,6 @@ class Service:
                 f"{failure[0]}") from failure[0]
         if self.port is None:
             raise RuntimeError("HTTP server did not start")
-        self.recorder.start()
         return self
 
     def start_dispatcher(self) -> "Service":
@@ -736,7 +691,6 @@ class Service:
 
     def stop(self) -> None:
         self._stop.set()
-        self.recorder.stop()
         if self._dispatch_thread is not None:
             self._dispatch_thread.join(timeout=30.0)
             self._dispatch_thread = None
@@ -745,4 +699,3 @@ class Service:
         if self._http_thread is not None:
             self._http_thread.join(timeout=10.0)
             self._http_thread = None
-        self.history.close()

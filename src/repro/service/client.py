@@ -184,20 +184,6 @@ class ServiceClient:
         query = {"tenant": tenant} if tenant else None
         return self._json("GET", "/v1/usage", query=query)["usage"]
 
-    def history(self, prefix: str | None = None,
-                since: float | None = None,
-                limit: int | None = None) -> dict:
-        """The recorded metrics time series from ``GET /v1/history``:
-        ``{"history": {series: [[time, value], ...]}, "meta": ...}``."""
-        query: dict = {}
-        if prefix:
-            query["prefix"] = prefix
-        if since is not None:
-            query["since"] = since
-        if limit is not None:
-            query["limit"] = limit
-        return self._json("GET", "/v1/history", query=query or None)
-
     def summary(self, ref: str) -> dict:
         """A job's archived (or rebuilt) campaign summary payload."""
         return self._json("GET",

@@ -17,8 +17,6 @@ it never grows a second data plane:
 * ``/ui/jobs/{id}`` — live job page: the browser consumes the
   chunked-JSONL ``GET /v1/jobs/{id}/events`` stream with a
   ``ReadableStream`` reader — the exact bytes ``curl -N`` sees;
-* ``/ui/metrics`` — trend charts (KIPS, queue depth, HTTP latency,
-  outcome mix) as inline SVG sparklines over ``GET /v1/history``;
 * ``/ui/jobs/{id}/timeline`` — the Perfetto trace-event JSON rendered
   server-side as an SVG lane view plus the request-rooted span tree;
 * ``/ui/alerts`` — the merged watchdog journal across every job share;
@@ -48,16 +46,6 @@ from ..telemetry.timeline import (
 )
 from ..telemetry.watchdog import alerts_feed
 from .http import HTTPError, Request, Response
-
-#: families the metrics page charts by default (prefix matches against
-#: the history series names; everything else is one dropdown away).
-DEFAULT_CHART_PREFIXES = (
-    "usage.kips", "queue.depth", "http.requests_in_flight",
-    "http.request_duration_seconds", "queue.jobs_finished",
-    "jobs.executed", "coverage.max_half_width",
-    "coverage.covered_fraction", "compare.verdict",
-    "compare.max_abs_delta",
-)
 
 _CSS = """
 :root { color-scheme: light; }
@@ -96,8 +84,6 @@ pre { background: #fff; padding: 12px; overflow-x: auto;
 .muted { color: #6b7682; font-size: 0.8rem; }
 .chart { background: #fff; border: 1px solid #e4e7eb; padding: 8px;
          margin-bottom: 12px; }
-.chart .name { font-size: 0.78rem; font-family: ui-monospace,
-               monospace; }
 #events { max-height: 340px; overflow-y: auto; }
 """
 
@@ -105,7 +91,6 @@ pre { background: #fff; padding: 12px; overflow-x: auto;
 def _nav() -> str:
     return ('<header><span class="brand">gemfi console</span>'
             '<a href="/ui">jobs</a>'
-            '<a href="/ui/metrics">metrics</a>'
             '<a href="/ui/coverage">coverage</a>'
             '<a href="/ui/compare">compare</a>'
             '<a href="/ui/alerts">alerts</a>'
@@ -240,66 +225,6 @@ async function tail() {
 tail();
 """
 
-_METRICS_JS = """
-'use strict';
-const W = 360, H = 64, PAD = 4;
-function spark(points) {
-  if (!points.length) { return '<svg width="' + W + '" height="' +
-                               H + '"></svg>'; }
-  let lo = Infinity, hi = -Infinity;
-  points.forEach(function (p) {
-    lo = Math.min(lo, p[1]); hi = Math.max(hi, p[1]);
-  });
-  if (hi === lo) { hi = lo + 1; }
-  const t0 = points[0][0];
-  const t1 = Math.max(points[points.length - 1][0], t0 + 1e-9);
-  const path = points.map(function (p, i) {
-    const x = PAD + (p[0] - t0) / (t1 - t0) * (W - 2 * PAD);
-    const y = H - PAD - (p[1] - lo) / (hi - lo) * (H - 2 * PAD);
-    return (i ? 'L' : 'M') + x.toFixed(1) + ' ' + y.toFixed(1);
-  }).join(' ');
-  const last = points[points.length - 1][1];
-  return '<svg width="' + W + '" height="' + H + '">' +
-    '<path d="' + path + '" fill="none" stroke="#2a6fb5" ' +
-    'stroke-width="1.5"/></svg>' +
-    '<span class="muted"> min ' + lo.toPrecision(4) +
-    ' · max ' + hi.toPrecision(4) +
-    ' · last ' + last.toPrecision(4) + '</span>';
-}
-function render(payload) {
-  const names = Object.keys(payload.history).sort();
-  const box = document.getElementById('charts');
-  document.getElementById('meta').textContent =
-    names.length + ' series · ' + payload.meta.samples +
-    ' samples · round ' + payload.meta.rounds +
-    ' · every ' + payload.meta.interval + 's, keep ' +
-    payload.meta.retention;
-  if (!names.length) {
-    box.innerHTML = '<p class="muted">no samples recorded yet — ' +
-      'the recorder beats every ' + payload.meta.interval +
-      's.</p>';
-    return;
-  }
-  box.innerHTML = names.map(function (name) {
-    return '<div class="chart"><div class="name">' + name +
-      '</div>' + spark(payload.history[name]) + '</div>';
-  }).join('');
-}
-async function refresh() {
-  const prefix = document.getElementById('prefix').value.trim();
-  const query = prefix ? '?prefix=' + encodeURIComponent(prefix) : '';
-  try {
-    const res = await fetch('/v1/history' + query);
-    if (res.ok) { render(await res.json()); }
-  } catch (err) { /* transient */ }
-}
-document.getElementById('prefix').addEventListener('change', refresh);
-render(JSON.parse(
-  document.getElementById('gemfi-data').textContent));
-setInterval(refresh, 5000);
-"""
-
-
 class Console:
     """Read-only HTML views over a :class:`~repro.service.api.ServiceApp`."""
 
@@ -309,7 +234,6 @@ class Console:
     def register(self, router) -> None:
         add = router.add
         add("GET", "/ui", self.index)
-        add("GET", "/ui/metrics", self.metrics_page)
         add("GET", "/ui/coverage", self.coverage_page)
         add("GET", "/ui/compare", self.compare_page)
         add("GET", "/ui/alerts", self.alerts_page)
@@ -395,32 +319,6 @@ class Console:
             f"connecting…</span></h2>"
             '<pre id="events"></pre>')
         return _page(f"job {job.id}", body, payload, script=_JOB_JS)
-
-    async def metrics_page(self, request: Request) -> Response:
-        if self.app.history is None:
-            raise HTTPError(404, "metrics history is not enabled on "
-                                 "this service")
-        prefix = request.query.get("prefix", "")
-        if prefix:
-            series = self.app.history.series(prefix=prefix)
-        else:
-            series = {}
-            for chart in DEFAULT_CHART_PREFIXES:
-                series.update(self.app.history.series(prefix=chart))
-        meta = self.app.history.summary()
-        meta["interval"] = self.app.history_interval
-        payload = {"history": series, "meta": meta}
-        body = (
-            "<h1>Metrics history</h1>"
-            f'<p class="muted" id="meta"></p>'
-            f'<p><label>series prefix <input id="prefix" '
-            f'value="{_esc(prefix)}" '
-            f'placeholder="queue. / http. / usage."></label> '
-            f'<span class="muted">empty = the default charts '
-            f"(KIPS, queue depth, HTTP latency, outcome mix); data "
-            f"from <code>GET /v1/history</code></span></p>"
-            '<div id="charts"></div>')
-        return _page("metrics", body, payload, script=_METRICS_JS)
 
     async def coverage_page(self, request: Request) -> Response:
         """Fault-space coverage maps: per-dimension outcome heatmaps

@@ -38,7 +38,11 @@ import threading
 import time
 
 from ..campaign import CampaignRunner, SEUGenerator, get_backend
-from ..telemetry.campaign import SERVICE_FILE, PeriodicBeat
+from ..telemetry.campaign import (
+    SERVICE_FILE,
+    PeriodicBeat,
+    simulated_instructions,
+)
 from ..telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
                                TraceContext, Tracer, span_log_path)
 from ..workloads import build
@@ -245,7 +249,7 @@ class Dispatcher:
         try:
             self.queue.record_usage(
                 job.tenant, jobs=1, experiments=len(results),
-                instructions=sum(int(entry.get("instructions", 0))
+                instructions=sum(simulated_instructions(entry)
                                  for entry in results),
                 wall_seconds=sum(
                     float(entry.get("wall_seconds", 0.0) or 0.0)
@@ -255,15 +259,13 @@ class Dispatcher:
 
     def _mark_share(self, share_dir: str, job: Job) -> None:
         """Write the service marker so ``gemfi status`` on this share
-        shows the owning job/tenant and live queue numbers."""
+        shows the owning job and tenant."""
         os.makedirs(share_dir, exist_ok=True)
         import json
         path = os.path.join(share_dir, SERVICE_FILE)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"job": job.id, "tenant": job.tenant,
-                       "queue_db": os.path.abspath(self.queue.path)},
-                      handle)
+            json.dump({"job": job.id, "tenant": job.tenant}, handle)
         os.replace(tmp, path)
 
     def _archive_summary(self, job: Job, share_dir: str) -> None:

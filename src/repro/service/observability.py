@@ -34,7 +34,6 @@ import traceback
 import uuid
 
 from ..telemetry.export import labelled
-from ..telemetry.history import numeric_snapshot
 from ..telemetry.metrics import MetricsRegistry
 
 LOG_DIR = "logs"
@@ -158,16 +157,6 @@ class ServiceObserver:
     def set_gauge(self, name: str, value, **labels) -> None:
         with self._lock:
             self.registry.set(labelled(name, **labels), value)
-
-    def snapshot(self) -> dict[str, float]:
-        """Point-in-time numeric view of the registry for the metrics
-        history recorder (histogram bucket lines filtered out; see
-        :func:`repro.telemetry.history.numeric_snapshot`) — the same
-        statistics ``GET /metrics`` renders, so history and exposition
-        can never disagree."""
-        with self._lock:
-            flat = self.registry.as_flat_dict()
-        return numeric_snapshot(flat)
 
     # -- HTTP lifecycle -------------------------------------------------------
 

@@ -52,13 +52,6 @@ from .events import (
     events_from_jsonl,
     events_to_jsonl,
 )
-from .history import (
-    DEFAULT_INTERVAL,
-    DEFAULT_RETENTION,
-    HistoryRecorder,
-    HistoryStore,
-    numeric_snapshot,
-)
 from .flight import (
     DivergenceScanner,
     FlightRecorder,
@@ -134,10 +127,9 @@ from .watchdog import (
 
 __all__ = [
     "Alert", "CampaignReport", "CampaignStatus", "Counter",
-    "DEFAULT_INTERVAL", "DEFAULT_RETENTION",
     "Distribution", "DivergenceScanner", "EVENT_KINDS",
     "FlightRecorder", "Formula", "GoldenFlightLog",
-    "HistoryRecorder", "HistoryStore", "Histogram",
+    "Histogram",
     "JsonlFileSink", "JsonlSpanSink", "ListSink", "ListSpanSink",
     "MetricsRegistry", "OPENMETRICS_CONTENT_TYPE", "PeriodicBeat",
     "Profiler", "RingBufferSink", "SamplingProfiler",
@@ -148,7 +140,7 @@ __all__ = [
     "diff_stats", "evaluate_alerts", "events_from_jsonl",
     "events_to_jsonl", "follow_jsonl", "format_value", "git_describe",
     "hamming", "labelled", "latency_histogram", "load_share",
-    "load_spans", "numeric_snapshot",
+    "load_spans",
     "parse_metric_name", "parse_openmetrics", "parse_stats",
     "read_alerts", "read_heartbeats", "read_jsonl",
     "read_service_context", "read_span_records", "read_status",

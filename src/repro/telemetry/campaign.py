@@ -36,9 +36,8 @@ from .metrics import MetricsRegistry
 HEARTBEAT_DIR = "heartbeats"
 MANIFEST_DIR = "manifests"
 # Written into a share by the service dispatcher (repro.service): marks
-# the share as one job of a campaign service and points back at the
-# job queue, so `gemfi status` can surface queue depth and per-tenant
-# counts next to the campaign's own numbers.
+# the share as one job of a campaign service, so `gemfi status` can name
+# the owning job and tenant next to the campaign's own numbers.
 SERVICE_FILE = "service.json"
 
 _HOSTNAME: str | None = None
@@ -210,6 +209,15 @@ def ladder_savings(entry: dict) -> tuple[int, int, int]:
     return int(start > 0), skipped, int(isinstance(exit_at, int))
 
 
+def simulated_instructions(entry: dict) -> int:
+    """Instructions one result record actually simulated: its full-run
+    ``instructions`` minus the replay and tail the checkpoint ladder
+    skipped (:func:`ladder_savings`).  Every campaign KIPS roll-up
+    divides this, not ``instructions``, by wall time."""
+    total = int(entry.get("instructions") or 0)
+    return max(0, total - ladder_savings(entry)[1])
+
+
 def percentile(values: list[float], fraction: float) -> float | None:
     """Nearest-rank percentile (deterministic, no interpolation)."""
     if not values:
@@ -250,10 +258,9 @@ class CampaignStatus:
     instructions_skipped: int = 0
     early_exits: int = 0
     # Service context (only when the share belongs to a repro.service
-    # job, i.e. service.json is present): the owning job and tenant,
-    # plus queue depth and per-tenant job-state counts read straight
-    # from the service's job queue.  None for plain NoW shares, so
-    # their status output stays byte-identical to the pre-service tool.
+    # job, i.e. service.json is present): the owning job and tenant.
+    # None for plain NoW shares, so their status output stays
+    # byte-identical to the pre-service tool.
     service: dict | None = None
     # Fault-space coverage frame (opt-in via read_status(coverage=True)
     # / `gemfi status --coverage`): the heatmap-free summary of
@@ -316,38 +323,6 @@ def read_service_context(share_dir: str) -> dict | None:
     return entry if isinstance(entry, dict) else None
 
 
-def _queue_summary(queue_db: str) -> dict | None:
-    """Queue depth and per-tenant job-state counts, read directly from
-    the service's SQLite job queue.
-
-    Deliberately raw SQL rather than an import of ``repro.service`` —
-    telemetry stays a leaf package, and a read-only connection works
-    from any machine that mounts the share, even while the service is
-    writing (WAL).
-    """
-    import sqlite3
-    try:
-        conn = sqlite3.connect(f"file:{queue_db}?mode=ro", uri=True,
-                               timeout=1.0)
-    except sqlite3.Error:
-        return None
-    try:
-        rows = conn.execute(
-            "SELECT tenant, state, COUNT(*) FROM jobs "
-            "GROUP BY tenant, state").fetchall()
-    except sqlite3.Error:
-        return None
-    finally:
-        conn.close()
-    tenants: dict[str, dict[str, int]] = {}
-    depth = 0
-    for tenant, state, count in rows:
-        tenants.setdefault(tenant, {})[state] = count
-        if state == "queued":
-            depth += count
-    return {"queue_depth": depth, "tenants": tenants}
-
-
 def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
                 heartbeat_timeout: float = 120.0,
                 clock=time.time, coverage: bool = False
@@ -395,7 +370,7 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
         wall = entry.get("wall_seconds")
         if isinstance(wall, (int, float)):
             walls.append((float(wall), name[:-len(".json")]))
-            instructions_total += int(entry.get("instructions") or 0)
+            instructions_total += simulated_instructions(entry)
         started, skipped, exited = ladder_savings(entry)
         status.ladder_started += started
         status.instructions_skipped += skipped
@@ -462,14 +437,8 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
 
     context = read_service_context(share_dir)
     if context is not None:
-        info = {"job": context.get("job"),
-                "tenant": context.get("tenant")}
-        queue_db = context.get("queue_db")
-        if queue_db:
-            summary = _queue_summary(queue_db)
-            if summary is not None:
-                info.update(summary)
-        status.service = info
+        status.service = {"job": context.get("job"),
+                          "tenant": context.get("tenant")}
 
     if coverage:
         # Lazy import: analysis pulls in the campaign package; plain
@@ -494,17 +463,9 @@ def render_status(status: CampaignStatus) -> str:
         f"{len(status.workers)} seen",
     ]
     if status.service is not None:
-        line = (f"service     : job={status.service.get('job') or '?'} "
-                f"tenant={status.service.get('tenant') or '?'}")
-        depth = status.service.get("queue_depth")
-        if depth is not None:
-            line += f" queue_depth={depth}"
-        lines.append(line)
-        for tenant in sorted(status.service.get("tenants") or {}):
-            counts = status.service["tenants"][tenant]
-            mix = " ".join(f"{state}={count}" for state, count
-                           in sorted(counts.items()))
-            lines.append(f"  tenant {tenant}: {mix}")
+        lines.append(
+            f"service     : job={status.service.get('job') or '?'} "
+            f"tenant={status.service.get('tenant') or '?'}")
     for name in sorted(status.workers):
         beat = status.workers[name]
         state = "live" if beat.get("live", True) else "silent"
@@ -592,25 +553,17 @@ def campaign_metrics(results) -> MetricsRegistry:
     wall_total = 0.0
     phase_totals: dict[str, float] = {}
     for result in results:
-        if isinstance(result, dict):
-            outcome = result.get("outcome", "unknown")
-            wall = float(result.get("wall_seconds", 0.0))
-            was_injected = bool(result.get("injected"))
-            instructions = int(result.get("instructions") or 0)
-            phases = result.get("phases")
-        else:
-            outcome = result.outcome.value
-            wall = result.wall_seconds
-            was_injected = result.injected
-            instructions = result.instructions
-            phases = getattr(result, "phases", None)
+        entry = result if isinstance(result, dict) else result.as_dict()
+        outcome = entry.get("outcome", "unknown")
+        wall = float(entry.get("wall_seconds", 0.0))
+        phases = entry.get("phases")
         total.inc()
-        if was_injected:
+        if entry.get("injected"):
             injected.inc()
         campaign.counter(f"outcome.{outcome}").inc()
         campaign.distribution(f"wall_seconds.{outcome}").record(wall)
         campaign.distribution("wall_seconds.all").record(wall)
-        instructions_total += instructions
+        instructions_total += simulated_instructions(entry)
         wall_total += wall
         if phases:
             for phase, seconds in phases.items():

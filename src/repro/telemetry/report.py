@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ..core.fault import LocationKind
 from ..core.parser import FaultParseError, parse_fault_file
-from .campaign import ladder_savings
+from .campaign import ladder_savings, simulated_instructions
 
 # Keep in sync with repro.campaign.classify.OUTCOME_ORDER (imported
 # lazily nowhere: the report only handles result *dicts*, and unknown
@@ -156,7 +156,7 @@ def add_result(report: CampaignReport, entry: dict,
     if isinstance(wall, (int, float)):
         report.walls.append((float(wall),
                              name or f"exp_{report.experiments:05d}"))
-        report.instructions_total += int(entry.get("instructions") or 0)
+        report.instructions_total += simulated_instructions(entry)
     started, skipped, exited = ladder_savings(entry)
     report.ladder_started += started
     report.instructions_skipped += skipped

@@ -1,10 +1,12 @@
 """Command-line interface tests."""
 
 import json
+import os
 
 import pytest
 
-from repro.cli import main
+from repro.campaign import SharedDirCampaign
+from repro.cli import build_parser, main
 
 MINIC = """
 def main():
@@ -133,6 +135,69 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_campaign_share_with_dead_workers_fails(
+            self, tmp_path, monkeypatch, capsys):
+        """Workers that cannot load golden.pkl exit before running
+        anything; the campaign must not report that as success."""
+        publish = SharedDirCampaign.publish
+
+        def publish_then_corrupt(self, *args, **kwargs):
+            publish(self, *args, **kwargs)
+            with open(os.path.join(self.share_dir, "golden.pkl"),
+                      "wb") as handle:
+                handle.write(b"not a pickle")
+
+        monkeypatch.setattr(SharedDirCampaign, "publish",
+                            publish_then_corrupt)
+        assert main(["campaign", "-w", "pi", "--scale", "tiny", "-n",
+                     "2", "--share-dir", str(tmp_path / "share"),
+                     "--workers", "2"]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            "error: 0 results for 2 experiments (a worker failed)"]
+
+
+class TestArgumentErrors:
+    """Bad arguments are argparse errors: exit 2, one ``error:`` line,
+    no traceback, and nothing run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-size", "--confidence", "2"],
+        ["sample-size", "--confidence", "nan"],
+        ["sample-size", "--margin", "0"],
+        ["sample-size", "--population", "0"],
+        ["coverage", "{tmp}", "--confidence", "5"],
+        ["coverage", "{tmp}", "--margin", "-1"],
+        ["coverage", "{tmp}", "--dimension", "nope"],
+        ["run", "{tmp}/missing.mc"],
+        ["run", "{prog}", "--fault-file", "{tmp}/missing.txt"],
+        ["profile", "{tmp}/missing.mc"],
+        ["stats-diff", "{tmp}/a.txt", "{tmp}/b.txt"],
+        ["pipeview", "{tmp}/missing.jsonl"],
+        ["campaign", "-n", "0"],
+        ["campaign", "-n", "-3"],
+        ["campaign", "-n", "three"],
+        ["campaign", "--share-dir", "{tmp}/share", "--workers", "0"],
+        ["analyze", "-n", "0"],
+    ])
+    def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
+                                  capsys):
+        argv = [arg.format(tmp=tmp_path, prog=minic_file)
+                for arg in argv]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert not os.path.exists(tmp_path / "share")
+
+    def test_stdin_and_workload_names_still_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["pipeview", "-"]).trace == "-"
+        assert parser.parse_args(["profile", "pi"]).workload == "pi"
+
 
 class TestCoverageCommand:
     """``gemfi coverage``: fault-space coverage over a campaign share."""
@@ -173,9 +238,10 @@ class TestCoverageCommand:
                                                    capsys):
         assert main(["coverage", share, "--dimension", "bit"]) == 0
         assert "# bit position" in capsys.readouterr().out
-        assert main(["coverage", share,
-                     "--dimension", "nope"]) == 2
-        assert "unknown dimension" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as caught:
+            main(["coverage", share, "--dimension", "nope"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_output_file(self, share, tmp_path, capsys):
         target = str(tmp_path / "coverage.md")

@@ -1,16 +1,14 @@
-"""The embedded web console (``gemfi serve --ui``) and /v1/history."""
+"""The embedded web console (``gemfi serve --ui``)."""
 
-import asyncio
 import http.client
 import json
+import os
 import re
-import time
 
 import pytest
 
 from repro.cli import main
-from repro.service import Service, ServiceApp, ServiceClient, ServiceError
-from repro.service.http import HTTPError, Request
+from repro.service import Service, ServiceClient
 
 # -- plumbing -----------------------------------------------------------------
 
@@ -41,10 +39,8 @@ def _island(body: bytes) -> dict:
 
 @pytest.fixture
 def ui_service(tmp_path):
-    """Console enabled, recorder beat off — tests sample explicitly
-    via ``service.recorder.sample_once()`` for determinism."""
-    service = Service(str(tmp_path / "data"), ui=True,
-                      history_interval=0)
+    """HTTP API with the console enabled — no dispatcher thread."""
+    service = Service(str(tmp_path / "data"), ui=True)
     service.start_http()
     yield service
     service.stop()
@@ -129,27 +125,6 @@ class TestConsolePages:
         assert payload["compare"] is None
         assert "nothing to compare yet" in body.decode("utf-8")
 
-    def test_metrics_page_charts_recorded_series(self, ui_service):
-        ui_service.recorder.sample_once()
-        status, _, body = _get(ui_service, "/ui/metrics")
-        assert status == 200
-        payload = _island(body)
-        assert payload["meta"]["rounds"] == 1
-        assert payload["meta"]["interval"] == 0
-        # queue.depth is a default chart and the refresh hook gauges
-        # it before every snapshot.
-        assert "queue.depth" in payload["history"]
-        assert payload["history"]["queue.depth"][0][1] == 0.0
-
-    def test_metrics_page_prefix_filter(self, ui_service):
-        ui_service.recorder.sample_once()
-        status, _, body = _get(ui_service, "/ui/metrics?prefix=store.")
-        assert status == 200
-        payload = _island(body)
-        assert payload["history"]
-        assert all(name.startswith("store.")
-                   for name in payload["history"])
-
     def test_alerts_page_healthy(self, ui_service):
         status, _, body = _get(ui_service, "/ui/alerts")
         assert status == 200
@@ -159,6 +134,17 @@ class TestConsolePages:
         status, _, body = _get(ui_service, "/ui/alerts?live=0")
         assert status == 200
         assert "journal only" in body.decode("utf-8")
+
+    def test_no_metrics_history_surface(self, ui_service):
+        """Trends come from scraping /metrics: the service keeps no
+        history store, endpoint or chart page of its own."""
+        for path in ("/v1/history", "/ui/metrics"):
+            status, _, _ = _get(ui_service, path)
+            assert status == 404
+        assert not os.path.exists(
+            os.path.join(ui_service.data_dir, "history.db"))
+        _, _, body = _get(ui_service, "/ui")
+        assert "/ui/metrics" not in body.decode("utf-8")
 
     def test_timeline_and_report_404_before_dispatch(self, ui_service):
         client = ServiceClient(ui_service.url)
@@ -174,77 +160,6 @@ class TestConsolePages:
         assert status == 404
 
 
-# -- /v1/history --------------------------------------------------------------
-
-
-class TestHistoryEndpoint:
-    def test_rounds_are_monotone_across_scrapes(self, ui_service):
-        client = ServiceClient(ui_service.url)
-        try:
-            before = client.history()
-            assert before["meta"]["rounds"] == 0
-            assert before["history"] == {}
-            ui_service.recorder.sample_once()
-            first = client.history()
-            ui_service.recorder.sample_once()
-            second = client.history()
-        finally:
-            client.close()
-        assert first["meta"]["rounds"] == 1
-        assert second["meta"]["rounds"] == 2
-        assert second["meta"]["samples"] >= first["meta"]["samples"]
-        assert len(second["history"]["queue.depth"]) == 2
-
-    def test_prefix_and_limit_parameters(self, ui_service):
-        ui_service.recorder.sample_once()
-        ui_service.recorder.sample_once()
-        client = ServiceClient(ui_service.url)
-        try:
-            payload = client.history(prefix="queue.", limit=1)
-        finally:
-            client.close()
-        assert payload["history"]
-        for name, points in payload["history"].items():
-            assert name.startswith("queue.")
-            assert len(points) == 1
-
-    def test_bad_parameters_are_400(self, ui_service):
-        status, _, body = _get(ui_service, "/v1/history?since=soon")
-        assert status == 400
-        assert "since must be a number" in json.loads(body)["error"]
-        status, _, body = _get(ui_service, "/v1/history?limit=ten")
-        assert status == 400
-        assert "limit must be an integer" in \
-            json.loads(body)["error"]
-
-    def test_disabled_history_is_404(self, ui_service):
-        # An app wired without a history store refuses the endpoint.
-        app = ServiceApp(ui_service.queue, ui_service.store)
-        request = Request(method="GET", path="/v1/history")
-        with pytest.raises(HTTPError) as err:
-            asyncio.run(app.history_series(request))
-        assert err.value.status == 404
-
-    def test_history_and_metrics_share_one_registry(self, ui_service):
-        name = ('http.requests{code="2xx",method="GET",'
-                'route="/v1/healthz"}')
-        client = ServiceClient(ui_service.url)
-        try:
-            for _ in range(3):
-                client.healthz()
-            # The counter lands just after the response bytes do.
-            deadline = time.time() + 5.0
-            while time.time() < deadline \
-                    and ui_service.observer.snapshot().get(name, 0) < 3:
-                time.sleep(0.02)
-            ui_service.recorder.sample_once()
-            payload = client.history(prefix=name)
-        finally:
-            client.close()
-        (points,) = payload["history"].values()
-        assert points[-1][1] == 3
-
-
 # -- UI traffic shows up in the observability plane ---------------------------
 
 
@@ -252,7 +167,7 @@ class TestUiObservability:
     def test_ui_routes_appear_in_openmetrics(self, ui_service):
         from repro.telemetry.export import parse_openmetrics
         _get(ui_service, "/ui")
-        _get(ui_service, "/ui/metrics")
+        _get(ui_service, "/ui/alerts")
         client = ServiceClient(ui_service.url)
         try:
             families = parse_openmetrics(client.metrics_text())
@@ -263,7 +178,7 @@ class TestUiObservability:
                   in families["http_requests"]["samples"]
                   if sample == "http_requests_total"}
         assert "/ui" in routes
-        assert "/ui/metrics" in routes
+        assert "/ui/alerts" in routes
 
 
 # -- machine-readable CLI surfaces --------------------------------------------
@@ -293,37 +208,8 @@ class TestCliJsonOutput:
         assert main(["usage", "--url", ui_service.url]) == 0
         assert "no metered usage" in capsys.readouterr().out
 
-    def test_history_cli(self, ui_service, capsys):
-        ui_service.recorder.sample_once()
-        assert main(["history", "--url", ui_service.url,
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["meta"]["rounds"] == 1
-        assert "queue.depth" in payload["history"]
-
-        assert main(["history", "--url", ui_service.url,
-                     "--prefix", "queue.depth"]) == 0
-        out = capsys.readouterr().out
-        assert "queue.depth" in out
-        assert "round 1" in out
-
-        assert main(["history", "--url", ui_service.url,
-                     "--series", "queue.depth"]) == 0
-        lines = [line for line in
-                 capsys.readouterr().out.splitlines()
-                 if not line.startswith("#")]
-        assert len(lines) == 1  # "stamp value"
-        assert len(lines[0].split()) == 2
-
-    def test_history_cli_unknown_series_fails(self, ui_service,
-                                              capsys):
-        assert main(["history", "--url", ui_service.url,
-                     "--series", "no.such.series"]) == 1
-        assert "no series" in capsys.readouterr().err
-
     def test_cli_errors_cleanly_with_no_service(self, capsys):
-        assert main(["history",
-                     "--url", "http://127.0.0.1:9"]) == 2
+        assert main(["jobs", "--url", "http://127.0.0.1:9"]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -334,8 +220,7 @@ class TestConsoleEndToEnd:
     @pytest.fixture(scope="class")
     def service(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("console-e2e")
-        service = Service(str(root / "data"), ui=True,
-                          history_interval=0).start()
+        service = Service(str(root / "data"), ui=True).start()
         yield service
         service.stop()
 
@@ -411,33 +296,40 @@ class TestConsoleEndToEnd:
         status, _, _ = _get(service, "/ui/coverage?job=job-missing")
         assert status == 404
 
-    def test_coverage_gauges_reach_history_and_metrics(self, service,
-                                                       done_job):
-        service.recorder.sample_once()
-        client = ServiceClient(service.url)
-        try:
-            payload = client.history(prefix="coverage.")
-        finally:
-            client.close()
-        key = f'coverage.covered_sites{{job="{done_job["id"]}"}}'
-        assert key in payload["history"]
-        assert payload["history"][key][-1][1] > 0
+    def _scrape(self, service, family: str) -> dict:
+        """``{labels: value}`` of one family from a /metrics scrape."""
+        from repro.telemetry.export import parse_openmetrics
         status, _, body = _get(service, "/metrics")
-        text = body.decode("utf-8")
-        assert "coverage_covered_sites" in text
-        assert "# HELP coverage_covered_sites" in text
+        assert status == 200
+        families = parse_openmetrics(body.decode("utf-8"))
+        return {tuple(sorted(labels.items())): value
+                for _, labels, value in families[family]["samples"]}
 
-    def test_usage_kips_gauge_reaches_history(self, service,
-                                              done_job):
-        service.recorder.sample_once()
-        client = ServiceClient(service.url)
-        try:
-            payload = client.history(prefix="usage.kips")
-        finally:
-            client.close()
-        assert 'usage.kips{tenant="console"}' in payload["history"]
-        points = payload["history"]['usage.kips{tenant="console"}']
-        assert points[-1][1] > 0
+    def test_coverage_gauges_reach_metrics(self, service, done_job):
+        sites = self._scrape(service, "coverage_covered_sites")
+        assert sites[(("job", done_job["id"]),)] > 0
+        status, _, body = _get(service, "/metrics")
+        assert "# HELP coverage_covered_sites" in body.decode("utf-8")
+
+    def test_usage_kips_counts_simulated_instructions(self, service,
+                                                      done_job):
+        """The metering behind usage.kips counts what was simulated,
+        not the replay and tail the checkpoint ladder skipped."""
+        from repro.telemetry.campaign import simulated_instructions
+        share = service.queue.get(done_job["id"]).share_dir
+        results = []
+        for name in sorted(os.listdir(os.path.join(share, "results"))):
+            with open(os.path.join(share, "results", name),
+                      encoding="utf-8") as handle:
+                results.append(json.load(handle))
+        usage = service.queue.usage(tenant="console")["console"]
+        assert usage["instructions"] == sum(
+            simulated_instructions(entry) for entry in results)
+        assert usage["instructions"] < sum(
+            entry["instructions"] for entry in results)
+        kips = self._scrape(service, "usage_kips")
+        assert kips[(("tenant", "console"),)] == pytest.approx(
+            usage["instructions"] / usage["wall_seconds"] / 1000.0)
 
     def test_dispatcher_archives_finished_campaign(self, service,
                                                    done_job):

@@ -1,176 +1,13 @@
-"""Metrics history, SVG timeline rendering, merged alerts feed."""
-
-import math
-import threading
-
-import pytest
+"""The console's renderers: SVG timeline lanes and the merged alerts
+feed."""
 
 from repro.telemetry import (
     Alert,
-    HistoryRecorder,
-    HistoryStore,
     alerts_feed,
     append_alerts,
-    numeric_snapshot,
     render_timeline_svg,
 )
 from repro.telemetry.timeline import OUTCOME_COLORS
-
-
-# -- snapshot filtering -------------------------------------------------------
-
-
-class TestNumericSnapshot:
-    def test_keeps_finite_numbers_only(self):
-        flat = {
-            "queue.depth": 3,
-            "usage.kips{tenant=a}": 12.5,
-            "flag": True,
-            "label": "text",
-            "bad": float("nan"),
-            "worse": math.inf,
-        }
-        assert numeric_snapshot(flat) == {
-            "queue.depth": 3.0,
-            "usage.kips{tenant=a}": 12.5,
-        }
-
-    def test_drops_histogram_bucket_lines(self):
-        flat = {
-            "http.request_duration_seconds{route=/x}.samples": 4,
-            "http.request_duration_seconds{route=/x}.le_0.01": 2,
-            "http.request_duration_seconds{route=/x}.le_0.5": 4,
-            "http.request_duration_seconds{route=/x}.overflow": 0,
-        }
-        assert numeric_snapshot(flat) == {
-            "http.request_duration_seconds{route=/x}.samples": 4.0,
-        }
-
-
-# -- the store ----------------------------------------------------------------
-
-
-class TestHistoryStore:
-    def test_record_and_series_round_trip(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"))
-        store.record({"a": 1.0, "b": 2.0}, when=10.0)
-        store.record({"a": 1.5}, when=20.0)
-        series = store.series()
-        assert series == {"a": [[10.0, 1.0], [20.0, 1.5]],
-                          "b": [[10.0, 2.0]]}
-        store.close()
-
-    def test_ring_retention_bounds_samples(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"), retention=3)
-        for round_no in range(5):
-            store.record({"s": float(round_no)},
-                         when=float(round_no))
-        points = store.series()["s"]
-        assert points == [[2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
-        # The round counter is monotone even though samples rolled.
-        assert store.rounds == 5
-        assert store.summary() == {"series": 1, "samples": 3,
-                                   "rounds": 5, "retention": 3}
-        store.close()
-
-    def test_prefix_since_and_limit(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"))
-        for when in (1.0, 2.0, 3.0):
-            store.record({"queue.depth": when,
-                          "store.bytes": when * 10}, when=when)
-        assert set(store.series(prefix="queue.")) == {"queue.depth"}
-        assert store.series(since=2.0)["queue.depth"] == [[3.0, 3.0]]
-        assert store.series(limit=1)["store.bytes"] == [[3.0, 30.0]]
-        assert store.series_names() == ["queue.depth", "store.bytes"]
-        assert store.series_names("store.") == ["store.bytes"]
-        store.close()
-
-    def test_labelled_series_names_match_literally(self, tmp_path):
-        # Series names carry labels ("usage.kips{tenant=a}"); GLOB
-        # metacharacters in a prefix must match literally, never as
-        # wildcards or character classes.
-        store = HistoryStore(str(tmp_path / "h.db"))
-        store.record({"usage.kips{tenant=a}": 1.0,
-                      "x[1]": 2.0, "xz1": 3.0}, when=1.0)
-        assert set(store.series(prefix="usage.kips")) \
-            == {"usage.kips{tenant=a}"}
-        assert set(store.series(prefix="x[1]")) == {"x[1]"}
-        store.close()
-
-    def test_store_is_thread_safe(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"), retention=10)
-
-        def hammer(start):
-            for index in range(25):
-                store.record({"t": float(index)},
-                             when=float(start + index))
-                store.series()
-
-        threads = [threading.Thread(target=hammer, args=(n * 100,))
-                   for n in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert store.rounds == 75
-        assert len(store.series()["t"]) == 10
-        store.close()
-
-
-# -- the recorder -------------------------------------------------------------
-
-
-class TestHistoryRecorder:
-    def test_sample_once_refreshes_then_snapshots(self, tmp_path):
-        calls = []
-        store = HistoryStore(str(tmp_path / "h.db"))
-
-        def refresh():
-            calls.append("refresh")
-
-        def snapshot():
-            calls.append("snapshot")
-            return {"v": 7.0}
-
-        recorder = HistoryRecorder(snapshot, store, interval=0,
-                                   refresh=refresh,
-                                   clock=lambda: 42.0)
-        assert recorder.sample_once() == 1
-        assert calls == ["refresh", "snapshot"]
-        assert store.series() == {"v": [[42.0, 7.0]]}
-        store.close()
-
-    def test_nonpositive_interval_never_starts_a_thread(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"))
-        recorder = HistoryRecorder(lambda: {}, store, interval=0)
-        with recorder:
-            assert not recorder.alive
-        store.close()
-
-    def test_beat_swallows_sampling_errors(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"))
-
-        def explode():
-            raise RuntimeError("disk full")
-
-        recorder = HistoryRecorder(explode, store, interval=0)
-        recorder._tick()  # must not raise
-        with pytest.raises(RuntimeError):
-            recorder.sample_once()  # tests do see failures
-        store.close()
-
-    def test_beat_thread_records_and_joins(self, tmp_path):
-        store = HistoryStore(str(tmp_path / "h.db"))
-        seen = threading.Event()
-
-        def snapshot():
-            seen.set()
-            return {"beat": 1.0}
-
-        with HistoryRecorder(snapshot, store, interval=0.01):
-            assert seen.wait(timeout=5.0)
-        assert store.rounds >= 1
-        store.close()
 
 
 # -- SVG lane rendering -------------------------------------------------------

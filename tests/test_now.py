@@ -15,6 +15,7 @@ from repro.campaign import (
     outcome_counts,
     simulate_makespan,
 )
+from repro.campaign.now import load_golden
 from repro.workloads import build
 
 
@@ -68,7 +69,9 @@ class TestSharedDirProtocol:
         campaign.publish(runner, generator.batch(4))
         assert sorted(os.listdir(tmp_path / "todo")) == [
             f"exp_{i:04d}.txt" for i in range(4)]
-        assert (tmp_path / "checkpoint.bin").exists()
+        # The checkpoint travels inside golden.pkl, which workers load.
+        golden = load_golden(str(tmp_path))
+        assert golden.checkpoint == runner.golden.checkpoint
         assert (tmp_path / "workload.json").exists()
 
     def test_claim_is_exclusive(self, tmp_path, runner):

@@ -34,7 +34,7 @@ from repro.telemetry import (
     render_status,
     sim_rates,
 )
-from repro.telemetry.campaign import percentile
+from repro.telemetry.campaign import percentile, simulated_instructions
 from repro.telemetry.report import CampaignReport, add_result, load_share, \
     render_markdown
 
@@ -335,14 +335,23 @@ class TestHostTimeRollups:
         assert "sim rate    : 10.0 KIPS" in text
         assert "exp_0001=1.500s" in text
 
-    def test_status_and_report_roll_up_the_ladder(self, tmp_path):
+    def _ladder_share(self, tmp_path) -> list[dict]:
+        """The host share with checkpoint-ladder fields: one run from
+        boot, one resumed at 4k that exits early at 6k, one resumed at
+        2k that runs to the end.  Returns the result records."""
         self._share(tmp_path)
         ladder = [(0, None), (4_000, 6_000), (2_000, None)]
+        results = []
         for index, (start, exit_at) in enumerate(ladder):
             path = tmp_path / "results" / f"exp_{index:04d}.json"
             entry = json.loads(path.read_text())
             entry.update(replay_start=start, early_exit=exit_at)
             path.write_text(json.dumps(entry))
+            results.append(entry)
+        return results
+
+    def test_status_and_report_roll_up_the_ladder(self, tmp_path):
+        self._ladder_share(tmp_path)
         status = read_status(str(tmp_path), clock=lambda: 0.0)
         # skipped: 0 + (4000 + 10000 - 6000) + 2000
         assert (status.ladder_started, status.instructions_skipped,
@@ -355,6 +364,46 @@ class TestHostTimeRollups:
         assert "| started past boot checkpoint | 66.7% |" in text
         assert "| instructions skipped (mean) | 3333 |" in text
         assert "| early exits | 1 |" in text
+
+    def test_simulated_instructions_drop_what_the_ladder_skipped(self):
+        # 4k replayed by the rung it resumed from, 4k after the exit.
+        assert simulated_instructions(
+            {"instructions": 10_000, "replay_start": 4_000,
+             "early_exit": 6_000}) == 2_000
+        assert simulated_instructions(
+            {"instructions": 10_000, "replay_start": 2_000,
+             "early_exit": None}) == 8_000
+        assert simulated_instructions({"instructions": 10_000}) \
+            == 10_000
+        assert simulated_instructions({"outcome": "sdc"}) == 0
+
+    def test_every_kips_rollup_counts_simulated_instructions(
+            self, tmp_path):
+        from repro.analysis.diff import CampaignSummary
+        from repro.service import ContentStore, Dispatcher, JobQueue
+        from repro.service.jobs import JobSpec
+        results = self._ladder_share(tmp_path)
+        # 10k + 2k + 8k simulated (not 30k) over 3 host-seconds.
+        kips = 20_000 / 3.0 / 1e3
+        status = read_status(str(tmp_path), clock=lambda: 0.0)
+        assert status.kips == pytest.approx(kips)
+        assert "sim rate    : 6.7 KIPS" in render_status(status)
+        assert "| campaign KIPS | 6.7 |" in render_markdown(
+            load_share(str(tmp_path)))
+        assert campaign_metrics(results).as_flat_dict()[
+            "campaign.host.kips"] == pytest.approx(kips, abs=1e-3)
+        host = CampaignSummary.from_share(str(tmp_path)).payload["host"]
+        assert host["instructions"] == 20_000
+        assert host["kips"] == pytest.approx(kips, rel=1e-6)
+        queue = JobQueue(str(tmp_path / "queue.db"))
+        job = queue.submit(JobSpec.from_dict({"workload": "pi"}),
+                           tenant="t")
+        Dispatcher(queue, ContentStore(str(tmp_path / "store")),
+                   str(tmp_path))._record_usage(job, results)
+        usage = queue.usage()["t"]
+        assert usage["instructions"] == 20_000
+        assert usage["instructions"] / usage["wall_seconds"] / 1e3 \
+            == pytest.approx(kips)
 
     def test_campaign_metrics_phase_and_kips(self):
         results = [

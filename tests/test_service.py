@@ -564,10 +564,11 @@ class TestServiceApi:
         assert frames[-1]["state"] == "cancelled"
 
     @pytest.mark.parametrize("path", [
-        "/v1/history?limit=abc",
-        "/v1/history?since=nan",
-        "/v1/history?since=inf",
+        "/v1/archive?limit=abc",
         "/v1/archive?limit=2.5",
+        "/v1/compare?base=a&head=b&confidence=nan",
+        "/v1/compare?base=a&head=b&confidence=inf",
+        "/v1/compare?base=a&head=b&margin=soon",
     ])
     def test_bad_query_params_are_400(self, api_service, path):
         conn = _http_conn(api_service)
@@ -839,6 +840,41 @@ class TestDispatcherAndE2E:
         assert failed.state == "failed"
         assert "simulated worker loss" in failed.error
 
+    def test_dead_workers_fail_the_job_once(self, tmp_path,
+                                            monkeypatch):
+        """Forked workers that cannot load golden.pkl exit before
+        running anything: the job fails on its first attempt with the
+        shortfall in its error, and lease recovery leaves it failed."""
+        publish = SharedDirCampaign.publish
+
+        def publish_then_corrupt(self, *args, **kwargs):
+            publish(self, *args, **kwargs)
+            with open(os.path.join(self.share_dir, "golden.pkl"),
+                      "wb") as handle:
+                handle.write(b"not a pickle")
+
+        monkeypatch.setattr(SharedDirCampaign, "publish",
+                            publish_then_corrupt)
+        now = [1000.0]
+        clock = lambda: now[0]  # noqa: E731 - steppable clock
+        queue = JobQueue(str(tmp_path / "q.db"), clock=clock)
+        dispatcher = Dispatcher(queue,
+                                ContentStore(str(tmp_path / "store")),
+                                str(tmp_path), lease_seconds=60,
+                                clock=clock)
+        job = queue.submit(JobSpec.from_dict(
+            {"workload": "pi", "scale": "tiny", "experiments": 2,
+             "workers": 2}))
+        assert dispatcher.poll_once() is True
+        failed = queue.get(job.id)
+        assert failed.state == "failed"
+        assert failed.attempts == 1
+        assert "0 results for 2 experiments" in failed.error
+        now[0] += 3600.0  # long past any lease
+        assert queue.requeue_expired() == []
+        assert dispatcher.poll_once() is False
+        assert queue.get(job.id).state == "failed"
+
     def test_backend_registry_resolves_shared_dir(self):
         assert "shared-dir" in backend_names()
         assert get_backend("shared-dir") is SharedDirCampaign
@@ -847,17 +883,19 @@ class TestDispatcherAndE2E:
 
     def test_dispatcher_marks_share_for_status(self, service,
                                                done_job):
-        """gemfi status on a service-run share names its job/tenant
-        and live queue numbers (the service.json marker)."""
+        """gemfi status on a service-run share names its job and
+        tenant (the service.json marker); queue numbers come from
+        GET /v1/jobs, not from the share."""
         from repro.telemetry import read_status
         share = ServiceClient(service.url).job(
             done_job["id"])["share_dir"]
-        assert os.path.isfile(os.path.join(share, "service.json"))
+        with open(os.path.join(share, "service.json"),
+                  encoding="utf-8") as handle:
+            assert json.load(handle) == {"job": done_job["id"],
+                                         "tenant": "e2e"}
         status = read_status(share)
-        assert status.service["job"] == done_job["id"]
-        assert status.service["tenant"] == "e2e"
-        assert "queue_depth" in status.service
-        assert "e2e" in status.service["tenants"]
+        assert status.service == {"job": done_job["id"],
+                                  "tenant": "e2e"}
 
 
 # -- observability plane -------------------------------------------------------
@@ -1310,10 +1348,17 @@ class TestResponseHeaders:
 # -- client disconnect mid-stream ---------------------------------------------
 
 
+def _gauge(service, name):
+    """One gauge as ``/metrics`` would render it (read under the
+    observer's lock, since the HTTP thread writes concurrently)."""
+    with service.observer._lock:
+        return service.observer.registry.as_flat_dict().get(name)
+
+
 def _wait_for_gauge(service, name, value, timeout=10.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
-        if service.observer.snapshot().get(name) == value:
+        if _gauge(service, name) == value:
             return True
         time.sleep(0.02)
     return False
@@ -1337,9 +1382,8 @@ class TestStreamDisconnect:
         response = conn.getresponse()
         assert response.status == 200
         first = response.read(10)
-        assert first  # the stream is live...
-        assert api_service.observer.snapshot()[
-            "http.requests_in_flight"] == 1  # ...and accounted for
+        assert first  # the stream is live, and accounted for
+        assert _gauge(api_service, "http.requests_in_flight") == 1
         conn.close()  # abrupt client disconnect; job still queued
         assert _wait_for_gauge(api_service,
                                "http.requests_in_flight", 0)

@@ -308,7 +308,7 @@ class TestZeroOverheadWhenDisabled:
         completed = campaign.worker_loop("w0", runner)
         assert completed == 2
         assert sorted(os.listdir(share)) == [
-            "checkpoint.bin", "claimed", "claims", "golden.pkl",
+            "claimed", "claims", "golden.pkl",
             "heartbeats", "manifests", "results", "todo",
             "workload.json"]
         workload = json.loads(
@@ -573,12 +573,23 @@ class TestCli:
         assert read_alerts(share)
         capsys.readouterr()
 
-    def test_status_watch_rehomes_screen(self, traced_share, capsys):
-        assert main(["status", traced_share, "--watch", "0.01",
-                     "--watch-count", "2"]) == 0
+    def test_dashboard_rehomes_screen(self, traced_share, capsys,
+                                      monkeypatch):
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) == 2:
+                raise KeyboardInterrupt  # Ctrl-C after two frames
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        assert main(["dashboard", traced_share, "--no-alerts",
+                     "--interval", "0.01"]) == 0
         out = capsys.readouterr().out
+        # Each refresh repaints one screen instead of scroll-stacking.
         assert out.count("\x1b[H\x1b[2J") == 2
-        assert "experiments" in out
+        assert out.count("experiments :") == 2
+        assert sleeps == [0.01, 0.01]
 
 
 class TestRootParent:
@@ -684,7 +695,7 @@ class TestZeroOverheadServicePlane:
         assert dash_a[0] == dash_b[0]
         # Rendering is read-only: no spans/, no logs/, nothing new.
         assert sorted(os.listdir(share)) == [
-            "checkpoint.bin", "claimed", "claims", "golden.pkl",
+            "claimed", "claims", "golden.pkl",
             "heartbeats", "manifests", "results", "todo",
             "workload.json"]
 

@@ -678,14 +678,6 @@ class TestFollowTrace:
 
 
 class TestStatusWatch:
-    def test_watch_count_refreshes_then_exits(self, tmp_path, capsys):
-        TestCampaignObservability()._make_share(tmp_path)
-        assert main(["status", str(tmp_path), "--watch", "0.01",
-                     "--watch-count", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("experiments :") == 2
-        assert out.count("queue") == 2
-
     def test_watch_zero_renders_once(self, tmp_path, capsys):
         TestCampaignObservability()._make_share(tmp_path)
         assert main(["status", str(tmp_path)]) == 0
@@ -740,8 +732,8 @@ class TestBusContinuityAcrossRestore:
 
 class TestServiceAwareStatus:
     """read_status on a service-run share (a service.json marker)
-    surfaces the owning job/tenant and live queue numbers; a plain
-    NoW share stays byte-identical to the pre-service output."""
+    surfaces the owning job and tenant; a plain NoW share stays
+    byte-identical to the pre-service output."""
 
     def _plain_share(self, tmp_path):
         for sub in ("todo", "results", "claims"):
@@ -768,40 +760,8 @@ class TestServiceAwareStatus:
         assert "job=job-abc" in text
         assert "tenant=alice" in text
 
-    def test_service_marker_pulls_queue_depth_and_tenants(
-            self, tmp_path):
-        from repro.service import JobQueue, JobSpec
-        queue = JobQueue(str(tmp_path / "queue.db"))
-        spec = JobSpec.from_dict({"workload": "pi",
-                                  "experiments": 2})
-        queue.submit(spec, tenant="alice")
-        queue.submit(JobSpec.from_dict({"workload": "pi",
-                                        "experiments": 2,
-                                        "seed": 1}), tenant="bob")
-        share = tmp_path / "share"
-        self._plain_share(share)
-        (share / "service.json").write_text(json.dumps(
-            {"job": "job-abc", "tenant": "alice",
-             "queue_db": str(tmp_path / "queue.db")}))
-        status = read_status(str(share), clock=lambda: 1000.0)
-        assert status.service["queue_depth"] == 2
-        assert status.service["tenants"]["alice"] == {"queued": 1}
-        assert status.service["tenants"]["bob"] == {"queued": 1}
-        text = render_status(status)
-        assert "queue_depth=2" in text
-        assert "tenant bob: queued=1" in text
-
     def test_corrupt_service_marker_is_ignored(self, tmp_path):
         self._plain_share(tmp_path)
         (tmp_path / "service.json").write_text('{"job": trunc')
         status = read_status(str(tmp_path), clock=lambda: 1000.0)
         assert status.service is None
-
-    def test_unreachable_queue_db_degrades_gracefully(self, tmp_path):
-        self._plain_share(tmp_path)
-        (tmp_path / "service.json").write_text(json.dumps(
-            {"job": "job-abc", "tenant": "alice",
-             "queue_db": str(tmp_path / "missing.db")}))
-        status = read_status(str(tmp_path), clock=lambda: 1000.0)
-        assert status.service["job"] == "job-abc"
-        assert "queue_depth" not in status.service
