@@ -439,13 +439,13 @@ class ServiceApp:
         return diff.payload
 
     async def compare(self, request: Request) -> Response:
+        confidence = _query_float(request, "confidence", 0.95)
+        margin = _query_float(request, "margin", 0.02)
         base = request.query.get("base")
         head = request.query.get("head")
         if not base or not head:
             raise HTTPError(400, "compare needs base= and head= "
                                  "(job ids or baseline names)")
-        confidence = _query_float(request, "confidence", 0.95)
-        margin = _query_float(request, "margin", 0.02)
         return Response.json({"compare": self.compare_payload(
             base, head, confidence, margin)})
 

@@ -566,9 +566,9 @@ class TestServiceApi:
     @pytest.mark.parametrize("path", [
         "/v1/archive?limit=abc",
         "/v1/archive?limit=2.5",
-        "/v1/compare?base=a&head=b&confidence=nan",
-        "/v1/compare?base=a&head=b&confidence=inf",
-        "/v1/compare?base=a&head=b&margin=soon",
+        "/v1/compare?confidence=nan",
+        "/v1/compare?confidence=inf",
+        "/v1/compare?margin=soon",
     ])
     def test_bad_query_params_are_400(self, api_service, path):
         conn = _http_conn(api_service)
