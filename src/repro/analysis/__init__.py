@@ -49,10 +49,7 @@ from .coverage import (
     coverage_from_share,
     coverage_gauges,
     coverage_summary,
-    render_coverage_markdown,
     render_coverage_svg,
-    render_coverage_tables,
-    render_heatmap_table,
 )
 
 # .diff builds on .coverage (heatmap rollups) and campaign.sampling
@@ -63,19 +60,16 @@ from .diff import (
     compare_gauges,
     newcombe_interval,
     proportions_differ,
-    render_diff_markdown,
     render_diff_svg,
-    render_diff_text,
 )
 
 __all__ = [
     "CampaignDiff", "CampaignSummary", "compare_gauges",
     "newcombe_interval", "proportions_differ",
-    "render_diff_markdown", "render_diff_svg", "render_diff_text",
+    "render_diff_svg",
     "ConvergenceTracker", "CoverageCell", "FaultSpaceMap",
     "coverage_from_share", "coverage_gauges", "coverage_summary",
-    "render_coverage_markdown", "render_coverage_svg",
-    "render_coverage_tables", "render_heatmap_table",
+    "render_coverage_svg",
     "DefUseTracer", "LIVE", "LivenessAnalysis", "MASK_REASONS",
     "MASKED_BIT_OUT_OF_RANGE", "MASKED_DEAD_DESTINATION",
     "MASKED_DEAD_REGISTER", "MASKED_DEAD_RESULT",

@@ -30,28 +30,16 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import dataclass, field
 
 from ..core.fault import Fault, LocationKind
-from ..core.parser import FaultParseError, parse_fault_file
-
-# Canonical outcome column order (repro.campaign.classify.OUTCOME_ORDER
-# as strings; unknown outcomes sort after these).
-OUTCOME_ORDER = ("crashed", "non_propagated", "strictly_correct",
-                 "correct", "sdc")
-
-LOCATION_LABELS = {
-    LocationKind.INT_REG: "int regfile",
-    LocationKind.FP_REG: "fp regfile",
-    LocationKind.PC: "pc",
-    LocationKind.FETCH: "fetch",
-    LocationKind.DECODE: "decode",
-    LocationKind.EXECUTE: "execute",
-    LocationKind.MEM: "mem",
-}
+from ..telemetry.campaign import (
+    LOCATION_LABELS,
+    first_fault,
+    outcome_columns,
+    read_results,
+)
 
 #: white-to-colour ramp anchors for the SVG heatmaps, per outcome.
 OUTCOME_COLORS = {
@@ -104,13 +92,6 @@ def _wilson(success_weight: float, total_weight: float,
 
 def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits)
-
-
-def outcome_columns(outcomes) -> list[str]:
-    """Canonical-then-alphabetical outcome order over *outcomes*."""
-    present = set(outcomes)
-    ordered = [o for o in OUTCOME_ORDER if o in present]
-    return ordered + sorted(present - set(OUTCOME_ORDER))
 
 
 # -- per-cell accumulation ----------------------------------------------------
@@ -378,18 +359,7 @@ class FaultSpaceMap:
     @staticmethod
     def _normalise(result) -> dict:
         if isinstance(result, dict):
-            fault = None
-            for key in ("fault_file", "fault"):
-                text = result.get(key)
-                if not text:
-                    continue
-                try:
-                    faults = parse_fault_file(text)
-                except FaultParseError:
-                    continue
-                if faults:
-                    fault = faults[0]
-                    break
+            fault = first_fault(result)
             fraction = result.get("time_fraction")
             pc = result.get("injection_pc")
             return {
@@ -520,12 +490,13 @@ class FaultSpaceMap:
 # -- share loading ------------------------------------------------------------
 
 
-def _window_from_share(share_dir: str) -> int | None:
+def _window_from_share(share_dir: str, records: list[dict]
+                       ) -> int | None:
     """The FI window's committed-instruction count: from the golden
     profile the coordinator publishes (``golden.pkl``), else inferred
-    from the results themselves (``time_fraction = time / window``
-    inverts exactly for any result injected strictly inside the
-    window), else None."""
+    from the share's result *records* (``time_fraction = time /
+    window`` inverts exactly for any result injected strictly inside
+    the window), else None."""
     path = os.path.join(share_dir, "golden.pkl")
     if os.path.exists(path):
         import pickle
@@ -538,54 +509,32 @@ def _window_from_share(share_dir: str) -> int | None:
         except Exception:  # noqa: BLE001 - any unreadable pickle
             pass
     candidates = []
-    for entry in iter_share_results(share_dir):
+    for entry in records:
         fraction = entry.get("time_fraction")
         if not isinstance(fraction, (int, float)) or not \
                 0 < fraction < 1:
             continue
-        fault = None
-        for key in ("fault_file", "fault"):
-            text = entry.get(key)
-            if not text:
-                continue
-            try:
-                faults = parse_fault_file(text)
-            except FaultParseError:
-                continue
-            if faults:
-                fault = faults[0]
-                break
+        fault = first_fault(entry)
         if fault is not None:
             candidates.append(round(fault.time / fraction))
     return max(candidates) if candidates else None
 
 
-def iter_share_results(share_dir: str):
-    """Result records of a share in experiment-name order (the
-    campaign's generation order — deterministic, unlike mtimes)."""
-    results_dir = os.path.join(share_dir, "results")
-    if not os.path.isdir(results_dir):
-        return
-    for name in sorted(os.listdir(results_dir)):
-        if not name.endswith(".json"):
-            continue
-        try:
-            with open(os.path.join(results_dir, name), "r",
-                      encoding="utf-8") as handle:
-                yield json.load(handle)
-        except (OSError, ValueError):
-            continue  # mid-write, exactly like read_status
-
-
 def coverage_from_share(share_dir: str, confidence: float = 0.99,
                         margin: float = 0.01, time_bins: int = 10,
-                        pc_regions: int = 8) -> FaultSpaceMap:
+                        pc_regions: int = 8,
+                        results=None) -> FaultSpaceMap:
     """Build a :class:`FaultSpaceMap` from a share directory's results
-    (read-only: nothing on the share is written or touched)."""
-    space = FaultSpaceMap(window=_window_from_share(share_dir),
+    (*results* when the caller already read them with
+    :func:`~repro.telemetry.campaign.read_results`).  Read-only:
+    nothing on the share is written or touched."""
+    if results is None:
+        results = read_results(share_dir)
+    records = [result.record for result in results]
+    space = FaultSpaceMap(window=_window_from_share(share_dir, records),
                           confidence=confidence, margin=margin,
                           time_bins=time_bins, pc_regions=pc_regions)
-    space.account_all(iter_share_results(share_dir))
+    space.account_all(records)
     return space
 
 
@@ -666,60 +615,34 @@ def _space_line(payload: dict) -> str:
             f"{accounted['effective_n']:g}")
 
 
-def render_heatmap_table(payload: dict, dimension: str) -> str:
-    """One dimension's heatmap as an aligned ASCII table: rate and
-    Wilson interval per outcome per cell."""
+def heatmap_table(payload: dict, dimension: str) -> tuple:
+    """One dimension's heatmap as a ``(caption, header, rows)`` table:
+    rate and Wilson interval per outcome per cell."""
     heatmap = payload["heatmaps"][dimension]
     cells = heatmap["cells"]
     outcomes = outcome_columns(
         {o for cell in cells for o in cell["outcomes"]})
-    header = ["cell", "n", "weight"] + outcomes
     rows = []
     for cell in cells:
-        row = [cell["label"], str(cell["n"]),
-               f"{cell['weight']:g}"]
+        row = [cell["label"], cell["n"], f"{cell['weight']:g}"]
         for outcome in outcomes:
             entry = cell["outcomes"].get(outcome)
             row.append("-" if entry is None else
                        f"{_fmt_pct(entry['rate'])} "
-                       f"[{_fmt_pct(entry['ci_low'])},"
+                       f"[{_fmt_pct(entry['ci_low'])}, "
                        f"{_fmt_pct(entry['ci_high'])}]")
         rows.append(row)
-    widths = [max(len(header[i]), *(len(row[i]) for row in rows))
-              if rows else len(header[i]) for i in range(len(header))]
-    lines = [f"# {heatmap['title']}",
-             "  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w)
-                               for c, w in zip(row, widths)))
-    if not rows:
-        lines.append("(no samples)")
-    return "\n".join(lines)
-
-
-def render_coverage_tables(payload: dict,
-                           dimensions=DIMENSIONS) -> str:
-    parts = [_space_line(payload), _convergence_line(payload), ""]
-    for dimension in dimensions:
-        parts.append(render_heatmap_table(payload, dimension))
-        parts.append("")
-    return "\n".join(parts).rstrip() + "\n"
-
-
-def _md_table(header: list[str], rows: list[list]) -> str:
-    lines = ["| " + " | ".join(str(c) for c in header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines)
+    return (f"Outcomes by {heatmap['title']}",
+            ["cell", "n", "weight"] + outcomes, rows)
 
 
 def coverage_report_tables(payload: dict
                            ) -> tuple[list[str],
                                       list[tuple[str, list, list]]]:
-    """The report-section content as structure: (prose lines,
-    [(table title, header, rows)...]) — ``gemfi report`` renders the
-    same data as Markdown and HTML from this one source."""
+    """The coverage view as structure: (prose lines, [(caption,
+    header, rows)...]), rendered by the ``repro.telemetry.report``
+    renderers for ``gemfi coverage`` and the report's coverage
+    section."""
     prose = [_space_line(payload) + ".", _convergence_line(payload)
              + "."]
     tables: list[tuple[str, list, list]] = []
@@ -748,49 +671,10 @@ def coverage_report_tables(payload: dict
                        f"Wilson intervals)",
                        ["outcome", "rate", "interval", "half-width"],
                        rows))
-    for dimension in DIMENSIONS:
-        heatmap = payload["heatmaps"][dimension]
-        cells = heatmap["cells"]
-        if not cells:
-            continue
-        outcomes = outcome_columns(
-            {o for cell in cells for o in cell["outcomes"]})
-        rows = []
-        for cell in cells:
-            row = [cell["label"], cell["n"], f"{cell['weight']:g}"]
-            for outcome in outcomes:
-                entry = cell["outcomes"].get(outcome)
-                row.append("-" if entry is None else
-                           f"{_fmt_pct(entry['rate'])} "
-                           f"[{_fmt_pct(entry['ci_low'])}, "
-                           f"{_fmt_pct(entry['ci_high'])}]")
-            rows.append(row)
-        tables.append((f"Outcomes by {heatmap['title']}",
-                       ["cell", "n", "weight"] + outcomes, rows))
+    tables += [heatmap_table(payload, dimension)
+               for dimension in DIMENSIONS
+               if payload["heatmaps"][dimension]["cells"]]
     return prose, tables
-
-
-def coverage_markdown_sections(payload: dict,
-                               level: int = 2) -> list[str]:
-    """The "Fault-space coverage" report section as a list of markdown
-    blocks (``gemfi report`` nests them under its own heading)."""
-    h = "#" * level
-    prose, tables = coverage_report_tables(payload)
-    parts = [f"{h} Fault-space coverage", ""]
-    for line in prose:
-        parts += [line, ""]
-    for title, header, rows in tables:
-        parts += [f"{h}# {title}", "", _md_table(header, rows), ""]
-    return parts
-
-
-def render_coverage_markdown(payload: dict,
-                             name: str = "") -> str:
-    head = [f"# Fault-space coverage: {name}" if name
-            else "# Fault-space coverage", ""]
-    body = coverage_markdown_sections(payload, level=2)
-    # The standalone document re-titles the first section block.
-    return "\n".join(head + body[2:]).rstrip() + "\n"
 
 
 # -- SVG heatmaps -------------------------------------------------------------

@@ -37,6 +37,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from ..telemetry.campaign import HostTime, read_results
 from .coverage import (
     DIMENSION_TITLES,
     DIMENSIONS,
@@ -44,7 +45,6 @@ from .coverage import (
     _round,
     _window_from_share,
     _xml,
-    iter_share_results,
     outcome_columns,
 )
 
@@ -148,16 +148,13 @@ class CampaignSummary:
         """Summarise an in-memory result list (dicts or objects with
         ``as_dict``).  *window* is the FI window's committed count
         when known (sizes the enumerated fault space)."""
-        from ..telemetry.campaign import simulated_instructions
         from ..telemetry.report import latency_histogram
         space = FaultSpaceMap(window=window, confidence=confidence)
         counts: dict[str, int] = {}
         weights: dict[str, float] = {}
         latencies: list[int] = []
         kinds: dict[str, int] = {}
-        wall_total = 0.0
-        instructions = 0
-        timed = 0
+        host = HostTime()
         for raw in results:
             entry = _normalise_entry(raw)
             space.account(entry)
@@ -172,11 +169,7 @@ class CampaignSummary:
                 latency = divergence.get("latency")
                 if isinstance(latency, int) and latency >= 0:
                     latencies.append(latency)
-            wall = entry.get("wall_seconds")
-            if isinstance(wall, (int, float)):
-                timed += 1
-                wall_total += float(wall)
-                instructions += simulated_instructions(entry)
+            host.add(entry)
         total_weight = sum(weights.values())
         outcomes = {}
         for outcome in sorted(counts):
@@ -188,14 +181,13 @@ class CampaignSummary:
                 if total_weight > 0 else 0.0,
             }
         coverage = space.as_dict()
-        host = None
-        if timed:
-            host = {"experiments": timed,
-                    "wall_seconds": _round(wall_total),
-                    "instructions": instructions}
-            if wall_total > 0 and instructions:
-                host["kips"] = _round(
-                    instructions / wall_total / 1000.0)
+        host_time = None
+        if host.walls:
+            host_time = {"experiments": len(host.walls),
+                         "wall_seconds": _round(host.wall_total),
+                         "instructions": host.instructions}
+            if host.kips:
+                host_time["kips"] = _round(host.kips)
         payload = {
             "schema": SUMMARY_SCHEMA,
             "name": name,
@@ -215,17 +207,20 @@ class CampaignSummary:
                 "histogram": [[label, count] for label, count
                               in latency_histogram(latencies)],
             },
-            "host": host,
+            "host": host_time,
         }
         return cls(payload)
 
     @classmethod
     def from_share(cls, share_dir: str, name: str | None = None,
-                   confidence: float = 0.99) -> "CampaignSummary":
-        """Summarise a campaign share directory (read-only).  The
-        spec fingerprint comes from the share's ``workload.json``
-        minus the service request context (which carries a
-        per-submission request id — not part of the campaign)."""
+                   confidence: float = 0.99,
+                   results=None) -> "CampaignSummary":
+        """Summarise a campaign share directory (read-only; *results*
+        when the caller already read them with
+        :func:`~repro.telemetry.campaign.read_results`).  The spec
+        fingerprint comes from the share's ``workload.json`` minus the
+        service request context (which carries a per-submission
+        request id — not part of the campaign)."""
         if name is None:
             name = os.path.basename(os.path.normpath(share_dir))
         spec = None
@@ -239,9 +234,12 @@ class CampaignSummary:
             spec.pop("request", None)
         else:
             spec = None
-        return cls.from_results(iter_share_results(share_dir),
-                                name=name, spec=spec,
-                                window=_window_from_share(share_dir),
+        if results is None:
+            results = read_results(share_dir)
+        records = [result.record for result in results]
+        return cls.from_results(records, name=name, spec=spec,
+                                window=_window_from_share(share_dir,
+                                                          records),
                                 confidence=confidence)
 
     @classmethod
@@ -533,9 +531,9 @@ def _sides_line(payload: dict) -> str:
 def diff_report_tables(payload: dict
                        ) -> tuple[list[str],
                                   list[tuple[str, list, list]]]:
-    """The diff as structure: (prose lines, [(title, header, rows)])
-    — shared by the Markdown/HTML/plain renderers and the report's
-    "vs baseline" section."""
+    """The diff view as structure: (prose lines, [(caption, header,
+    rows)]), rendered by the ``repro.telemetry.report`` renderers for
+    ``gemfi compare`` and the report's "Vs baseline" section."""
     prose = [_sides_line(payload) + ".", _verdict_line(payload) + "."]
     tables: list[tuple[str, list, list]] = []
     rows = []
@@ -598,60 +596,6 @@ def diff_report_tables(payload: dict
             title += f" ({'; '.join(extra)})"
         tables.append((title, ["cell"] + names, rows))
     return prose, tables
-
-
-def _md_table(header: list[str], rows: list[list]) -> str:
-    lines = ["| " + " | ".join(str(c) for c in header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines)
-
-
-def diff_markdown_sections(payload: dict, level: int = 2
-                           ) -> list[str]:
-    """The diff as markdown blocks (``gemfi report --baseline`` nests
-    them under its own heading)."""
-    h = "#" * level
-    prose, tables = diff_report_tables(payload)
-    parts = [f"{h} Vs baseline", ""]
-    for line in prose:
-        parts += [line, ""]
-    for title, header, rows in tables:
-        parts += [f"{h}# {title}", "", _md_table(header, rows), ""]
-    return parts
-
-
-def render_diff_markdown(payload: dict) -> str:
-    base = payload["base"]["name"] or "base"
-    head = payload["head"]["name"] or "head"
-    parts = [f"# Campaign diff: {base} vs {head}", ""]
-    prose, tables = diff_report_tables(payload)
-    for line in prose:
-        parts += [line, ""]
-    for title, header, rows in tables:
-        parts += [f"## {title}", "", _md_table(header, rows), ""]
-    return "\n".join(parts).rstrip() + "\n"
-
-
-def render_diff_text(payload: dict) -> str:
-    """Aligned plain-text rendering (the default ``gemfi compare``
-    output)."""
-    prose, tables = diff_report_tables(payload)
-    parts = list(prose)
-    for title, header, rows in tables:
-        parts += ["", f"# {title}"]
-        cells = [[str(c) for c in row] for row in rows]
-        widths = [max(len(header[i]),
-                      *(len(row[i]) for row in cells))
-                  if cells else len(header[i])
-                  for i in range(len(header))]
-        parts.append("  ".join(h.ljust(w)
-                               for h, w in zip(header, widths)))
-        for row in cells:
-            parts.append("  ".join(c.ljust(w)
-                                   for c, w in zip(row, widths)))
-    return "\n".join(parts).rstrip() + "\n"
 
 
 # -- SVG ----------------------------------------------------------------------

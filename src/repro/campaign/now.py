@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from ..core.parser import parse_fault_file, render_fault_file
 from ..telemetry.campaign import (HEARTBEAT_DIR, MANIFEST_DIR,
                                   PeriodicBeat, git_describe,
-                                  read_heartbeats, run_manifest,
-                                  write_heartbeat)
+                                  read_heartbeats, read_results,
+                                  run_manifest, write_heartbeat)
 from ..telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
                                TraceContext, Tracer, span_log_path)
 from .backend import CampaignBackend, register_backend
@@ -301,7 +301,8 @@ class SharedDirCampaign(CampaignBackend):
         claimed = self.claim(worker_id)
         if claimed is None:
             return None
-        experiment = os.path.basename(claimed).split("_", 1)[1]
+        # claimed/<worker_id>_<experiment>: worker ids may contain "_".
+        experiment = os.path.basename(claimed)[len(worker_id) + 1:]
         exp_name = experiment.replace(".txt", "")
         if status is not None:
             status["experiment"] = exp_name
@@ -418,21 +419,7 @@ class SharedDirCampaign(CampaignBackend):
             return None
 
     def collect(self) -> list[dict]:
-        results_dir = os.path.join(self.share_dir, "results")
-        out = []
-        for name in sorted(os.listdir(results_dir)):
-            if not name.endswith(".json"):
-                continue  # a .tmp.* file of a mid-write worker
-            try:
-                with open(os.path.join(results_dir, name), "r",
-                          encoding="utf-8") as handle:
-                    out.append(json.load(handle))
-            except ValueError:
-                # Results are published atomically, so a malformed
-                # file is hand-damage (or a pre-atomic-writer crash);
-                # skip it rather than losing the whole collection.
-                continue
-        return out
+        return [result.record for result in read_results(self.share_dir)]
 
     # orchestration: spawn worker processes (one per local "workstation").
 

@@ -62,34 +62,31 @@ LOCATION_CHOICES = tuple(kind.value for kind in LocationKind)
 # tracebacks from deep inside a command.
 
 
-def _open_unit(name: str, low: float, high: float):
-    """A float strictly inside (*low*, *high*)."""
-    def parse(text: str) -> float:
+def _ranged(cast, ok, expected: str):
+    """A *cast* (int or float) value for which *ok* holds, else an
+    argparse error asking for *expected*."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = cast(text)
         except ValueError:
+            value = None
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(
-                f"{name} must be a number, got {text!r}") from None
-        if not low < value < high:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be in ({low:g}, {high:g}), got {text}")
+                f"expected {expected}, got {text!r}")
         return value
     return parse
 
 
-_confidence = _open_unit("confidence", 0.5, 1.0)
-_margin = _open_unit("margin", 0.0, 1.0)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+_confidence = _ranged(float, lambda v: 0.5 < v < 1.0,
+                      "a number in (0.5, 1)")
+_margin = _ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+# A compare margin of 0 counts every significant delta as a change.
+_delta_margin = _ranged(float, lambda v: 0.0 <= v < 1.0,
+                        "a number in [0, 1)")
+_positive_int = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_interval = _ranged(float, lambda v: 0.0 <= v < math.inf,
+                    "a finite number >= 0")
 
 
 def _existing_file(text: str) -> str:
@@ -114,6 +111,16 @@ def _load_program(path: str) -> str:
     if path.endswith((".s", ".asm")):
         return text
     return compile_source(text)
+
+
+def _emit(text: str, output: str | None, note: str) -> None:
+    """Print *text*, or write it to *output* and say *note* there."""
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"# {note} -> {output}", file=sys.stderr)
+    else:
+        print(text, end="")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -520,8 +527,9 @@ def _load_summary(ref: str, url: str | None = None,
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Aggregate a campaign share directory into an outcome report."""
-    from .telemetry import load_share, render_report
-    report = load_share(args.share_dir)
+    from .telemetry import load_share, read_results, render_report
+    results = read_results(args.share_dir)
+    report = load_share(args.share_dir, results)
     baseline = None
     if args.baseline:
         from .analysis.diff import CampaignDiff, CampaignSummary
@@ -532,16 +540,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         except (ServiceError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        head = CampaignSummary.from_share(args.share_dir)
+        head = CampaignSummary.from_share(args.share_dir,
+                                          results=results)
         baseline = CampaignDiff(base, head).payload
     text = render_report(report, fmt=args.format, baseline=baseline)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"# {report.experiments} experiments -> {args.output}",
-              file=sys.stderr)
-    else:
-        print(text, end="")
+    _emit(text, args.output, f"{report.experiments} experiments")
     return 0
 
 
@@ -553,10 +556,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
     from .analysis.coverage import (
         coverage_from_share,
-        render_coverage_markdown,
-        render_coverage_tables,
-        render_heatmap_table,
+        coverage_report_tables,
+        heatmap_table,
     )
+    from .telemetry import render_markdown, render_text
     space = coverage_from_share(args.share_dir,
                                 confidence=args.confidence,
                                 margin=args.margin)
@@ -565,18 +568,14 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "md":
         name = os.path.basename(os.path.normpath(args.share_dir))
-        text = render_coverage_markdown(payload, name=name)
+        prose, tables = coverage_report_tables(payload)
+        text = render_markdown(f"Fault-space coverage: {name}", prose,
+                               [(None, [], tables)])
     elif args.dimension:
-        text = render_heatmap_table(payload, args.dimension) + "\n"
+        text = render_text([], [heatmap_table(payload, args.dimension)])
     else:
-        text = render_coverage_tables(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"# {space.accounted} experiments -> {args.output}",
-              file=sys.stderr)
-    else:
-        print(text, end="")
+        text = render_text(*coverage_report_tables(payload))
+    _emit(text, args.output, f"{space.accounted} experiments")
     return 0
 
 
@@ -588,12 +587,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     the CI KIPS gate."""
     import json
 
-    from .analysis.diff import (
-        CampaignDiff,
-        render_diff_markdown,
-        render_diff_text,
-    )
+    from .analysis.diff import CampaignDiff, diff_report_tables
     from .service import ServiceError
+    from .telemetry import render_markdown, render_text
     try:
         base = _load_summary(args.base, url=args.url,
                              tenant=args.tenant)
@@ -608,16 +604,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "md":
-        text = render_diff_markdown(payload)
+        prose, tables = diff_report_tables(payload)
+        text = render_markdown(
+            f"Campaign diff: {payload['base']['name'] or 'base'} vs "
+            f"{payload['head']['name'] or 'head'}", prose,
+            [(caption, [], [(None, header, rows)])
+             for caption, header, rows in tables])
     else:
-        text = render_diff_text(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"# verdict: {diff.verdict} -> {args.output}",
-              file=sys.stderr)
-    else:
-        print(text, end="")
+        text = render_text(*diff_report_tables(payload))
+    _emit(text, args.output, f"verdict: {diff.verdict}")
     if args.gate and diff.regressed:
         print(f"# gate: outcome distribution regressed "
               f"(margin ±{args.margin * 100:g}%, "
@@ -1026,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=50_000_000)
     trace_p.add_argument("--trace-file", "-o",
                          help="write JSONL events here instead of stdout")
-    trace_p.add_argument("--ring", type=int, default=0,
+    trace_p.add_argument("--ring", type=_non_negative_int, default=0,
                          help="keep only the last N events (crash "
                               "post-mortem mode)")
     trace_p.add_argument("--pipe", action="store_true",
@@ -1082,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="host = real wall-clock tracks; ticks = "
                            "deterministic simulated-tick layout "
                            "(byte-identical across same-seed reruns)")
-    tl_p.add_argument("--slots", type=int, default=None,
+    tl_p.add_argument("--slots", type=_positive_int, default=None,
                       help="workstation slots for --timebase ticks "
                            "(default: the workers that heartbeated)")
     tl_p.add_argument("--indent", type=int, default=None,
@@ -1104,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "service instead of a local share")
     dash_p.add_argument("--job", default=None,
                         help="job id to watch (with --url)")
-    dash_p.add_argument("--interval", type=float, default=2.0,
+    dash_p.add_argument("--interval", type=_interval, default=2.0,
                         help="refresh interval in seconds")
     dash_p.add_argument("--once", action="store_true",
                         help="print one frame and exit (scripts/CI)")
@@ -1177,10 +1172,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--md", dest="format", action="store_const",
                        const="md",
                        help="shorthand for --format md")
-    cmp_p.add_argument("--confidence", type=float, default=0.95,
+    cmp_p.add_argument("--confidence", type=_confidence, default=0.95,
                        help="Newcombe interval confidence level for "
                             "per-class deltas (default 0.95)")
-    cmp_p.add_argument("--margin", type=float, default=0.02,
+    cmp_p.add_argument("--margin", type=_delta_margin, default=0.02,
                        help="minimum absolute rate delta to call a "
                             "class changed (default 0.02 = +-2%%)")
     cmp_p.add_argument("--output", "-o", default=None,

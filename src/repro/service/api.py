@@ -253,21 +253,21 @@ class ServiceApp:
                 frame = {"type": "status", "job": current.id,
                          "state": current.state, "time": clock()}
                 share = self._share(current)
+                alerts = []
                 if share is not None:
-                    frame["campaign"] = read_status(
-                        share, clock=clock).as_dict()
+                    # One snapshot feeds both the status and the rules.
+                    snap, alerts = evaluate_alerts(share, config,
+                                                   clock=clock)
+                    frame["campaign"] = snap.status.as_dict()
                 yield _jsonl(frame)
-                if share is not None:
-                    _, alerts = evaluate_alerts(share, config,
-                                                clock=clock)
-                    for alert in alerts:
-                        if alert.key in seen_alerts:
-                            continue
-                        seen_alerts.add(alert.key)
-                        entry = alert.as_dict()
-                        entry["type"] = "alert"
-                        entry["job"] = current.id
-                        yield _jsonl(entry)
+                for alert in alerts:
+                    if alert.key in seen_alerts:
+                        continue
+                    seen_alerts.add(alert.key)
+                    entry = alert.as_dict()
+                    entry["type"] = "alert"
+                    entry["job"] = current.id
+                    yield _jsonl(entry)
                 frames += 1
                 if current.terminal:
                     yield _jsonl({"type": "end", "job": current.id,

@@ -327,6 +327,8 @@ class Console:
         the newest job with a share)."""
         from ..analysis.coverage import (
             DIMENSIONS,
+            _convergence_line,
+            _space_line,
             coverage_from_share,
             render_coverage_svg,
         )
@@ -347,24 +349,6 @@ class Console:
             return _page("coverage", body, payload)
         coverage = coverage_from_share(shares[job_id]).as_dict()
         payload["coverage"] = coverage
-        space = coverage["space"]
-        convergence = coverage["convergence"]
-        if space["total"]:
-            visited = (f"{space['covered_sites']}/{space['total']} "
-                       f"sites "
-                       f"({space['covered_fraction'] * 100:.4g}%)")
-        else:
-            visited = (f"{space['covered_sites']} sites "
-                       f"(space size unknown)")
-        if convergence["margin_reached"]:
-            margin = (f"±{convergence['margin'] * 100:g}% margin "
-                      f"reached after "
-                      f"{convergence['margin_reached_at']} "
-                      f"experiments")
-        else:
-            margin = (f"±{convergence['margin'] * 100:g}% margin not "
-                      f"reached (max half-width "
-                      f"±{convergence['max_half_width'] * 100:.1f}%)")
         picker = " ".join(
             f"<b>{_esc(other)}</b>" if other == job_id else
             f'<a href="/ui/coverage?job={_esc(other)}">'
@@ -378,11 +362,8 @@ class Console:
             f"<h1>Fault-space coverage "
             f"<code>{_esc(job_id)}</code></h1>"
             f'<p class="muted">jobs: {picker}</p>'
-            f"<p>{_esc(visited)} · "
-            f"{convergence['experiments']} experiments accounted "
-            f"(effective n {convergence['effective_n']:g}) · "
-            f"{_esc(margin)} at "
-            f"{convergence['confidence'] * 100:g}% confidence · "
+            f"<p>{_esc(_space_line(coverage))}.</p>"
+            f"<p>{_esc(_convergence_line(coverage))} · "
             f'<a href="/v1/jobs/{_esc(job_id)}/coverage">JSON</a> · '
             f"cells carry Wilson intervals (hover a box)</p>"
             + charts)
@@ -397,6 +378,7 @@ class Console:
         exact code path behind ``GET /v1/compare``."""
         from ..analysis.diff import (
             DIMENSIONS,
+            _verdict_line,
             render_diff_bars,
             render_diff_svg,
         )
@@ -424,8 +406,6 @@ class Console:
             return _page("compare", body, payload)
         diff = self.app.compare_payload(base, head, 0.95, 0.02)
         payload["compare"] = diff
-        verdicts = [row["verdict"]
-                    for row in diff["outcomes"].values()]
 
         def _picker(param: str, chosen: str) -> str:
             other = {"base": head, "head": base}[param]
@@ -451,11 +431,7 @@ class Console:
             f"<h1>Campaign compare {_badge(diff['verdict'])}</h1>"
             f'<p class="muted">base: {_picker("base", base)}</p>'
             f'<p class="muted">head: {_picker("head", head)}</p>'
-            f"<p>{verdicts.count('regressed')} regressed, "
-            f"{verdicts.count('improved')} improved, "
-            f"{verdicts.count('unchanged')} unchanged at "
-            f"{diff['config']['confidence'] * 100:g}% confidence, "
-            f"margin ±{diff['config']['margin'] * 100:g}% · "
+            f"<p>{_esc(_verdict_line(diff))} · "
             f'<a href="/v1/compare?base={_esc(base)}&amp;'
             f'head={_esc(head)}">JSON</a> · boxes carry Newcombe '
             f"intervals (hover)</p>"

@@ -40,8 +40,9 @@ import time
 from ..campaign import CampaignRunner, SEUGenerator, get_backend
 from ..telemetry.campaign import (
     SERVICE_FILE,
+    HostTime,
     PeriodicBeat,
-    simulated_instructions,
+    read_results,
 )
 from ..telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
                                TraceContext, Tracer, span_log_path)
@@ -163,7 +164,9 @@ class Dispatcher:
                                          tracer=worker_tracer)
             self._phase_done("campaign", phase_started)
             phase_started = time.monotonic()
-            results = campaign.collect()
+            # The job's one read of its results: usage, the stored
+            # result set, the report and the summary all fold these.
+            results = read_results(share_dir)
             self._phase_done("collect", phase_started)
         finally:
             if worker_tracer is not None:
@@ -179,12 +182,13 @@ class Dispatcher:
             raise RuntimeError(
                 f"job {job.id}: {len(results)} results for "
                 f"{spec.experiments} experiments")
-        self._record_usage(job, results)
+        records = [result.record for result in results]
+        self._record_usage(job, records)
         phase_started = time.monotonic()
         result_digest = self.store.put_bytes(
-            canonical_json_bytes(canonical_results(results)))
-        report_digest = self._store_report(share_dir)
-        self._archive_summary(job, share_dir)
+            canonical_json_bytes(canonical_results(records)))
+        report_digest = self._store_report(share_dir, results)
+        self._archive_summary(job, share_dir, results)
         self._phase_done("report", phase_started)
         return {"result_digest": result_digest,
                 "report_digest": report_digest,
@@ -247,13 +251,13 @@ class Dispatcher:
         """Meter the completed campaign against its tenant, from the
         *raw* results (canonicalisation strips wall_seconds)."""
         try:
+            host = HostTime()
+            for entry in results:
+                host.add(entry)
             self.queue.record_usage(
                 job.tenant, jobs=1, experiments=len(results),
-                instructions=sum(simulated_instructions(entry)
-                                 for entry in results),
-                wall_seconds=sum(
-                    float(entry.get("wall_seconds", 0.0) or 0.0)
-                    for entry in results))
+                instructions=host.instructions,
+                wall_seconds=host.wall_total)
         except Exception:
             pass  # metering must never fail the job
 
@@ -268,24 +272,26 @@ class Dispatcher:
             json.dump({"job": job.id, "tenant": job.tenant}, handle)
         os.replace(tmp, path)
 
-    def _archive_summary(self, job: Job, share_dir: str) -> None:
+    def _archive_summary(self, job: Job, share_dir: str,
+                         results) -> None:
         """Digest the finished campaign into the queue's archive (and
         the content store), keyed by job id — `gemfi compare` and
         `/v1/compare` then work long after the share is gone."""
         try:
             from ..analysis.diff import CampaignSummary
-            summary = CampaignSummary.from_share(share_dir,
-                                                 name=job.id)
+            summary = CampaignSummary.from_share(share_dir, name=job.id,
+                                                 results=results)
             digest = self.store.put_bytes(summary.canonical_bytes())
             self.queue.archive_summary(job.id, summary.payload,
                                        digest)
         except Exception:
             pass  # archival must never fail the job
 
-    def _store_report(self, share_dir: str) -> str | None:
+    def _store_report(self, share_dir: str, results) -> str | None:
         from ..telemetry.report import load_share, render_report
         try:
-            report = render_report(load_share(share_dir), fmt="md")
+            report = render_report(load_share(share_dir, results),
+                                   fmt="md")
         except Exception:
             return None  # a report failure must not fail the job
         return self.store.put_text(report)

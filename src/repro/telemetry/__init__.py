@@ -39,6 +39,7 @@ from .campaign import (
     git_describe,
     parse_stats,
     read_heartbeats,
+    read_results,
     read_service_context,
     read_status,
     render_status,
@@ -86,6 +87,7 @@ from .report import (
     render_html,
     render_markdown,
     render_report,
+    render_text,
 )
 from .sinks import (
     JsonlFileSink,
@@ -142,13 +144,13 @@ __all__ = [
     "hamming", "labelled", "latency_histogram", "load_share",
     "load_spans",
     "parse_metric_name", "parse_openmetrics", "parse_stats",
-    "read_alerts", "read_heartbeats", "read_jsonl",
+    "read_alerts", "read_heartbeats", "read_jsonl", "read_results",
     "read_service_context", "read_span_records", "read_status",
     "regfile_checksum",
     "render_dashboard", "render_from_events", "render_html",
     "render_markdown", "render_openmetrics", "render_pipeview",
     "render_report",
-    "render_span_tree",
+    "render_span_tree", "render_text",
     "render_status", "render_timeline", "render_timeline_svg",
     "run_manifest",
     "sanitize_metric_name", "sim_rates",

@@ -16,6 +16,13 @@ the workers:
 * **status aggregation** — todo/claimed/completed/stale counts, outcome
   mix, throughput and ETA.
 
+Every view of a share reads its ``results/`` once, through
+:func:`read_results`, and folds the records it needs; the host-time
+figures of every surface (status, report, campaign summary,
+``host.*`` metrics, usage metering) come from one fold,
+:class:`HostTime`, which also renders its own status lines and report
+tables.
+
 Also hosts :func:`diff_stats`, the Section IV.A validation diff ("the
 statistical results provided by the simulator" must match) as a library
 function behind ``gemfi stats-diff``.
@@ -30,7 +37,10 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ..core.fault import LocationKind
+from ..core.parser import FaultParseError, parse_fault_file
 from .metrics import MetricsRegistry
 
 HEARTBEAT_DIR = "heartbeats"
@@ -192,7 +202,85 @@ def read_heartbeats(share_dir: str) -> dict[str, dict]:
     return beats
 
 
-# -- live campaign status ----------------------------------------------------
+# -- results ----------------------------------------------------------------
+
+
+class ResultFile(NamedTuple):
+    """One parsed ``results/*.json`` of a share."""
+
+    name: str     # the file stem: the experiment's name
+    record: dict
+    mtime: float
+
+
+def read_results(share_dir: str) -> list[ResultFile]:
+    """Every parseable result of *share_dir*, sorted by experiment name
+    (the campaign's generation order).  Results are published
+    atomically, so a file that does not parse is hand damage or a
+    worker's ``.tmp.*`` leftover, and is skipped.  A view reads its
+    results here once and hands them to every fold it runs."""
+    directory = os.path.join(share_dir, "results")
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return []
+    results = []
+    for name in names:
+        if not name.endswith(".json"):
+            continue
+        try:
+            with open(os.path.join(directory, name), "r",
+                      encoding="utf-8") as handle:
+                record = json.load(handle)
+                mtime = os.fstat(handle.fileno()).st_mtime
+        except (OSError, ValueError):
+            continue
+        if isinstance(record, dict):
+            results.append(ResultFile(name[:-len(".json")], record, mtime))
+    return results
+
+
+# Canonical outcome order (repro.campaign.classify.OUTCOME_ORDER as
+# strings); unknown outcome strings sort after these.
+OUTCOME_ORDER = ("crashed", "non_propagated", "strictly_correct",
+                 "correct", "sdc")
+
+LOCATION_LABELS = {
+    LocationKind.INT_REG: "int regfile",
+    LocationKind.FP_REG: "fp regfile",
+    LocationKind.PC: "pc",
+    LocationKind.FETCH: "fetch",
+    LocationKind.DECODE: "decode",
+    LocationKind.EXECUTE: "execute",
+    LocationKind.MEM: "mem",
+}
+
+
+def outcome_columns(outcomes) -> list[str]:
+    """Canonical-then-alphabetical outcome order over *outcomes*."""
+    present = set(outcomes)
+    ordered = [o for o in OUTCOME_ORDER if o in present]
+    return ordered + sorted(present - set(OUTCOME_ORDER))
+
+
+def first_fault(entry: dict):
+    """The first fault of a result record, parsed from its
+    self-describing ``fault_file`` provenance, else from ``fault`` (the
+    described first fault of pre-telemetry result sets), else None."""
+    for key in ("fault_file", "fault"):
+        text = entry.get(key)
+        if not text:
+            continue
+        try:
+            faults = parse_fault_file(text)
+        except FaultParseError:
+            continue
+        if faults:
+            return faults[0]
+    return None
+
+
+# -- the host-time fold -------------------------------------------------------
 
 
 def ladder_savings(entry: dict) -> tuple[int, int, int]:
@@ -227,6 +315,138 @@ def percentile(values: list[float], fraction: float) -> float | None:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+PHASE_ORDER = ("boot", "window", "injection", "drain")
+
+
+@dataclass
+class HostTime:
+    """Where a campaign's host time went, folded from its result
+    records: wall-time totals, percentiles and outliers (heterogeneous
+    NoW nodes), campaign KIPS, the checkpoint ladder's savings and the
+    profiler's boot/window/injection/drain phase totals."""
+
+    experiments: int = 0
+    # (wall_seconds, experiment) of every record that carries one
+    walls: list[tuple[float, str]] = field(default_factory=list)
+    # instructions those timed records simulated
+    instructions: int = 0
+    # started past the boot checkpoint / instructions the ladder did
+    # not simulate / exited early on rejoining the golden run
+    ladder_started: int = 0
+    instructions_skipped: int = 0
+    early_exits: int = 0
+    phases: dict[str, float] = field(default_factory=dict)
+
+    def add(self, entry: dict, name: str = "") -> None:
+        self.experiments += 1
+        wall = entry.get("wall_seconds")
+        if isinstance(wall, (int, float)):
+            self.walls.append((float(wall), name))
+            self.instructions += simulated_instructions(entry)
+        started, skipped, exited = ladder_savings(entry)
+        self.ladder_started += started
+        self.instructions_skipped += skipped
+        self.early_exits += exited
+        phases = entry.get("phases")
+        if isinstance(phases, dict):
+            for phase, seconds in phases.items():
+                if isinstance(seconds, (int, float)):
+                    self.phases[phase] = \
+                        self.phases.get(phase, 0.0) + float(seconds)
+
+    @property
+    def wall_total(self) -> float:
+        return sum((wall for wall, _ in self.walls), 0.0)
+
+    @property
+    def wall_p50(self) -> float | None:
+        return percentile([wall for wall, _ in self.walls], 0.5)
+
+    @property
+    def wall_p90(self) -> float | None:
+        return percentile([wall for wall, _ in self.walls], 0.9)
+
+    @property
+    def slowest(self) -> list[tuple[str, float]]:
+        """The three slowest experiments, ``(name, wall)``."""
+        ordered = sorted(self.walls, key=lambda item: (-item[0], item[1]))
+        return [(name, wall) for wall, name in ordered[:3]]
+
+    @property
+    def kips(self) -> float:
+        """Simulated instructions per host millisecond, campaign-wide."""
+        total = self.wall_total
+        return self.instructions / total / 1e3 if total > 0 else 0.0
+
+    def status_lines(self) -> list[str]:
+        """The ``gemfi status`` lines (none before any wall time);
+        means are per completed experiment."""
+        total = self.wall_total
+        if total <= 0:
+            return []
+        runs = self.experiments
+        lines = [f"host time   : total={total:.2f}s "
+                 f"mean={total / runs:.3f}s p50={self.wall_p50:.3f}s "
+                 f"p90={self.wall_p90:.3f}s"]
+        if self.kips > 0:
+            lines.append(f"sim rate    : {self.kips:.1f} KIPS "
+                         f"(campaign aggregate)")
+        lines.append(
+            f"ladder      : {self.ladder_started / runs:.0%} started "
+            f"past the boot checkpoint, "
+            f"{self.instructions_skipped / runs:.0f} instructions "
+            f"skipped per experiment, {self.early_exits} early exits")
+        if self.slowest:
+            lines.append("slowest     : " + "  ".join(
+                f"{name}={wall:.3f}s" for name, wall in self.slowest))
+        return lines
+
+    def report_tables(self) -> list[tuple]:
+        """The report's Host time tables (none without wall times); the
+        wall mean is per timed experiment."""
+        if not self.walls:
+            return []
+        total = self.wall_total
+        rows = [
+            ["wall total (s)", f"{total:.3f}"],
+            ["wall mean (s)", f"{total / len(self.walls):.4f}"],
+            ["wall p50 (s)", f"{self.wall_p50:.4f}"],
+            ["wall p90 (s)", f"{self.wall_p90:.4f}"],
+        ]
+        if self.kips:
+            rows.append(["campaign KIPS", f"{self.kips:.1f}"])
+        runs = self.experiments
+        rows += [
+            ["started past boot checkpoint",
+             f"{self.ladder_started / runs:.1%}"],
+            ["instructions skipped (mean)",
+             f"{self.instructions_skipped / runs:.0f}"],
+            ["early exits", str(self.early_exits)],
+        ]
+        tables = [(None, ["metric", "value"], rows),
+                  ("Slowest experiments", ["experiment", "wall (s)"],
+                   [[name, f"{wall:.4f}"] for name, wall
+                    in self.slowest])]
+        if self.phases:
+            order = [p for p in PHASE_ORDER if p in self.phases]
+            order += sorted(set(self.phases) - set(PHASE_ORDER))
+            scale = sum(self.phases.values()) or 1.0
+            tables.append((
+                "Wall time by campaign phase",
+                ["phase", "seconds", "share"],
+                [[phase, f"{self.phases[phase]:.3f}",
+                  f"{self.phases[phase] / scale:.1%}"]
+                 for phase in order]))
+        return tables
+
+
+# -- live campaign status ----------------------------------------------------
+
+
+def _host_figure(name: str) -> property:
+    return property(lambda status: getattr(status.host, name))
+
+
 @dataclass
 class CampaignStatus:
     """A point-in-time snapshot of a shared-directory campaign."""
@@ -241,22 +461,8 @@ class CampaignStatus:
     rate_per_second: float = 0.0
     eta_seconds: float | None = None
     elapsed_seconds: float = 0.0
-    # Host-time roll-up over the completed results: total/mean and
-    # nearest-rank percentiles of per-experiment wall_seconds, the
-    # slowest experiments (outlier hunting on heterogeneous NoW nodes),
-    # and campaign-level KIPS (simulated instructions per host
-    # kilo-second across all completed experiments).
-    wall_total: float = 0.0
-    wall_p50: float | None = None
-    wall_p90: float | None = None
-    slowest: list[tuple[str, float]] = field(default_factory=list)
-    kips: float = 0.0
-    # Checkpoint-ladder roll-up over the same results: how many started
-    # past the boot checkpoint, how many instructions they did not
-    # simulate, and how many exited early on rejoining the golden run.
-    ladder_started: int = 0
-    instructions_skipped: int = 0
-    early_exits: int = 0
+    # Host-time fold over the completed results.
+    host: HostTime = field(default_factory=HostTime)
     # Service context (only when the share belongs to a repro.service
     # job, i.e. service.json is present): the owning job and tenant.
     # None for plain NoW shares, so their status output stays
@@ -268,6 +474,15 @@ class CampaignStatus:
     # rates with Wilson intervals, margin convergence.  None unless
     # requested, so plain status output stays byte-identical.
     coverage: dict | None = None
+
+    wall_total = _host_figure("wall_total")
+    wall_p50 = _host_figure("wall_p50")
+    wall_p90 = _host_figure("wall_p90")
+    slowest = _host_figure("slowest")
+    kips = _host_figure("kips")
+    ladder_started = _host_figure("ladder_started")
+    instructions_skipped = _host_figure("instructions_skipped")
+    early_exits = _host_figure("early_exits")
 
     @property
     def wall_mean(self) -> float:
@@ -325,7 +540,8 @@ def read_service_context(share_dir: str) -> dict | None:
 
 def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
                 heartbeat_timeout: float = 120.0,
-                clock=time.time, coverage: bool = False
+                clock=time.time, coverage: bool = False,
+                results: list[ResultFile] | None = None
                 ) -> CampaignStatus:
     """Aggregate the live state of a share directory.
 
@@ -333,10 +549,14 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
     result — experiments whose workstation presumably died and that the
     recovery protocol will return to the queue.  Throughput comes from
     result-file timestamps; the ETA extrapolates it over the remaining
-    experiments.
+    experiments.  *results* are the share's results when the caller
+    already read them (:func:`read_results`).
     """
     status = CampaignStatus()
     now = clock()
+    if results is None:
+        results = read_results(share_dir)
+    done = {result.name for result in results}
 
     def listing(sub: str) -> list[str]:
         path = os.path.join(share_dir, sub)
@@ -344,59 +564,26 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
 
     status.todo = len(listing("todo"))
     # Claimed files stay in claimed/ after their result is written, so
-    # only count the ones still awaiting a result as in flight.
+    # only the ones still awaiting a result are in flight.  They are
+    # named <worker>_<experiment>.txt and worker ids may contain "_",
+    # so any suffix after an "_" may be the experiment.
     for name in listing("claimed"):
-        experiment = name.split("_", 1)[1] if "_" in name else name
-        result_name = experiment.replace(".txt", ".json")
-        if not os.path.exists(os.path.join(share_dir, "results",
-                                           result_name)):
+        parts = name.replace(".txt", "").split("_")
+        if not any("_".join(parts[i:]) in done
+                   for i in range(1, len(parts))):
             status.claimed += 1
 
-    result_times: list[float] = []
-    walls: list[tuple[float, str]] = []
-    instructions_total = 0
-    for name in listing("results"):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(share_dir, "results", name)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            continue  # being written by a worker right now
+    for result in results:
         status.completed += 1
-        outcome = entry.get("outcome", "unknown")
+        outcome = result.record.get("outcome", "unknown")
         status.outcomes[outcome] = status.outcomes.get(outcome, 0) + 1
-        wall = entry.get("wall_seconds")
-        if isinstance(wall, (int, float)):
-            walls.append((float(wall), name[:-len(".json")]))
-            instructions_total += simulated_instructions(entry)
-        started, skipped, exited = ladder_savings(entry)
-        status.ladder_started += started
-        status.instructions_skipped += skipped
-        status.early_exits += exited
-        try:
-            result_times.append(os.path.getmtime(path))
-        except OSError:
-            pass
-    if walls:
-        values = [wall for wall, _ in walls]
-        status.wall_total = sum(values)
-        status.wall_p50 = percentile(values, 0.5)
-        status.wall_p90 = percentile(values, 0.9)
-        status.slowest = [
-            (name, wall) for wall, name in
-            sorted(walls, key=lambda item: (-item[0], item[1]))[:3]]
-        if status.wall_total > 0:
-            status.kips = instructions_total / status.wall_total / 1e3
+        status.host.add(result.record, result.name)
+    result_times = [result.mtime for result in results]
 
     claim_times: list[float] = []
     for name in listing("claims"):
         if not name.endswith(".claim"):
             continue
-        experiment = name[:-len(".claim")]
-        result_path = os.path.join(share_dir, "results",
-                                   experiment.replace(".txt", ".json"))
         try:
             with open(os.path.join(share_dir, "claims", name), "r",
                       encoding="utf-8") as handle:
@@ -405,7 +592,8 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
             continue
         claim_time = entry.get("time", 0.0)
         claim_times.append(claim_time)
-        if not os.path.exists(result_path) and \
+        experiment = name[:-len(".claim")].replace(".txt", "")
+        if experiment not in done and \
                 now - claim_time > stale_claim_seconds:
             status.stale += 1
 
@@ -447,7 +635,7 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
             coverage_from_share,
             coverage_summary,
         )
-        space = coverage_from_share(share_dir)
+        space = coverage_from_share(share_dir, results=results)
         status.coverage = coverage_summary(space.as_dict())
     return status
 
@@ -489,24 +677,7 @@ def render_status(status: CampaignStatus) -> str:
                      f"experiments/min")
     if status.eta_seconds is not None:
         lines.append(f"eta         : {status.eta_seconds:.0f} s")
-    if status.wall_total > 0:
-        lines.append(
-            f"host time   : total={status.wall_total:.2f}s "
-            f"mean={status.wall_mean:.3f}s "
-            f"p50={status.wall_p50:.3f}s p90={status.wall_p90:.3f}s")
-        if status.kips > 0:
-            lines.append(f"sim rate    : {status.kips:.1f} KIPS "
-                         f"(campaign aggregate)")
-        runs = status.completed
-        lines.append(
-            f"ladder      : {status.ladder_started / runs:.0%} started "
-            f"past the boot checkpoint, "
-            f"{status.instructions_skipped / runs:.0f} instructions "
-            f"skipped per experiment, {status.early_exits} early exits")
-        if status.slowest:
-            outliers = "  ".join(f"{name}={wall:.3f}s"
-                                 for name, wall in status.slowest)
-            lines.append(f"slowest     : {outliers}")
+    lines += status.host.status_lines()
     if status.coverage is not None:
         space = status.coverage.get("space", {})
         convergence = status.coverage.get("convergence", {})
@@ -540,41 +711,33 @@ def render_status(status: CampaignStatus) -> str:
 def campaign_metrics(results) -> MetricsRegistry:
     """Aggregate experiment results into a metrics registry: experiment
     counts plus per-outcome wall-time distributions (the Figs. 4-8 raw
-    material, dumped in the diffable stats format).
+    material, dumped in the diffable stats format), and the host-time
+    roll-up: campaign KIPS and the boot/window/injection/drain
+    attribution of the total wall time (profiler phase stamps).
 
     Accepts :class:`~repro.campaign.runner.ExperimentResult` objects or
-    the result dicts workers write to the share.
+    the result dicts workers write to the share.  A record without a
+    wall time counts as 0 s, its instructions included.
     """
     registry = MetricsRegistry()
     campaign = registry.scope("campaign")
     total = campaign.counter("experiments")
     injected = campaign.counter("injected")
-    instructions_total = 0
-    wall_total = 0.0
-    phase_totals: dict[str, float] = {}
+    host = HostTime()
     for result in results:
         entry = result if isinstance(result, dict) else result.as_dict()
         outcome = entry.get("outcome", "unknown")
         wall = float(entry.get("wall_seconds", 0.0))
-        phases = entry.get("phases")
         total.inc()
         if entry.get("injected"):
             injected.inc()
         campaign.counter(f"outcome.{outcome}").inc()
         campaign.distribution(f"wall_seconds.{outcome}").record(wall)
         campaign.distribution("wall_seconds.all").record(wall)
-        instructions_total += simulated_instructions(entry)
-        wall_total += wall
-        if phases:
-            for phase, seconds in phases.items():
-                phase_totals[phase] = \
-                    phase_totals.get(phase, 0.0) + float(seconds)
-    # Host-side roll-up: campaign KIPS and the boot/window/injection/
-    # drain attribution of the total wall time (profiler phase stamps).
-    if wall_total > 0:
-        campaign.set("host.kips",
-                     round(instructions_total / wall_total / 1e3, 3))
-    for phase, seconds in sorted(phase_totals.items()):
+        host.add({**entry, "wall_seconds": wall})
+    if host.wall_total > 0:
+        campaign.set("host.kips", round(host.kips, 3))
+    for phase, seconds in sorted(host.phases.items()):
         campaign.set(f"host.phase_seconds.{phase}", round(seconds, 6))
     return registry
 

@@ -32,7 +32,12 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .campaign import CampaignStatus, read_status, render_status
+from .campaign import (
+    CampaignStatus,
+    read_results,
+    read_status,
+    render_status,
+)
 from .spans import load_spans
 
 ALERTS_FILE = "alerts.jsonl"
@@ -111,20 +116,21 @@ def snapshot_share(share_dir: str,
                    clock=time.time) -> ShareSnapshot:
     config = config or WatchdogConfig()
     now = clock()
+    results = read_results(share_dir)
     status = read_status(
         share_dir, stale_claim_seconds=config.stale_claim_seconds,
-        heartbeat_timeout=config.heartbeat_timeout, clock=clock)
+        heartbeat_timeout=config.heartbeat_timeout, clock=clock,
+        results=results)
     snap = ShareSnapshot(now=now, status=status)
+    done = {result.name for result in results}
 
     claims_dir = os.path.join(share_dir, "claims")
     if os.path.isdir(claims_dir):
         for name in sorted(os.listdir(claims_dir)):
             if not name.endswith(".claim"):
                 continue
-            experiment = name[:-len(".claim")]
-            result = os.path.join(share_dir, "results",
-                                  experiment.replace(".txt", ".json"))
-            if os.path.exists(result):
+            experiment = name[:-len(".claim")].replace(".txt", "")
+            if experiment in done:
                 continue
             try:
                 with open(os.path.join(claims_dir, name), "r",
@@ -133,8 +139,7 @@ def snapshot_share(share_dir: str,
             except (OSError, ValueError):
                 continue
             owner = entry.get("worker", "?")
-            snap.held_claims.setdefault(owner, []).append(
-                experiment.replace(".txt", ""))
+            snap.held_claims.setdefault(owner, []).append(experiment)
 
     _finished, opened = load_spans(share_dir)
     for record in opened:
@@ -146,24 +151,12 @@ def snapshot_share(share_dir: str,
             else None
         snap.open_spans.append(record)
 
-    results_dir = os.path.join(share_dir, "results")
-    if os.path.isdir(results_dir):
-        timed: list[tuple[float, str, str]] = []
-        for name in sorted(os.listdir(results_dir)):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(results_dir, name)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                mtime = os.path.getmtime(path)
-            except (OSError, ValueError):
-                continue
-            timed.append((mtime, name, entry.get("outcome", "unknown")))
-        timed.sort()
-        snap.outcome_sequence = [outcome for _, _, outcome in timed]
-        if timed:
-            snap.last_result_time = timed[-1][0]
+    timed = sorted((result.mtime, result.name,
+                    result.record.get("outcome", "unknown"))
+                   for result in results)
+    snap.outcome_sequence = [outcome for _, _, outcome in timed]
+    if timed:
+        snap.last_result_time = timed[-1][0]
     return snap
 
 

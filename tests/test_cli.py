@@ -180,6 +180,12 @@ class TestArgumentErrors:
         ["campaign", "-n", "three"],
         ["campaign", "--share-dir", "{tmp}/share", "--workers", "0"],
         ["analyze", "-n", "0"],
+        ["dashboard", "{tmp}", "--interval", "-1"],
+        ["trace", "{prog}", "--ring", "-5"],
+        ["timeline", "{tmp}", "--slots", "0"],
+        ["timeline", "{tmp}", "--slots", "-2"],
+        ["compare", "{tmp}", "{tmp}", "--confidence", "2"],
+        ["compare", "{tmp}", "{tmp}", "--margin", "-1"],
     ])
     def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
                                   capsys):
@@ -198,6 +204,16 @@ class TestArgumentErrors:
         assert parser.parse_args(["pipeview", "-"]).trace == "-"
         assert parser.parse_args(["profile", "pi"]).workload == "pi"
 
+    def test_range_edges_still_parse(self):
+        """``--ring 0`` still means "no ring buffer" and a compare
+        margin of 0 stays valid."""
+        parser = build_parser()
+        assert parser.parse_args(["trace", "--ring", "0"]).ring == 0
+        assert parser.parse_args(
+            ["compare", "a", "b", "--margin", "0"]).margin == 0.0
+        assert parser.parse_args(
+            ["dashboard", "--interval", "0"]).interval == 0.0
+
 
 class TestCoverageCommand:
     """``gemfi coverage``: fault-space coverage over a campaign share."""
@@ -215,7 +231,7 @@ class TestCoverageCommand:
         out = capsys.readouterr().out
         assert "fault sites visited" in out
         assert "margin" in out
-        assert "# fault location" in out
+        assert "# Outcomes by fault location" in out
 
     def test_json_is_byte_deterministic(self, share, capsys):
         assert main(["coverage", share, "--json"]) == 0
@@ -237,7 +253,7 @@ class TestCoverageCommand:
     def test_single_dimension_and_unknown_rejected(self, share,
                                                    capsys):
         assert main(["coverage", share, "--dimension", "bit"]) == 0
-        assert "# bit position" in capsys.readouterr().out
+        assert "# Outcomes by bit position" in capsys.readouterr().out
         with pytest.raises(SystemExit) as caught:
             main(["coverage", share, "--dimension", "nope"])
         assert caught.value.code == 2

@@ -20,11 +20,10 @@ from repro.analysis.coverage import (
     FaultSpaceMap,
     coverage_from_share,
     coverage_gauges,
+    coverage_report_tables,
     coverage_summary,
-    render_coverage_markdown,
+    heatmap_table,
     render_coverage_svg,
-    render_coverage_tables,
-    render_heatmap_table,
 )
 from repro.analysis.liveness import SiteVerdict
 from repro.campaign.generator import (
@@ -34,6 +33,7 @@ from repro.campaign.generator import (
     WindowProfile,
 )
 from repro.core import LocationKind
+from repro.telemetry import render_markdown, render_text
 
 PROFILE = WindowProfile(committed=100, ticks=5000)
 
@@ -234,9 +234,8 @@ class TestDeterminism:
     def test_renderers_deterministic(self):
         payload = populate(FaultSpaceMap(window=PROFILE),
                            synthetic_results(60)).as_dict()
-        for render in (render_coverage_tables,
-                       render_coverage_markdown):
-            assert render(payload) == render(payload)
+        assert render_text(*coverage_report_tables(payload)) == \
+            render_text(*coverage_report_tables(payload))
         for dimension in ("location", "bit", "time_decile",
                           "register", "pc_region"):
             assert render_coverage_svg(payload, dimension) == \
@@ -250,18 +249,20 @@ class TestRenderers:
                         synthetic_results(60, weights=True)).as_dict()
 
     def test_tables_mention_every_dimension(self, payload):
-        text = render_coverage_tables(payload)
+        text = render_text(*coverage_report_tables(payload))
         for title in ("fault location", "bit position",
                       "injection-cycle decile",
                       "destination register", "PC region"):
             assert title in text
 
     def test_heatmap_table_has_wilson_cells(self, payload):
-        text = render_heatmap_table(payload, "location")
+        text = render_text([], [heatmap_table(payload, "location")])
         assert "[" in text and "%" in text
 
     def test_markdown_has_sections(self, payload):
-        text = render_coverage_markdown(payload, name="demo")
+        prose, tables = coverage_report_tables(payload)
+        text = render_markdown("Fault-space coverage: demo", prose,
+                               [(None, [], tables)])
         assert text.startswith("# Fault-space coverage: demo")
         assert "Wilson intervals" in text
         assert "| location |" in text

@@ -22,12 +22,12 @@ from repro.analysis.diff import (
     compare_gauges,
     newcombe_interval,
     proportions_differ,
+    diff_report_tables,
     render_diff_bars,
-    render_diff_markdown,
     render_diff_svg,
-    render_diff_text,
 )
 from repro.campaign.sampling import proportion_confidence_interval
+from repro.telemetry import render_markdown, render_text
 from test_coverage import synthetic_results, write_share
 
 
@@ -216,13 +216,15 @@ class TestRendering:
                             CampaignSummary.from_share(head)).payload
 
     def test_text(self, payload):
-        text = render_diff_text(payload)
+        text = render_text(*diff_report_tables(payload))
         assert "verdict: regressed" in text
         assert "Outcome deltas" in text
         assert "Newcombe" in text
 
     def test_markdown(self, payload):
-        text = render_diff_markdown(payload)
+        prose, tables = diff_report_tables(payload)
+        text = render_markdown("Campaign diff", prose,
+                               [(None, [], tables)])
         assert text.startswith("# Campaign diff")
         assert "| outcome |" in text
 

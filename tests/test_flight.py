@@ -23,8 +23,6 @@ from repro.telemetry import (
     load_share,
     read_status,
     render_from_events,
-    render_html,
-    render_markdown,
     render_report,
 )
 from repro.telemetry.events import events_from_jsonl, events_to_jsonl
@@ -569,14 +567,14 @@ class TestCampaignReport:
 
     def test_rendering_is_byte_deterministic(self, tmp_path):
         share = seed_share(tmp_path)
-        first_md = render_markdown(load_share(share))
-        second_md = render_markdown(load_share(share))
+        first_md = render_report(load_share(share))
+        second_md = render_report(load_share(share))
         assert first_md == second_md
-        assert render_html(load_share(share)) \
-            == render_html(load_share(share))
+        assert render_report(load_share(share), fmt="html") \
+            == render_report(load_share(share), fmt="html")
 
     def test_markdown_sections_and_counts(self, tmp_path):
-        text = render_markdown(load_share(seed_share(tmp_path)))
+        text = render_report(load_share(seed_share(tmp_path)))
         assert "# Campaign report:" in text
         assert "50 completed experiments." in text
         assert "## Outcome totals" in text
@@ -591,7 +589,8 @@ class TestCampaignReport:
             assert f"| {label} |" in text
 
     def test_html_rendering(self, tmp_path):
-        text = render_html(load_share(seed_share(tmp_path)))
+        text = render_report(load_share(seed_share(tmp_path)),
+                             fmt="html")
         assert text.startswith("<!DOCTYPE html>")
         assert "<h2>Outcome totals</h2>" in text
         assert "<td>TOTAL</td><td>50</td>" in text
@@ -612,7 +611,7 @@ class TestCampaignReport:
         report = load_share(str(tmp_path))
         assert report.experiments == 0
         assert "0 completed experiments." \
-            in render_markdown(report)
+            in render_report(report)
 
     def test_cli_report_stdout_and_file(self, tmp_path, capsys):
         share = seed_share(tmp_path / "campaign_a")

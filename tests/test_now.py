@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.campaign import (
     simulate_makespan,
 )
 from repro.campaign.now import load_golden
+from repro.telemetry import read_status
 from repro.workloads import build
 
 
@@ -94,6 +96,28 @@ class TestSharedDirProtocol:
         assert len(results) == 5
         counts = outcome_counts(results)
         assert sum(counts.values()) == 5
+
+    def test_worker_ids_with_underscores_run_each_experiment_once(
+            self, tmp_path, runner):
+        """Claims are claimed/<worker>_<experiment>; a worker id with
+        an "_" in it must not garble the experiment's name, or a later
+        worker finds no result, steals the claims and runs them all
+        again."""
+        share = str(tmp_path)
+        campaign = SharedDirCampaign(share, "pi", "tiny",
+                                     heartbeat_interval=0)
+        generator = SEUGenerator(runner.golden.profile, seed=11)
+        campaign.publish(runner, generator.batch(3))
+        assert campaign.worker_loop("node_1", runner) == 3
+        assert sorted(os.listdir(tmp_path / "results")) == [
+            f"exp_{i:04d}.json" for i in range(3)]
+        late = SharedDirCampaign(share, "pi", "tiny",
+                                 heartbeat_interval=0,
+                                 clock=lambda: time.time() + 1000)
+        assert late.worker_loop("ws1", runner) == 0
+        assert len(campaign.collect()) == 3
+        status = read_status(share)
+        assert (status.completed, status.claimed) == (3, 0)
 
     def test_claim_writes_exclusive_claim_file(self, tmp_path, runner):
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")

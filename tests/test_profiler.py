@@ -36,7 +36,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.campaign import percentile, simulated_instructions
 from repro.telemetry.report import CampaignReport, add_result, load_share, \
-    render_markdown
+    render_report
 
 from conftest import MIXED_PROGRAM, run_asm
 from repro.compiler import compile_source
@@ -360,7 +360,7 @@ class TestHostTimeRollups:
         assert ("ladder      : 67% started past the boot checkpoint, "
                 "3333 instructions skipped per experiment, 1 early "
                 "exits") in render_status(status)
-        text = render_markdown(load_share(str(tmp_path)))
+        text = render_report(load_share(str(tmp_path)))
         assert "| started past boot checkpoint | 66.7% |" in text
         assert "| instructions skipped (mean) | 3333 |" in text
         assert "| early exits | 1 |" in text
@@ -388,7 +388,7 @@ class TestHostTimeRollups:
         status = read_status(str(tmp_path), clock=lambda: 0.0)
         assert status.kips == pytest.approx(kips)
         assert "sim rate    : 6.7 KIPS" in render_status(status)
-        assert "| campaign KIPS | 6.7 |" in render_markdown(
+        assert "| campaign KIPS | 6.7 |" in render_report(
             load_share(str(tmp_path)))
         assert campaign_metrics(results).as_flat_dict()[
             "campaign.host.kips"] == pytest.approx(kips, abs=1e-3)
@@ -430,19 +430,19 @@ class TestHostTimeRollups:
                 "phases": {"boot": 0.1, "window": 0.2,
                            "injection": 0.0, "drain": wall - 0.3},
             }, name=f"exp_{index:04d}")
-        text = render_markdown(report)
+        text = render_report(report)
         assert "## Host time" in text
         assert "### Slowest experiments" in text
         assert "exp_0001" in text
         assert "### Wall time by campaign phase" in text
         assert "| boot |" in text
         # Deterministic render: same aggregates, same bytes.
-        assert text == render_markdown(report)
+        assert text == render_report(report)
 
     def test_report_without_wall_data_unchanged(self):
         report = CampaignReport(name="camp")
         add_result(report, {"outcome": "sdc", "time_fraction": 0.1})
-        assert "## Host time" not in render_markdown(report)
+        assert "## Host time" not in render_report(report)
 
 
 class TestBenchGate:

@@ -16,6 +16,8 @@ content store serves.
 from __future__ import annotations
 
 import asyncio
+import builtins
+import collections
 import contextlib
 import html
 import io
@@ -318,3 +320,87 @@ def test_html_report_carries_every_markdown_heading_and_line(rendered):
         if not found:
             missing.append(line)
     assert missing == []
+
+
+# -- one read per view --------------------------------------------------------
+
+
+def _count_result_reads(monkeypatch, action) -> collections.Counter:
+    """Run *action*, counting how often each ``results/*.json`` is
+    opened for reading."""
+    reads: collections.Counter = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and mode.startswith("r"):
+            path = os.fspath(file)
+            if path.endswith(".json") and \
+                    os.path.basename(os.path.dirname(path)) == "results":
+                reads[os.path.basename(path)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", counting_open)
+        action()
+    return reads
+
+
+class TestOneReadPerView:
+    """Each view reads every result file of its share exactly once."""
+
+    @pytest.fixture
+    def head(self, tmp_path):
+        return build_shares(str(tmp_path))[0]
+
+    def _assert_read_once(self, share, reads):
+        names = sorted(os.listdir(os.path.join(share, "results")))
+        assert reads == {name: 1 for name in names}
+
+    def test_report(self, monkeypatch, head):
+        reads = _count_result_reads(monkeypatch,
+                                    lambda: _cli("report", head))
+        self._assert_read_once(head, reads)
+
+    def test_status_coverage(self, monkeypatch, head):
+        reads = _count_result_reads(
+            monkeypatch, lambda: _cli("status", head, "--coverage"))
+        self._assert_read_once(head, reads)
+
+    def test_dashboard_once(self, monkeypatch, head):
+        reads = _count_result_reads(
+            monkeypatch, lambda: _cli("dashboard", head, "--once"))
+        self._assert_read_once(head, reads)
+
+    def test_event_frame(self, monkeypatch, head, tmp_path):
+        queue = JobQueue(str(tmp_path / "queue.db"))
+        app = ServiceApp(queue, ContentStore(str(tmp_path / "store")),
+                         clock=_clock)
+        job = queue.submit(JobSpec.from_dict({"workload": "pi"}))
+        queue.record_share(job.id, head)
+        request = Request(method="GET", path="/", query={"max": "1"},
+                          params={"id": job.id})
+
+        async def one_frame():
+            response = await app.job_events(request)
+            return [chunk async for chunk in response.stream]
+
+        chunks = []
+        reads = _count_result_reads(
+            monkeypatch, lambda: chunks.extend(asyncio.run(one_frame())))
+        assert json.loads(chunks[0])["campaign"]["completed"] == 14
+        self._assert_read_once(head, reads)
+
+    def test_dispatched_job(self, monkeypatch, tmp_path):
+        from repro.service import Dispatcher
+        queue = JobQueue(str(tmp_path / "queue.db"))
+        store = ContentStore(str(tmp_path / "store"))
+        dispatcher = Dispatcher(queue, store, str(tmp_path))
+        job = queue.submit(JobSpec.from_dict(
+            {"workload": "pi", "experiments": 3, "seed": 4}))
+        reads = _count_result_reads(monkeypatch, dispatcher.poll_once)
+        job = queue.get(job.id)
+        assert job.state == "done"
+        self._assert_read_once(job.share_dir, reads)
+        # The stored report is the one `gemfi report` renders.
+        assert store.get(job.report_digest).decode("utf-8") == \
+            _cli("report", job.share_dir)
