@@ -374,7 +374,8 @@ class HostTime:
 
     @property
     def kips(self) -> float:
-        """Simulated instructions per host millisecond, campaign-wide."""
+        """Campaign-wide KIPS: thousands of simulated instructions per
+        host second."""
         total = self.wall_total
         return self.instructions / total / 1e3 if total > 0 else 0.0
 
