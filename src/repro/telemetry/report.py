@@ -267,7 +267,7 @@ pre {{ background: #f4f4f4; padding: 1em; }}
 
 def _html_table(header: list[str] | None, rows: list) -> str:
     if header is None:
-        return f"<pre>{_html.escape(chr(10).join(rows))}</pre>"
+        return "<pre>" + _html.escape("\n".join(rows)) + "</pre>"
     lines = ["<table>", "<tr>"
              + "".join(f"<th>{_html.escape(str(c))}</th>" for c in header)
              + "</tr>"]
