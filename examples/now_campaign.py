@@ -4,9 +4,10 @@
 Demonstrates both halves of the paper's NoW support:
 
 * the **shared-directory protocol**: experiments and the checkpoint are
-  published to a share; worker processes claim experiments atomically,
-  run them locally from the checkpointed state and write results back
-  (steps 1-6 of Section III.E) — executed here with real OS processes;
+  published to a share; workers claim experiments atomically, run them
+  locally from the checkpointed state and write results back (steps 1-6
+  of Section III.E) — executed here with real OS processes, or in this
+  process when one worker is asked for;
 * the **makespan arithmetic** behind Fig. 8's ~108x: the measured
   per-experiment durations replayed over 27 workstations x 4 slots.
 
@@ -41,8 +42,9 @@ def main():
         campaign = SharedDirCampaign(share, "pi", "tiny")
         campaign.publish(runner, faults)
         print(f"published {experiments} experiment files + checkpoint "
-              f"to the share; launching {workers} worker process(es)...")
-        results = campaign.run_local(workers=workers)
+              f"to the share; launching {workers} worker(s)...")
+        campaign.run_local(workers=workers, runner=runner)
+        results = campaign.collect()
 
     print(f"collected {len(results)} results: "
           f"{outcome_counts(results)}")

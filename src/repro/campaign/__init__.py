@@ -1,11 +1,5 @@
 """Campaign orchestration: sampling, generation, execution, analysis."""
 
-from .backend import (
-    CampaignBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from .classify import OUTCOME_ORDER, Outcome, classify
 from .generator import (
     DEFAULT_LOCATIONS,
@@ -47,8 +41,7 @@ from .sampling import (
 )
 
 __all__ = [
-    "CampaignBackend", "CampaignRunner", "DEFAULT_LOCATIONS",
-    "Distribution", "backend_names", "get_backend", "register_backend",
+    "CampaignRunner", "DEFAULT_LOCATIONS", "Distribution",
     "ExperimentResult", "GoldenRun", "LOCATION_WIDTHS", "NoWConfig",
     "OUTCOME_ORDER", "Outcome", "PlannedRun", "PredictedSite",
     "PrunedGenerator", "PrunedPlan", "SEUGenerator",

@@ -6,9 +6,10 @@ Two pieces:
   shared-network-filesystem protocol: experiment configuration files and
   the checkpoint live on a share; workers atomically claim experiments,
   run them locally from the checkpointed state and write results back.
-  Workers are real OS processes (``multiprocessing``), so on a multi-core
-  host the campaign genuinely runs in parallel; on this repository's
-  single-core CI it degenerates gracefully to ~1x.
+  :meth:`SharedDirCampaign.run_local` is the one way to run a published
+  campaign: it forks real OS worker processes (``multiprocessing``), so
+  on a multi-core host the campaign genuinely runs in parallel, or runs
+  a single worker in the calling process with that process's runner.
 
 * :func:`simulate_makespan` — a deterministic meta-simulator that replays
   measured per-experiment serial runtimes over W workstations x S
@@ -25,7 +26,6 @@ import json
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 from dataclasses import dataclass
 
@@ -33,34 +33,11 @@ from ..core.parser import parse_fault_file, render_fault_file
 from ..telemetry.campaign import (HEARTBEAT_DIR, MANIFEST_DIR,
                                   PeriodicBeat, git_describe,
                                   read_heartbeats, read_results,
-                                  run_manifest, write_heartbeat)
+                                  run_manifest, write_atomic,
+                                  write_heartbeat)
 from ..telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
                                TraceContext, Tracer, span_log_path)
-from .backend import CampaignBackend, register_backend
 from .runner import CampaignRunner, GoldenRun
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    """Publish *text* at *path* via temp file + ``os.replace``: readers
-    polling the share (collect, read_status, other workers) either see
-    the complete file or no file, never a truncated one — a worker
-    crashing mid-write leaves only a ``.tmp.*`` file behind, which
-    every reader ignores."""
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json_atomic(path: str, payload, **dump_kwargs) -> None:
-    _write_text_atomic(path, json.dumps(payload, **dump_kwargs))
-
-
-def _write_bytes_atomic(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
 
 
 @dataclass
@@ -101,8 +78,7 @@ def now_speedup(durations: list[float], config: NoWConfig,
 # -- the shared-directory protocol ------------------------------------------------
 
 
-@register_backend("shared-dir")
-class SharedDirCampaign(CampaignBackend):
+class SharedDirCampaign:
     """Steps 1-6 of Section III.E over a real directory tree.
 
     Layout of the share::
@@ -157,16 +133,16 @@ class SharedDirCampaign(CampaignBackend):
             # span under that request span.  Absent outside the
             # service, keeping plain shares byte-identical.
             workload["request"] = request
-        _write_json_atomic(
-            os.path.join(self.share_dir, "workload.json"), workload)
-        _write_bytes_atomic(os.path.join(self.share_dir, "golden.pkl"),
-                            pickle.dumps(runner.golden))
+        write_atomic(os.path.join(self.share_dir, "workload.json"),
+                     json.dumps(workload))
+        write_atomic(os.path.join(self.share_dir, "golden.pkl"),
+                     pickle.dumps(runner.golden))
         for index, faults in enumerate(fault_sets):
             if not isinstance(faults, list):
                 faults = [faults]
             path = os.path.join(self.share_dir, "todo",
                                 f"exp_{index:04d}.txt")
-            _write_text_atomic(path, render_fault_file(faults))
+            write_atomic(path, render_fault_file(faults))
 
     # step 4: atomic claim.  A claim file created with O_CREAT|O_EXCL is
     # the lock for one experiment — exactly one workstation can create
@@ -312,7 +288,7 @@ class SharedDirCampaign(CampaignBackend):
             fault_text = handle.read()
         faults = parse_fault_file(fault_text)
         if seed is None:
-            seed = self._published_seed()
+            seed = self.published().get("seed")
         started = self._clock()
         span = None
         if tracer is not None:
@@ -323,7 +299,7 @@ class SharedDirCampaign(CampaignBackend):
             tracer.finish(span)
         out = os.path.join(self.share_dir, "results",
                            experiment.replace(".txt", ".json"))
-        _write_json_atomic(out, result.as_dict())
+        write_atomic(out, json.dumps(result.as_dict()))
         extra = {"replay_start": result.replay_start,
                  "early_exit": result.early_exit}
         if result.divergence is not None:
@@ -340,8 +316,8 @@ class SharedDirCampaign(CampaignBackend):
         manifest_path = os.path.join(
             self.share_dir, MANIFEST_DIR,
             experiment.replace(".txt", ".json"))
-        _write_json_atomic(manifest_path, manifest, indent=2,
-                           sort_keys=True)
+        write_atomic(manifest_path,
+                     json.dumps(manifest, indent=2, sort_keys=True))
         if status is not None:
             status["experiment"] = None
             status["completed"] = completed + 1
@@ -350,7 +326,7 @@ class SharedDirCampaign(CampaignBackend):
     def worker_loop(self, worker_id: str, runner: CampaignRunner,
                     tracer=None) -> int:
         completed = 0
-        seed = self._published_seed()
+        seed = self.published().get("seed")
         git_rev = git_describe()
         status = {"experiment": None, "completed": 0}
         write_heartbeat(self.share_dir, worker_id, completed,
@@ -389,43 +365,34 @@ class SharedDirCampaign(CampaignBackend):
                         clock=self._clock)
         return completed
 
-    def _published_seed(self) -> int | None:
-        """The generator seed recorded by ``publish`` (None for
-        hand-authored fault queues or pre-telemetry shares)."""
-        return self._published_field("seed")
-
-    def published_flight(self) -> int | None:
-        """Flight-recorder digest interval recorded by ``publish``, or
-        None when the coordinator left the recorder off."""
-        return self._published_field("flight")
-
-    def published_trace(self) -> bool:
-        """True when the coordinator published with span tracing on."""
-        return bool(self._published_field("trace"))
-
-    def published_request(self) -> dict | None:
-        """Originating-request context recorded by ``publish`` (the
-        campaign service's ``{"id", "span"}``), or None for campaigns
-        published outside the service."""
-        request = self._published_field("request")
-        return request if isinstance(request, dict) else None
-
-    def _published_field(self, key: str):
+    def published(self) -> dict:
+        """The ``workload.json`` that ``publish`` wrote: name, scale,
+        seed and flight interval, plus ``trace`` and ``request`` when
+        set.  Empty for a hand-built queue without one."""
         path = os.path.join(self.share_dir, "workload.json")
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle).get(key)
+                workload = json.load(handle)
         except (OSError, ValueError):
-            return None
+            return {}
+        return workload if isinstance(workload, dict) else {}
 
     def collect(self) -> list[dict]:
         return [result.record for result in read_results(self.share_dir)]
 
-    # orchestration: spawn worker processes (one per local "workstation").
+    # orchestration: run the workers (one per local "workstation").
 
-    def run_local(self, workers: int = 2) -> list[dict]:
+    def run_local(self, workers: int = 2,
+                  runner: CampaignRunner | None = None) -> None:
+        """Drain the published campaign on this host.  Given a *runner*
+        and ``workers <= 1``, worker ``ws0`` runs in this process with
+        it; otherwise workers ``ws0 … wsN-1`` are forked, each loading
+        ``golden.pkl``.  Read the results from the share afterwards
+        (:meth:`collect` or ``read_results``)."""
+        workers = max(1, workers)
+        workload = self.published()
         tracer = None
-        if self.published_trace():
+        if workload.get("trace"):
             # The coordinator owns the campaign root span; workers
             # parent their experiment spans under it by id arithmetic
             # (same seed -> same ids), so no handshake is needed.
@@ -433,9 +400,9 @@ class SharedDirCampaign(CampaignBackend):
             # request, the request's span id becomes the root's
             # parent — ids and paths are untouched, so the workers'
             # arithmetic still holds.
-            request = self.published_request() or {}
+            request = workload.get("request") or {}
             tracer = Tracer(
-                TraceContext(self._published_seed()),
+                TraceContext(workload.get("seed")),
                 sink=JsonlSpanSink(
                     span_log_path(self.share_dir, "coordinator")),
                 worker="coordinator",
@@ -447,21 +414,52 @@ class SharedDirCampaign(CampaignBackend):
                                 workload=self.workload_name,
                                 scale=self.scale, workers=workers,
                                 **root_attrs)
-        processes = []
-        for index in range(workers):
-            process = multiprocessing.Process(
-                target=_worker_main,
-                args=(self.share_dir, f"ws{index}", self.workload_name,
-                      self.scale))
-            process.start()
-            processes.append(process)
-        for process in processes:
-            process.join()
-        results = self.collect()
-        if tracer is not None:
-            tracer.finish(root, results=len(results))
-            tracer.close()
-        return results
+        try:
+            if runner is not None and workers == 1:
+                self._drain("ws0", runner, workload)
+            else:
+                processes = [multiprocessing.Process(
+                    target=_worker_main,
+                    args=(self.share_dir, f"ws{index}",
+                          self.workload_name, self.scale))
+                    for index in range(workers)]
+                for process in processes:
+                    process.start()
+                for process in processes:
+                    process.join()
+        finally:
+            if tracer is not None:
+                # Counted by name, not read: the caller reads the
+                # share once.
+                names = os.listdir(
+                    os.path.join(self.share_dir, "results"))
+                tracer.finish(root, results=sum(
+                    name.endswith(".json") for name in names))
+                tracer.close()
+
+    def _drain(self, worker_id: str, runner: CampaignRunner,
+               workload: dict) -> None:
+        """One worker's set-up around :meth:`worker_loop`, shared by the
+        in-process and the forked worker: the published flight
+        recorder, and a span tracer when the campaign is traced.  The
+        tracer is detached afterwards, because an in-process worker's
+        runner outlives the campaign."""
+        if workload.get("flight"):
+            runner.enable_flight(workload["flight"])
+        tracer = None
+        if workload.get("trace"):
+            tracer = Tracer(
+                TraceContext(workload.get("seed")),
+                sink=JsonlSpanSink(
+                    span_log_path(self.share_dir, worker_id)),
+                worker=worker_id, base_path=CAMPAIGN_PATH)
+            runner.enable_tracing(tracer)
+        try:
+            self.worker_loop(worker_id, runner, tracer=tracer)
+        finally:
+            if tracer is not None:
+                runner.tracer = None
+                tracer.close()
 
 
 def load_golden(share_dir: str) -> GoldenRun:
@@ -492,21 +490,7 @@ def _worker_main(share_dir: str, worker_id: str, workload_name: str,
     golden = load_golden(share_dir)
     runner = CampaignRunner(build(workload_name, scale), golden=golden)
     campaign = SharedDirCampaign(share_dir, workload_name, scale)
-    flight = campaign.published_flight()
-    if flight:
-        runner.enable_flight(flight)
-    tracer = None
-    if campaign.published_trace():
-        tracer = Tracer(
-            TraceContext(campaign._published_seed()),
-            sink=JsonlSpanSink(span_log_path(share_dir, worker_id)),
-            worker=worker_id, base_path=CAMPAIGN_PATH)
-        runner.enable_tracing(tracer)
-    try:
-        campaign.worker_loop(worker_id, runner, tracer=tracer)
-    finally:
-        if tracer is not None:
-            tracer.close()
+    campaign._drain(worker_id, runner, campaign.published())
 
 
 def outcome_counts(result_dicts: list[dict]) -> dict[str, int]:

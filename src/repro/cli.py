@@ -178,8 +178,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         location = LocationKind(args.location)
     if args.share_dir:
         # Shared-directory (NoW) mode: publish the experiments and the
-        # golden run, drain the queue with local worker processes, and
-        # leave the share behind for gemfi status / gemfi report.
+        # golden run, drain the queue with local workers, and leave the
+        # share behind for gemfi status / gemfi report.
         from .campaign import SharedDirCampaign, outcome_counts
         campaign = SharedDirCampaign(args.share_dir, args.workload,
                                      args.scale)
@@ -188,7 +188,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         campaign.publish(runner, faults, seed=args.seed,
                          flight=args.flight or None,
                          trace=args.trace)
-        results = campaign.run_local(workers=args.workers)
+        campaign.run_local(workers=args.workers, runner=runner)
+        results = campaign.collect()
         counts = outcome_counts(results)
         print(f"# share: {args.share_dir} — {len(results)} results")
         for name, count in sorted(counts.items()):
@@ -206,10 +207,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         return 0
-    if args.trace:
-        print("# warning: --trace needs --share-dir (span tracing "
-              "follows the NoW campaign protocol); ignoring",
-              file=sys.stderr)
     progress = lambda done, total: print(  # noqa: E731
         f"\r# {done}/{total}", end="", file=sys.stderr)
     if args.prune:
@@ -968,10 +965,12 @@ def build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--detailed-model", default=None,
                         choices=(None, "o3", "inorder", "timing"),
                         help="inject in this model, then switch to "
-                             "atomic (paper methodology)")
+                             "atomic (paper methodology; not with "
+                             "--share-dir)")
     camp_p.add_argument("--prune", action="store_true",
                         help="skip provably-masked sites and collapse "
-                             "equivalent live sites (repro.analysis)")
+                             "equivalent live sites (repro.analysis; "
+                             "not with --share-dir)")
     camp_p.add_argument("--flight", type=int, nargs="?", const=32,
                         default=None, metavar="INTERVAL",
                         help="enable the fault-propagation flight "
@@ -982,8 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "rooted here, leaving the share behind for "
                              "gemfi status / gemfi report")
     camp_p.add_argument("--workers", type=_positive_int, default=2,
-                        help="local worker processes in --share-dir "
-                             "mode")
+                        help="local workers in --share-dir mode (1 "
+                             "runs in this process, more are forked)")
     camp_p.add_argument("--trace", action="store_true",
                         help="span-trace the campaign (share mode): "
                              "workers append span logs for gemfi "
@@ -1367,9 +1366,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _campaign_flag_error(args: argparse.Namespace) -> str | None:
+    """A ``gemfi campaign`` flag that the chosen mode would ignore: share
+    workers run plain SEU experiments in the atomic model, and span
+    tracing follows the share protocol."""
+    if args.share_dir is None:
+        return "--trace needs --share-dir" if args.trace else None
+    if args.prune:
+        return "--prune cannot run on a share (--share-dir)"
+    if args.detailed_model is not None:
+        return "--detailed-model cannot run on a share (--share-dir)"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_campaign:
+        error = _campaign_flag_error(args)
+        if error:
+            parser.exit(2, f"gemfi campaign: error: {error}\n")
     try:
         return args.func(args)
     except BrokenPipeError:

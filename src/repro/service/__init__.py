@@ -13,9 +13,10 @@ directories and become **jobs** submitted to a long-lived service —
   dispatch;
 * :mod:`repro.service.store` — a content-addressed store (SHA-256 of
   canonical bytes) deduplicating results, reports and checkpoints;
-* :mod:`repro.service.dispatcher` — leases jobs and runs them through
-  the pluggable :class:`~repro.campaign.backend.CampaignBackend`
-  (the paper's shared-dir NoW protocol by default);
+* :mod:`repro.service.dispatcher` — leases jobs and runs each as the
+  paper's shared-dir NoW protocol, through
+  :meth:`~repro.campaign.now.SharedDirCampaign.run_local` as
+  ``gemfi campaign --share-dir`` does;
 * :mod:`repro.service.api` — the endpoint handlers plus the
   :class:`~repro.service.api.Service` composition root behind
   ``gemfi serve``;

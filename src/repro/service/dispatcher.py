@@ -1,19 +1,17 @@
-"""Lease-based job dispatch into campaign backends.
+"""Lease-based job dispatch onto the shared-dir campaign protocol.
 
 The dispatcher is the service's execution half: it drains the
 persistent queue, runs each job as a campaign on a **private share**
 under the service data directory (``shares/<job-id>``), and lands the
-artifacts in the content store.  Execution goes through the pluggable
-:class:`~repro.campaign.backend.CampaignBackend` registry — today
-that means the paper's shared-dir NoW protocol, with workers either
-
-* forked as real OS processes (``spec.workers >= 2``, the existing
-  ``run_local`` path), or
-* embedded in the dispatcher process (``spec.workers <= 1``), which
-  wraps ``worker_loop`` directly and reuses a cached
-  :class:`~repro.campaign.runner.CampaignRunner` — identical golden
-  runs are computed once per (workload, scale) and their checkpoints
-  deduplicated by the content store.
+artifacts in the content store.  Each job is one
+:meth:`~repro.campaign.now.SharedDirCampaign.publish` and one
+:meth:`~repro.campaign.now.SharedDirCampaign.run_local` — the paper's
+NoW protocol, exactly as ``gemfi campaign --share-dir`` runs it.  A
+``workers: 0`` or ``1`` job runs its one worker in the dispatcher
+process with a cached :class:`~repro.campaign.runner.CampaignRunner`
+(identical golden runs are computed once per (workload, scale) and
+their checkpoints deduplicated by the content store); more workers
+are forked and load the published golden run.
 
 While a job runs, a :class:`~repro.telemetry.campaign.PeriodicBeat`
 thread keeps extending the lease, so slow campaigns are not stolen;
@@ -27,25 +25,27 @@ meters completed work per tenant into the queue's persistent usage
 table.  A job submitted with ``trace: true`` gets its span tree
 rooted at the HTTP request that created it: the dispatcher writes a
 ``/request`` span (stamped with the request id recorded at submit
-time) and hands the request's span id down through ``publish`` so the
-campaign root — wherever it is opened — parents under it.
+time) and hands the request's span id down through ``publish``, so
+``run_local`` parents the campaign root under it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 
-from ..campaign import CampaignRunner, SEUGenerator, get_backend
+from ..campaign import CampaignRunner, SEUGenerator, SharedDirCampaign
 from ..telemetry.campaign import (
     SERVICE_FILE,
     HostTime,
     PeriodicBeat,
     read_results,
+    write_atomic,
 )
-from ..telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
-                               TraceContext, Tracer, span_log_path)
+from ..telemetry.spans import (JsonlSpanSink, TraceContext, Tracer,
+                               span_log_path)
 from ..workloads import build
 from .jobs import Job, canonical_results
 from .observability import PHASE_BOUNDS
@@ -101,10 +101,12 @@ class Dispatcher:
         share_dir = os.path.join(self.shares_dir, job.id)
         phase_started = time.monotonic()
         runner = self.runner_for(spec.workload, spec.scale)
-        backend_cls = get_backend(spec.backend)
-        campaign = backend_cls(share_dir, spec.workload, spec.scale)
+        campaign = SharedDirCampaign(share_dir, spec.workload, spec.scale)
         self.queue.record_share(job.id, share_dir)
-        self._mark_share(share_dir, job)
+        # The service marker: `gemfi status` on this share names the
+        # owning job and tenant.
+        write_atomic(os.path.join(share_dir, SERVICE_FILE),
+                     json.dumps({"job": job.id, "tenant": job.tenant}))
 
         checkpoint_digest = None
         if runner.golden.checkpoint is not None:
@@ -119,15 +121,8 @@ class Dispatcher:
         generator = SEUGenerator(runner.golden.profile, seed=spec.seed)
         faults = generator.batch(spec.experiments, location=location)
         phase_started = time.monotonic()
-        trace_request = self._trace_request(job, share_dir)
-        if spec.trace:
-            # Extra kwargs only on traced jobs, so third-party
-            # backends with the pre-trace publish signature keep
-            # working for everything else.
-            campaign.publish(runner, faults, seed=spec.seed,
-                             trace=True, request=trace_request)
-        else:
-            campaign.publish(runner, faults, seed=spec.seed)
+        campaign.publish(runner, faults, seed=spec.seed, trace=spec.trace,
+                         request=self._trace_request(job, share_dir))
         self._phase_done("publish", phase_started)
 
         def _extend() -> None:
@@ -137,47 +132,16 @@ class Dispatcher:
             except Exception:
                 pass  # queue hiccup; the next beat retries
 
-        coordinator = None
-        worker_tracer = None
-        root = None
-        results = None
         phase_started = time.monotonic()
-        try:
-            with PeriodicBeat(max(1.0, self.lease_seconds / 3.0),
-                              _extend, name=f"lease-{job.id}"):
-                if spec.workers >= 2:
-                    # run_local's coordinator reads the published
-                    # request context and roots the campaign itself.
-                    campaign.run_local(workers=spec.workers)
-                else:
-                    worker_id = f"svc-{self.owner}"
-                    if spec.trace:
-                        # Embedded execution: this process is both the
-                        # coordinator (owns /campaign, rooted under
-                        # the request span) and the only worker.
-                        coordinator, root, worker_tracer = \
-                            self._embedded_tracers(
-                                job, share_dir, worker_id,
-                                trace_request)
-                        runner.enable_tracing(worker_tracer)
-                    campaign.worker_loop(worker_id, runner,
-                                         tracer=worker_tracer)
-            self._phase_done("campaign", phase_started)
-            phase_started = time.monotonic()
-            # The job's one read of its results: usage, the stored
-            # result set, the report and the summary all fold these.
-            results = read_results(share_dir)
-            self._phase_done("collect", phase_started)
-        finally:
-            if worker_tracer is not None:
-                # The runner outlives this job (cached per workload/
-                # scale), so the tracer must not.
-                runner.tracer = None
-                worker_tracer.close()
-            if coordinator is not None:
-                coordinator.finish(
-                    root, results=len(results) if results else 0)
-                coordinator.close()
+        with PeriodicBeat(max(1.0, self.lease_seconds / 3.0),
+                          _extend, name=f"lease-{job.id}"):
+            campaign.run_local(spec.workers, runner=runner)
+        self._phase_done("campaign", phase_started)
+        phase_started = time.monotonic()
+        # The job's one read of its results: usage, the stored result
+        # set, the report and the summary all fold these.
+        results = read_results(share_dir)
+        self._phase_done("collect", phase_started)
         if len(results) != spec.experiments:
             raise RuntimeError(
                 f"job {job.id}: {len(results)} results for "
@@ -198,8 +162,8 @@ class Dispatcher:
 
     def _trace_request(self, job: Job, share_dir: str) -> dict | None:
         """For a traced job, write the originating-request span and
-        return the context (``{"span", "id"}``) that ``publish`` hands
-        to whoever opens the campaign root."""
+        return the context (``{"span", "id"}``) that ``publish``
+        records for ``run_local``'s campaign root."""
         if not job.spec.trace:
             return None
         context = TraceContext(job.spec.seed)
@@ -222,29 +186,6 @@ class Dispatcher:
         tracer.close()
         return request
 
-    def _embedded_tracers(self, job: Job, share_dir: str,
-                          worker_id: str, trace_request: dict):
-        """Coordinator + worker tracers for the in-process execution
-        path — the same span identities ``run_local`` would produce,
-        with the campaign root parented under the request span."""
-        spec = job.spec
-        coordinator = Tracer(
-            TraceContext(spec.seed),
-            sink=JsonlSpanSink(
-                span_log_path(share_dir, "coordinator")),
-            worker="coordinator",
-            root_parent=trace_request["span"])
-        attrs = {"workload": spec.workload, "scale": spec.scale,
-                 "workers": 1}
-        if job.request_id:
-            attrs["request_id"] = job.request_id
-        root = coordinator.start("campaign", kind="campaign", **attrs)
-        worker_tracer = Tracer(
-            TraceContext(spec.seed),
-            sink=JsonlSpanSink(span_log_path(share_dir, worker_id)),
-            worker=worker_id, base_path=CAMPAIGN_PATH)
-        return coordinator, root, worker_tracer
-
     # -- usage metering -------------------------------------------------------
 
     def _record_usage(self, job: Job, results: list[dict]) -> None:
@@ -260,17 +201,6 @@ class Dispatcher:
                 wall_seconds=host.wall_total)
         except Exception:
             pass  # metering must never fail the job
-
-    def _mark_share(self, share_dir: str, job: Job) -> None:
-        """Write the service marker so ``gemfi status`` on this share
-        shows the owning job and tenant."""
-        os.makedirs(share_dir, exist_ok=True)
-        import json
-        path = os.path.join(share_dir, SERVICE_FILE)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"job": job.id, "tenant": job.tenant}, handle)
-        os.replace(tmp, path)
 
     def _archive_summary(self, job: Job, share_dir: str,
                          results) -> None:

@@ -54,13 +54,12 @@ class JobSpec:
     seed: int = 0
     location: str | None = None
     workers: int = 1
-    backend: str = "shared-dir"
     #: publish the campaign with span tracing on; the dispatcher then
     #: roots the job's span tree under its originating HTTP request.
     trace: bool = False
 
     _FIELDS = ("workload", "scale", "experiments", "seed", "location",
-               "workers", "backend", "trace")
+               "workers", "trace")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
@@ -109,11 +108,6 @@ class JobSpec:
                 or not 0 <= self.workers <= 64:
             raise JobSpecError("workers must be an integer in [0, 64] "
                                "(0/1 = run in the dispatcher process)")
-        from ..campaign import backend_names
-        if self.backend not in backend_names():
-            raise JobSpecError(
-                f"unknown campaign backend '{self.backend}' "
-                f"(registered: {', '.join(backend_names())})")
         if not isinstance(self.trace, bool):
             raise JobSpecError("trace must be a boolean")
 
@@ -121,7 +115,7 @@ class JobSpec:
         return {"workload": self.workload, "scale": self.scale,
                 "experiments": self.experiments, "seed": self.seed,
                 "location": self.location, "workers": self.workers,
-                "backend": self.backend, "trace": self.trace}
+                "trace": self.trace}
 
     def canonical(self) -> bytes:
         return canonical_json_bytes(self.as_dict())
@@ -180,10 +174,14 @@ class Job:
 
     @classmethod
     def from_row(cls, row) -> "Job":
+        spec = json.loads(row["spec"])
+        # Rows stored while specs had a ``backend`` field carry it;
+        # every job runs on the shared-dir protocol, so drop it.
+        spec.pop("backend", None)
         return cls(
             id=row["id"], tenant=row["tenant"],
             priority=row["priority"], state=row["state"],
-            spec=JobSpec.from_dict(json.loads(row["spec"])),
+            spec=JobSpec.from_dict(spec),
             spec_digest=row["spec_digest"],
             submitted=row["submitted"], started=row["started"],
             finished=row["finished"], lease_owner=row["lease_owner"],

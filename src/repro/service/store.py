@@ -11,8 +11,9 @@ JSON artifacts are hashed over their **canonical encoding** (sorted
 keys, minimal separators, UTF-8), so two runs that produce the same
 logical result — a re-submitted campaign, the same seed on another
 machine — map to the same digest and are stored exactly once.  Writes
-go through a temp file + ``os.replace``, so a crashed writer never
-leaves a partial object; an object, once present, is immutable.
+go through :func:`~repro.telemetry.campaign.write_atomic`, so a crashed
+writer never leaves a partial object; an object, once present, is
+immutable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
+
+from ..telemetry.campaign import write_atomic
 
 _HEX = set("0123456789abcdef")
 
@@ -67,10 +69,7 @@ class ContentStore:
                 self.observer.inc("store.dedup_hits")
             return digest
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+        write_atomic(path, data)
         if self.observer is not None:
             self.observer.inc("store.writes")
             self.observer.inc("store.bytes_written",

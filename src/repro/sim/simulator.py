@@ -64,7 +64,6 @@ class Simulator:
         self.core.fi_hash_lookup = \
             self.config.fi_hash_lookup_per_instruction
         self.cpu = CPU_MODELS[self.config.cpu_model](self.core)
-        self.checkpoint_path = None
         self.checkpoint_taken = False
         self.on_checkpoint = None        # callable(sim) -> None
         self._switched_to_atomic = False
@@ -226,9 +225,7 @@ class Simulator:
     # -- checkpointing ------------------------------------------------------------------------
 
     def _take_checkpoint(self) -> None:
-        if self.tracer is not None and \
-                (self.on_checkpoint is not None
-                 or self.checkpoint_path is not None):
+        if self.tracer is not None and self.on_checkpoint is not None:
             with self.tracer.span("checkpoint_save", tick=self.tick,
                                   kind="checkpoint",
                                   instructions=self.instructions):
@@ -237,12 +234,8 @@ class Simulator:
             self._write_checkpoint()
 
     def _write_checkpoint(self) -> None:
-        from . import checkpoint as ckpt
         if self.on_checkpoint is not None:
             self.on_checkpoint(self)
-            self.checkpoint_taken = True
-        elif self.checkpoint_path is not None:
-            ckpt.save_checkpoint(self, self.checkpoint_path)
             self.checkpoint_taken = True
         # With no checkpoint sink configured the request is a no-op, like
         # running the binary outside a campaign.

@@ -109,6 +109,23 @@ def run_manifest(*, experiment: str, workload: str, scale: str,
     return manifest
 
 
+def write_atomic(path: str, data: str | bytes) -> None:
+    """Publish *data* (text is UTF-8 encoded) at *path* via a temp file
+    and ``os.replace``: readers polling the share see the complete file
+    or no file, never a truncated one, and a writer crashing mid-write
+    leaves only a ``.tmp.*`` file, which every reader skips.  The temp
+    name carries the pid and the thread id, because a worker's main
+    thread and its heartbeat thread refresh the same file: with a
+    shared temp name one thread's ``os.replace`` can move the other's
+    temp file away."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+
+
 # -- heartbeats --------------------------------------------------------------
 
 
@@ -177,10 +194,7 @@ def write_heartbeat(share_dir: str, worker_id: str, completed: int,
                "hostname": _hostname(), "time": clock(),
                "completed": completed,
                "current_experiment": current_experiment}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload))
     return path
 
 

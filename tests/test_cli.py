@@ -135,6 +135,25 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_campaign_share_one_worker_runs_in_process(
+            self, tmp_path, monkeypatch, capsys):
+        """``--workers 1`` runs worker ws0 in the CLI process, with the
+        runner that did the golden run: nothing is forked."""
+        import multiprocessing
+        from repro.telemetry import read_heartbeats
+
+        def no_fork(self):
+            raise AssertionError("forked a worker")
+        monkeypatch.setattr(multiprocessing.Process, "start", no_fork)
+        share = str(tmp_path / "share")
+        assert main(["campaign", "-w", "pi", "--scale", "tiny", "-n",
+                     "2", "--seed", "7", "--share-dir", share,
+                     "--workers", "1"]) == 0
+        beat = read_heartbeats(share)["ws0"]
+        assert beat["pid"] == os.getpid()
+        assert beat["completed"] == 2
+        assert "2 results" in capsys.readouterr().out
+
     def test_campaign_share_with_dead_workers_fails(
             self, tmp_path, monkeypatch, capsys):
         """Workers that cannot load golden.pkl exit before running
@@ -179,6 +198,10 @@ class TestArgumentErrors:
         ["campaign", "-n", "-3"],
         ["campaign", "-n", "three"],
         ["campaign", "--share-dir", "{tmp}/share", "--workers", "0"],
+        ["campaign", "--share-dir", "{tmp}/share", "--prune"],
+        ["campaign", "--share-dir", "{tmp}/share", "--detailed-model",
+         "o3"],
+        ["campaign", "--trace"],
         ["analyze", "-n", "0"],
         ["dashboard", "{tmp}", "--interval", "-1"],
         ["trace", "{prog}", "--ring", "-5"],
@@ -222,7 +245,7 @@ class TestCoverageCommand:
     def share(self, tmp_path_factory):
         share = str(tmp_path_factory.mktemp("coverage-cli") / "share")
         assert main(["campaign", "--workload", "dct", "--scale",
-                     "tiny", "-n", "6", "--seed", "7", "--prune",
+                     "tiny", "-n", "6", "--seed", "7",
                      "--share-dir", share]) == 0
         return share
 
@@ -279,7 +302,7 @@ class TestCompareCommand:
         head = str(root / "head")
         for share in (base, head):
             assert main(["campaign", "--workload", "dct", "--scale",
-                         "tiny", "-n", "8", "--seed", "7", "--prune",
+                         "tiny", "-n", "8", "--seed", "7",
                          "--share-dir", share]) == 0
         return base, head
 

@@ -381,7 +381,7 @@ class TestRunnerFlight:
                   parse_fault_file(self.PC_FAULT.replace(
                       "Inst:5", "Inst:7"))]
         campaign.publish(flight_runner, faults, seed=21, flight=16)
-        assert campaign.published_flight() == 16
+        assert campaign.published()["flight"] == 16
         completed = campaign.worker_loop("ws0", flight_runner)
         assert completed == 2
         with open(tmp_path / "results" / "exp_0000.json") as handle:

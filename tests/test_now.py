@@ -219,7 +219,8 @@ class TestSharedDirProtocol:
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=6)
         campaign.publish(runner, generator.batch(4))
-        results = campaign.run_local(workers=2)
+        campaign.run_local(workers=2)
+        results = campaign.collect()
         assert len(results) == 4
         assert all("outcome" in entry for entry in results)
 
@@ -324,11 +325,26 @@ class TestWorkersReuseGolden:
         # In-process worker, then forked workers (which inherit the
         # patch under the fork start method).
         _worker_main(share_a, "w0", "pi", "tiny")
-        forked = SharedDirCampaign(share_b, "pi", "tiny").run_local(
-            workers=2)
+        SharedDirCampaign(share_b, "pi", "tiny").run_local(workers=2)
+        forked = SharedDirCampaign(share_b, "pi", "tiny").collect()
         in_process = SharedDirCampaign(share_a, "pi", "tiny").collect()
         assert self._canonical(in_process) == self._canonical(direct)
         assert self._canonical(forked) == self._canonical(direct)
+
+    def test_in_process_worker_matches_a_direct_run(self, tmp_path,
+                                                     runner):
+        """``run_local`` with a runner and one worker drains the share
+        in this process; its results equal a direct run's."""
+        faults = SEUGenerator(runner.golden.profile, seed=21).batch(6)
+        direct = [r.as_dict()
+                  for r in runner.run_campaign(faults, seed=21)]
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
+        campaign.publish(runner, faults, seed=21)
+        campaign.run_local(workers=1, runner=runner)
+        assert self._canonical(campaign.collect()) == \
+            self._canonical(direct)
+        assert sorted(os.listdir(tmp_path / "heartbeats")) == \
+            ["ws0.json"]
 
     @pytest.mark.parametrize("content", [None, b"not a pickle",
                                          b"\x80\x05N."])

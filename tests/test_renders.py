@@ -391,12 +391,24 @@ class TestOneReadPerView:
         self._assert_read_once(head, reads)
 
     def test_dispatched_job(self, monkeypatch, tmp_path):
+        self._assert_dispatched_job_reads_once(monkeypatch, tmp_path,
+                                               workers=1)
+
+    def test_dispatched_forked_job(self, monkeypatch, tmp_path):
+        """Forked workers write the results; the dispatcher still opens
+        each one once."""
+        self._assert_dispatched_job_reads_once(monkeypatch, tmp_path,
+                                               workers=2)
+
+    def _assert_dispatched_job_reads_once(self, monkeypatch, tmp_path,
+                                          workers):
         from repro.service import Dispatcher
         queue = JobQueue(str(tmp_path / "queue.db"))
         store = ContentStore(str(tmp_path / "store"))
         dispatcher = Dispatcher(queue, store, str(tmp_path))
         job = queue.submit(JobSpec.from_dict(
-            {"workload": "pi", "experiments": 3, "seed": 4}))
+            {"workload": "pi", "experiments": 3, "seed": 4,
+             "workers": workers}))
         reads = _count_result_reads(monkeypatch, dispatcher.poll_once)
         job = queue.get(job.id)
         assert job.state == "done"

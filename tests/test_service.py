@@ -4,18 +4,14 @@ import asyncio
 import hashlib
 import json
 import os
+import sqlite3
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
-from repro.campaign import (
-    CampaignRunner,
-    SEUGenerator,
-    SharedDirCampaign,
-    backend_names,
-    get_backend,
-)
+from repro.campaign import CampaignRunner, SEUGenerator, SharedDirCampaign
 from repro.service import (
     ContentStore,
     Dispatcher,
@@ -497,6 +493,35 @@ class TestServiceApi:
         assert err.value.status == 400
         assert "unknown workload" in err.value.message
 
+    def test_submit_naming_backend_is_400(self, api_service):
+        """``backend`` was dropped from the spec: there is one way to
+        run a campaign."""
+        client = ServiceClient(api_service.url)
+        with pytest.raises(ServiceError) as err:
+            client.submit({"workload": "pi", "backend": "shared-dir"})
+        assert err.value.status == 400
+        assert err.value.message == \
+            "unknown job spec field(s): backend"
+
+    def test_stored_spec_naming_backend_lists_and_dispatches(
+            self, api_service):
+        """A queue row stored while specs still had a ``backend``
+        field loads: the listing shows it and the dispatcher runs it."""
+        queue = api_service.queue
+        job = queue.submit(JobSpec.from_dict(
+            {"workload": "pi", "scale": "tiny", "experiments": 1}))
+        stored = json.dumps(dict(job.spec.as_dict(),
+                                 backend="shared-dir"), sort_keys=True)
+        with closing(sqlite3.connect(queue.path)) as conn:
+            conn.execute("UPDATE jobs SET spec = ? WHERE id = ?",
+                         (stored, job.id))
+            conn.commit()
+        listing = ServiceClient(api_service.url).jobs()
+        assert [j["id"] for j in listing["jobs"]] == [job.id]
+        assert "backend" not in listing["jobs"][0]["spec"]
+        assert api_service.dispatcher.poll_once() is True
+        assert queue.get(job.id).state == "done"
+
     def test_quota_exhaustion_is_429(self, api_service):
         client = ServiceClient(api_service.url, tenant="greedy")
         for seed in range(3):
@@ -875,12 +900,6 @@ class TestDispatcherAndE2E:
         assert dispatcher.poll_once() is False
         assert queue.get(job.id).state == "failed"
 
-    def test_backend_registry_resolves_shared_dir(self):
-        assert "shared-dir" in backend_names()
-        assert get_backend("shared-dir") is SharedDirCampaign
-        with pytest.raises(KeyError):
-            get_backend("carrier-pigeon")
-
     def test_dispatcher_marks_share_for_status(self, service,
                                                done_job):
         """gemfi status on a service-run share names its job and
@@ -1196,14 +1215,26 @@ class TestE2EObservability:
         assert "3/3" in frame["text"]
 
     def test_traced_job_roots_at_the_request(self, service, capsys):
+        self._assert_traced_job_roots_at_the_request(service, capsys,
+                                                     workers=1)
+
+    def test_traced_forked_job_roots_at_the_request(self, service,
+                                                    capsys):
+        """The forked workers of a ``workers: 2`` job write the same
+        span tree as the in-process worker."""
+        self._assert_traced_job_roots_at_the_request(service, capsys,
+                                                     workers=2)
+
+    @staticmethod
+    def _assert_traced_job_roots_at_the_request(service, capsys,
+                                                workers):
         from repro.cli import main
-        from repro.telemetry import render_span_tree
         from repro.telemetry.spans import TraceContext, load_spans
         client = ServiceClient(service.url, tenant="traced")
         try:
             job = client.submit({"workload": "pi", "scale": "tiny",
                                  "experiments": 2, "seed": 17,
-                                 "trace": True})
+                                 "trace": True, "workers": workers})
             job = client.wait(job["id"], timeout=180)
         finally:
             client.close()

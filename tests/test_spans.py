@@ -214,7 +214,7 @@ class TestSharedCampaignTracing:
 
     def test_published_trace_flag_round_trips(self, traced_share):
         campaign = SharedDirCampaign(traced_share, "pi", "tiny")
-        assert campaign.published_trace() is True
+        assert campaign.published()["trace"] is True
 
 
 class TestTimeline:
@@ -663,7 +663,7 @@ class TestZeroOverheadServicePlane:
         workload = json.loads((tmp_path / "workload.json").read_text())
         assert "request" not in workload
         assert "trace" not in workload
-        assert campaign.published_request() is None
+        assert "request" not in campaign.published()
 
     def test_traced_publish_without_request_stays_unrooted(
             self, tmp_path, runner):

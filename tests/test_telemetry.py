@@ -286,6 +286,37 @@ class TestCampaignObservability:
         assert beats["ws0"]["completed"] == 3
         assert beats["ws0"]["time"] == 1000.0
 
+    def test_heartbeat_refreshed_mid_write_by_another_thread(
+            self, tmp_path, monkeypatch):
+        """A worker's main thread and its heartbeat thread refresh the
+        same beacon.  The beat thread writes while the main thread sits
+        between its temp write and its rename; both writes must land
+        (a temp name shared by the threads lost the main thread's temp
+        file and raised FileNotFoundError)."""
+        share = str(tmp_path)
+        real_replace = os.replace
+        interleaved = []
+
+        def replace_after_a_beat(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                beat = threading.Thread(target=write_heartbeat,
+                                        args=(share, "ws0", 1))
+                beat.start()
+                beat.join(timeout=10)
+                assert not beat.is_alive()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_a_beat)
+        write_heartbeat(share, "ws0", 2, current_experiment="exp_0003")
+        monkeypatch.undo()
+        assert interleaved
+        beat = read_heartbeats(share)["ws0"]
+        assert beat["completed"] == 2
+        assert beat["current_experiment"] == "exp_0003"
+        assert [name for name in os.listdir(tmp_path / "heartbeats")
+                if ".tmp." in name] == []
+
     def _make_share(self, tmp_path, now=1000.0):
         """Synthetic share: 1 todo, 2 claimed (1 stale), 2 results."""
         for sub in ("todo", "claimed", "results", "claims"):
