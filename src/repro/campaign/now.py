@@ -30,8 +30,10 @@ import time
 from dataclasses import dataclass
 
 from ..core.parser import parse_fault_file, render_fault_file
-from ..telemetry.campaign import (HEARTBEAT_DIR, MANIFEST_DIR,
-                                  PeriodicBeat, git_describe,
+from ..telemetry.campaign import (HEARTBEAT_DIR, HEARTBEAT_TIMEOUT,
+                                  MANIFEST_DIR, STALE_CLAIM_SECONDS,
+                                  PeriodicBeat, claim_abandoned,
+                                  git_describe, read_claims,
                                   read_heartbeats, read_results,
                                   run_manifest, write_atomic,
                                   write_heartbeat)
@@ -88,8 +90,11 @@ class SharedDirCampaign:
                                   profile, post-init checkpoint and
                                   checkpoint ladder)
           workload.json           name/scale so workers rebuild the spec
-          todo/exp_NNNN.txt       per-experiment fault input files
-          claimed/exp_NNNN.txt    moved here atomically when claimed
+          todo/exp_NNNN.txt       per-experiment fault input files (they
+                                  stay for the whole campaign)
+          claims/exp_NNNN.txt.claim
+                                  the one record of a claim, created
+                                  with O_EXCL: {worker, pid, time}
           results/exp_NNNN.json   outcome records written by workers
           heartbeats/<ws>.json    worker liveness beacons (telemetry)
           manifests/exp_NNNN.json per-run manifests: who ran what, when
@@ -99,8 +104,8 @@ class SharedDirCampaign:
 
     def __init__(self, share_dir: str, workload_name: str,
                  scale: str = "small",
-                 stale_claim_seconds: float = 600.0,
-                 heartbeat_timeout: float = 120.0,
+                 stale_claim_seconds: float = STALE_CLAIM_SECONDS,
+                 heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
                  heartbeat_interval: float = 15.0,
                  clock=time.time) -> None:
         self.share_dir = share_dir
@@ -110,8 +115,8 @@ class SharedDirCampaign:
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_interval = heartbeat_interval
         self._clock = clock
-        for sub in ("todo", "claimed", "results", "claims",
-                    HEARTBEAT_DIR, MANIFEST_DIR):
+        for sub in ("todo", "results", "claims", HEARTBEAT_DIR,
+                    MANIFEST_DIR):
             os.makedirs(os.path.join(share_dir, sub), exist_ok=True)
 
     # step 1+2: the coordinator publishes experiments and the checkpoint.
@@ -145,123 +150,73 @@ class SharedDirCampaign:
             write_atomic(path, render_fault_file(faults))
 
     # step 4: atomic claim.  A claim file created with O_CREAT|O_EXCL is
-    # the lock for one experiment — exactly one workstation can create
-    # it, so exactly one wins even on network filesystems where rename
-    # semantics are shakier.  The claim records {worker, pid, time}; a
-    # claim older than *stale_claim_seconds* with no result is treated
-    # as a crashed workstation and its experiment is returned to the
-    # queue (recovery itself is single-winner via a unique rename of
-    # the claim file).
+    # the one record of a claim: exactly one workstation can create it,
+    # so exactly one wins even on network filesystems where rename
+    # semantics are shakier.  The fault file stays in todo/.  A claim
+    # without a result whose claimant is gone (claim_abandoned) is
+    # deleted, which returns its experiment to the queue; recovery
+    # itself is single-winner via a unique rename of the claim file.
 
     def claim(self, worker_id: str) -> str | None:
-        target = self._claim_once(worker_id)
-        if target is not None:
-            return target
-        if self._recover_stale_claims(worker_id):
-            return self._claim_once(worker_id)
-        return None
+        """Claim a queued experiment for *worker_id* and return its name
+        (``exp_NNNN``, whose fault file is ``todo/exp_NNNN.txt``), or
+        None when every experiment is claimed or finished."""
+        experiment = self._claim_once(worker_id)
+        if experiment is None and self._recover_abandoned(worker_id):
+            experiment = self._claim_once(worker_id)
+        return experiment
 
     def _claim_once(self, worker_id: str) -> str | None:
-        todo = os.path.join(self.share_dir, "todo")
-        for name in sorted(os.listdir(todo)):
-            if not name.endswith(".txt"):
-                continue  # a .tmp.* file of an in-flight publish
-            claim_path = os.path.join(self.share_dir, "claims",
-                                      name + ".claim")
-            if not self._try_acquire(claim_path, worker_id):
-                continue  # another workstation holds this experiment
-            source = os.path.join(todo, name)
-            target = os.path.join(self.share_dir, "claimed",
-                                  f"{worker_id}_{name}")
+        claims = os.path.join(self.share_dir, "claims")
+        taken = set(os.listdir(claims))
+        for name in sorted(os.listdir(os.path.join(self.share_dir,
+                                                   "todo"))):
+            if not name.endswith(".txt") or name + ".claim" in taken:
+                continue  # an in-flight publish's .tmp.*, or claimed
             try:
-                os.rename(source, target)
-            except OSError:
-                # The todo file vanished between listdir and rename
-                # (e.g. stale recovery raced us); release the claim.
-                try:
-                    os.unlink(claim_path)
-                except OSError:
-                    pass
-                continue
-            return target
+                handle = os.open(os.path.join(claims, name + ".claim"),
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                continue  # another workstation won it since the listing
+            try:
+                os.write(handle, json.dumps(
+                    {"worker": worker_id, "pid": os.getpid(),
+                     "time": self._clock()}).encode("utf-8"))
+            finally:
+                os.close(handle)
+            return name[:-len(".txt")]
         return None
 
-    def _try_acquire(self, claim_path: str, worker_id: str) -> bool:
-        try:
-            handle = os.open(claim_path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(handle, json.dumps(
-                {"worker": worker_id, "pid": os.getpid(),
-                 "time": self._clock()}).encode("utf-8"))
-        finally:
-            os.close(handle)
-        return True
-
-    def _recover_stale_claims(self, worker_id: str) -> bool:
-        """Return experiments whose claimant died back to the todo
-        queue.
-
-        Liveness comes from the claimant's *heartbeat*, not the claim
-        file's age: a live worker legitimately running one slow
-        experiment past ``stale_claim_seconds`` keeps refreshing its
-        heartbeat and must never be robbed (a double-run corrupts the
-        outcome statistics), while a worker whose heartbeat has aged
-        past ``heartbeat_timeout`` is presumed dead and its claims are
-        reclaimed immediately — no need to wait out the much longer
-        claim timeout.  Claims from workers that never heartbeated
-        (pre-telemetry shares, hand-placed claims) fall back to the old
-        claim-age rule.
-        """
-        claims_dir = os.path.join(self.share_dir, "claims")
+    def _recover_abandoned(self, worker_id: str) -> bool:
+        """Delete every abandoned claim without a result, returning its
+        experiment to the queue; True if any was.  Liveness comes from
+        the claimant's heartbeat (:func:`claim_abandoned`), so a live
+        worker running one slow experiment is never robbed: a double
+        run corrupts the outcome statistics."""
         beats = read_heartbeats(self.share_dir)
         recovered = False
-        for name in sorted(os.listdir(claims_dir)):
-            if not name.endswith(".claim"):
-                continue  # a .steal marker of an in-flight recovery
-            experiment = name[:-len(".claim")]
-            result_path = os.path.join(
-                self.share_dir, "results",
-                experiment.replace(".txt", ".json"))
-            if os.path.exists(result_path):
-                continue  # finished normally
-            claim_path = os.path.join(claims_dir, name)
-            try:
-                with open(claim_path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                continue  # being written or already stolen
-            beat = beats.get(entry.get("worker", ""))
-            now = self._clock()
-            if beat is not None:
-                if now - beat.get("time", 0.0) <= self.heartbeat_timeout:
-                    continue  # claimant is demonstrably alive
-                # heartbeat aged out: dead worker, steal right away
-            elif now - entry.get("time", 0) <= self.stale_claim_seconds:
+        for experiment, claim in read_claims(self.share_dir).items():
+            if not claim_abandoned(claim, beats, self._clock(),
+                                   self.stale_claim_seconds,
+                                   self.heartbeat_timeout):
                 continue
+            if os.path.exists(os.path.join(self.share_dir, "results",
+                                           experiment + ".json")):
+                continue  # finished normally
             # Single-winner steal: only one workstation's rename of the
             # claim file succeeds.
-            stolen = claim_path + f".steal.{worker_id}.{os.getpid()}"
+            path = os.path.join(self.share_dir, "claims",
+                                experiment + ".txt.claim")
+            stolen = f"{path}.steal.{worker_id}.{os.getpid()}"
             try:
-                os.rename(claim_path, stolen)
+                os.rename(path, stolen)
             except OSError:
                 continue  # somebody else is recovering this one
-            owner = entry.get("worker", "")
-            claimed_path = os.path.join(self.share_dir, "claimed",
-                                        f"{owner}_{experiment}")
-            todo_path = os.path.join(self.share_dir, "todo", experiment)
-            try:
-                os.rename(claimed_path, todo_path)
-            except OSError:
-                pass  # claimant died before moving the file out of todo
-            if os.path.exists(todo_path):
-                recovered = True
             try:
                 os.unlink(stolen)
             except OSError:
-                pass
+                pass  # the claim is out of the way all the same
+            recovered = True
         return recovered
 
     # steps 4-5: run locally, move results back to the share.
@@ -274,17 +229,15 @@ class SharedDirCampaign:
         None when the queue is drained.  *status* (if given) is the
         worker's mutable ``{"experiment", "completed"}`` view shared
         with its heartbeater thread."""
-        claimed = self.claim(worker_id)
-        if claimed is None:
+        exp_name = self.claim(worker_id)
+        if exp_name is None:
             return None
-        # claimed/<worker_id>_<experiment>: worker ids may contain "_".
-        experiment = os.path.basename(claimed)[len(worker_id) + 1:]
-        exp_name = experiment.replace(".txt", "")
         if status is not None:
             status["experiment"] = exp_name
         write_heartbeat(self.share_dir, worker_id, completed,
                         current_experiment=exp_name, clock=self._clock)
-        with open(claimed, "r", encoding="utf-8") as handle:
+        with open(os.path.join(self.share_dir, "todo", exp_name + ".txt"),
+                  "r", encoding="utf-8") as handle:
             fault_text = handle.read()
         faults = parse_fault_file(fault_text)
         if seed is None:
@@ -297,8 +250,7 @@ class SharedDirCampaign:
         result = runner.run_experiment(faults, seed=seed)
         if span is not None:
             tracer.finish(span)
-        out = os.path.join(self.share_dir, "results",
-                           experiment.replace(".txt", ".json"))
+        out = os.path.join(self.share_dir, "results", exp_name + ".json")
         write_atomic(out, json.dumps(result.as_dict()))
         extra = {"replay_start": result.replay_start,
                  "early_exit": result.early_exit}
@@ -313,9 +265,8 @@ class SharedDirCampaign:
             started=started, wall_seconds=result.wall_seconds,
             outcome=result.outcome.value, git_rev=git_rev,
             extra=extra)
-        manifest_path = os.path.join(
-            self.share_dir, MANIFEST_DIR,
-            experiment.replace(".txt", ".json"))
+        manifest_path = os.path.join(self.share_dir, MANIFEST_DIR,
+                                     exp_name + ".json")
         write_atomic(manifest_path,
                      json.dumps(manifest, indent=2, sort_keys=True))
         if status is not None:

@@ -53,6 +53,7 @@ from .campaign import (
 from .compiler import compile_source
 from .core import FaultInjector, LocationKind, parse_fault_file
 from .sim import SimConfig, Simulator
+from .telemetry.campaign import HEARTBEAT_TIMEOUT, STALE_CLAIM_SECONDS
 from .workloads import WORKLOAD_NAMES, build
 
 LOCATION_CHOICES = tuple(kind.value for kind in LocationKind)
@@ -1048,13 +1049,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="live status of a shared-directory (NoW) campaign")
     status_p.add_argument("share_dir",
                           help="the campaign share directory")
-    status_p.add_argument("--stale-seconds", type=float, default=600.0,
-                          help="claims older than this with no result "
-                               "count as stale")
+    status_p.add_argument("--stale-seconds", type=float,
+                          default=STALE_CLAIM_SECONDS,
+                          help="claim-age fallback for workers that "
+                               "never heartbeated: their claims older "
+                               "than this with no result count as stale")
     status_p.add_argument("--heartbeat-timeout", type=float,
-                          default=120.0,
+                          default=HEARTBEAT_TIMEOUT,
                           help="workers silent longer than this are "
-                               "not counted live")
+                               "presumed dead: not counted live, and "
+                               "their claims with no result count as "
+                               "stale")
     status_p.add_argument("--json", action="store_true",
                           help="machine-readable output")
     status_p.add_argument("--coverage", action="store_true",
@@ -1104,11 +1109,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print one frame and exit (scripts/CI)")
     dash_p.add_argument("--no-alerts", action="store_true",
                         help="do not journal alerts to alerts.jsonl")
-    dash_p.add_argument("--stale-seconds", type=float, default=600.0,
+    dash_p.add_argument("--stale-seconds", type=float,
+                        default=STALE_CLAIM_SECONDS,
                         help="claim-age fallback for workers that "
                              "never heartbeated")
     dash_p.add_argument("--heartbeat-timeout", type=float,
-                        default=120.0,
+                        default=HEARTBEAT_TIMEOUT,
                         help="workers silent longer than this are "
                              "presumed dead")
     dash_p.set_defaults(func=cmd_dashboard)

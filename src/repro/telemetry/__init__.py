@@ -38,6 +38,7 @@ from .campaign import (
     diff_stats,
     git_describe,
     parse_stats,
+    read_claims,
     read_heartbeats,
     read_results,
     read_service_context,
@@ -144,7 +145,8 @@ __all__ = [
     "hamming", "labelled", "latency_histogram", "load_share",
     "load_spans",
     "parse_metric_name", "parse_openmetrics", "parse_stats",
-    "read_alerts", "read_heartbeats", "read_jsonl", "read_results",
+    "read_alerts", "read_claims", "read_heartbeats", "read_jsonl",
+    "read_results",
     "read_service_context", "read_span_records", "read_status",
     "regfile_checksum",
     "render_dashboard", "render_from_events", "render_html",

@@ -13,6 +13,9 @@ the workers:
   to the claim files; a worker whose heartbeat stops aging is alive,
   one that stops refreshing is presumed dead (its claims are recovered
   by the stale-claim protocol);
+* **claims** — one reader, :func:`read_claims`, and one abandonment
+  rule, :func:`claim_abandoned`, shared by the recovery protocol and
+  the stale count;
 * **status aggregation** — todo/claimed/completed/stale counts, outcome
   mix, throughput and ETA.
 
@@ -49,6 +52,12 @@ MANIFEST_DIR = "manifests"
 # the share as one job of a campaign service, so `gemfi status` can name
 # the owning job and tenant next to the campaign's own numbers.
 SERVICE_FILE = "service.json"
+#: The two abandonment limits (seconds) of :func:`claim_abandoned`: a
+#: claimant whose heartbeat is older than HEARTBEAT_TIMEOUT is dead; a
+#: claim whose claimant never heartbeated is abandoned once it is older
+#: than STALE_CLAIM_SECONDS.
+HEARTBEAT_TIMEOUT = 120.0
+STALE_CLAIM_SECONDS = 600.0
 
 _HOSTNAME: str | None = None
 
@@ -214,6 +223,60 @@ def read_heartbeats(share_dir: str) -> dict[str, dict]:
             continue  # mid-write; the next refresh will be readable
         beats[entry.get("worker", name[:-len(".json")])] = entry
     return beats
+
+
+# -- claims -----------------------------------------------------------------
+
+
+def read_claims(share_dir: str) -> dict[str, dict]:
+    """Every claim of *share_dir* (``claims/exp_NNNN.txt.claim``), by
+    experiment name: ``{worker, pid, time}``, finished or not.
+
+    A claim file is created with ``O_CREAT|O_EXCL`` and written after,
+    so one that does not parse belongs to a claimant that died in
+    between (or whose write failed): it counts as a claim with no
+    worker, timed at the file's mtime, which lets the claim-age rule of
+    :func:`claim_abandoned` recover it.  A claim stolen since the
+    listing (or a ``.steal.*`` marker of one) is skipped."""
+    directory = os.path.join(share_dir, "claims")
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return {}
+    claims: dict[str, dict] = {}
+    for name in names:
+        if not name.endswith(".txt.claim"):
+            continue
+        try:
+            with open(os.path.join(directory, name), "rb") as handle:
+                mtime = os.fstat(handle.fileno()).st_mtime
+                data = handle.read()
+        except OSError:
+            continue
+        try:
+            entry = json.loads(data)
+        except ValueError:
+            entry = None
+        if not isinstance(entry, dict) or \
+                not isinstance(entry.get("time"), (int, float)):
+            entry = {"worker": None, "pid": None, "time": mtime}
+        claims[name[:-len(".txt.claim")]] = entry
+    return claims
+
+
+def claim_abandoned(claim: dict, beats: dict[str, dict], now: float,
+                    stale_claim_seconds: float = STALE_CLAIM_SECONDS,
+                    heartbeat_timeout: float = HEARTBEAT_TIMEOUT) -> bool:
+    """Whether a result-less *claim* (from :func:`read_claims`) is
+    abandoned, so recovery returns its experiment to the queue: its
+    claimant's heartbeat (from :func:`read_heartbeats`) is older than
+    *heartbeat_timeout*, or its claimant never wrote one and the claim
+    is older than *stale_claim_seconds*.  A live claimant is never
+    robbed, however long its experiment runs."""
+    beat = beats.get(claim.get("worker"))
+    if beat is not None:
+        return now - beat.get("time", 0.0) > heartbeat_timeout
+    return now - claim["time"] > stale_claim_seconds
 
 
 # -- results ----------------------------------------------------------------
@@ -471,6 +534,8 @@ class CampaignStatus:
     completed: int = 0
     stale: int = 0
     outcomes: dict[str, int] = field(default_factory=dict)
+    # experiment -> claim of every claim still awaiting its result
+    in_flight: dict[str, dict] = field(default_factory=dict)
     workers: dict[str, dict] = field(default_factory=dict)
     live_workers: int = 0
     rate_per_second: float = 0.0
@@ -553,40 +618,35 @@ def read_service_context(share_dir: str) -> dict | None:
     return entry if isinstance(entry, dict) else None
 
 
-def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
-                heartbeat_timeout: float = 120.0,
+def read_status(share_dir: str,
+                stale_claim_seconds: float = STALE_CLAIM_SECONDS,
+                heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
                 clock=time.time, coverage: bool = False,
                 results: list[ResultFile] | None = None
                 ) -> CampaignStatus:
     """Aggregate the live state of a share directory.
 
-    *stale* counts claims older than *stale_claim_seconds* with no
-    result — experiments whose workstation presumably died and that the
-    recovery protocol will return to the queue.  Throughput comes from
-    result-file timestamps; the ETA extrapolates it over the remaining
-    experiments.  *results* are the share's results when the caller
-    already read them (:func:`read_results`).
+    *todo* counts fault files with neither a claim nor a result,
+    *claimed* the claims still awaiting their result, and *stale* those
+    of them that are abandoned (:func:`claim_abandoned`): experiments
+    the recovery protocol will return to the queue.  Throughput comes
+    from result-file timestamps; the ETA extrapolates it over the
+    remaining experiments.  *results* are the share's results when the
+    caller already read them (:func:`read_results`).
     """
     status = CampaignStatus()
     now = clock()
     if results is None:
         results = read_results(share_dir)
     done = {result.name for result in results}
-
-    def listing(sub: str) -> list[str]:
-        path = os.path.join(share_dir, sub)
-        return sorted(os.listdir(path)) if os.path.isdir(path) else []
-
-    status.todo = len(listing("todo"))
-    # Claimed files stay in claimed/ after their result is written, so
-    # only the ones still awaiting a result are in flight.  They are
-    # named <worker>_<experiment>.txt and worker ids may contain "_",
-    # so any suffix after an "_" may be the experiment.
-    for name in listing("claimed"):
-        parts = name.replace(".txt", "").split("_")
-        if not any("_".join(parts[i:]) in done
-                   for i in range(1, len(parts))):
-            status.claimed += 1
+    claims = read_claims(share_dir)
+    status.in_flight = {name: claim for name, claim in claims.items()
+                        if name not in done}
+    status.claimed = len(status.in_flight)
+    todo = os.path.join(share_dir, "todo")
+    names = os.listdir(todo) if os.path.isdir(todo) else []
+    status.todo = len({name[:-len(".txt")] for name in names
+                       if name.endswith(".txt")} - claims.keys() - done)
 
     for result in results:
         status.completed += 1
@@ -595,31 +655,19 @@ def read_status(share_dir: str, stale_claim_seconds: float = 600.0,
         status.host.add(result.record, result.name)
     result_times = [result.mtime for result in results]
 
-    claim_times: list[float] = []
-    for name in listing("claims"):
-        if not name.endswith(".claim"):
-            continue
-        try:
-            with open(os.path.join(share_dir, "claims", name), "r",
-                      encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            continue
-        claim_time = entry.get("time", 0.0)
-        claim_times.append(claim_time)
-        experiment = name[:-len(".claim")].replace(".txt", "")
-        if experiment not in done and \
-                now - claim_time > stale_claim_seconds:
-            status.stale += 1
-
     status.workers = read_heartbeats(share_dir)
     for beat in status.workers.values():
         beat["age"] = max(0.0, now - beat.get("time", 0.0))
         beat["live"] = beat["age"] <= heartbeat_timeout
     status.live_workers = sum(
         1 for beat in status.workers.values() if beat["live"])
+    status.stale = sum(
+        claim_abandoned(claim, status.workers, now,
+                        stale_claim_seconds, heartbeat_timeout)
+        for claim in status.in_flight.values())
 
-    started = min(claim_times) if claim_times else None
+    started = min((claim["time"] for claim in claims.values()),
+                  default=None)
     if started is not None:
         status.elapsed_seconds = max(0.0, now - started)
     remaining = status.todo + status.claimed

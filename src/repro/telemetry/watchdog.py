@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass, field
 
 from .campaign import (
+    HEARTBEAT_TIMEOUT,
+    STALE_CLAIM_SECONDS,
     CampaignStatus,
     read_results,
     read_status,
@@ -72,8 +74,8 @@ class Alert:
 
 @dataclass
 class WatchdogConfig:
-    heartbeat_timeout: float = 120.0
-    stale_claim_seconds: float = 600.0
+    heartbeat_timeout: float = HEARTBEAT_TIMEOUT
+    stale_claim_seconds: float = STALE_CLAIM_SECONDS
     # stalled-experiment: open span older than stall_factor x wall_p90,
     # once at least min_completed experiments have finished (before that
     # the p90 is noise).
@@ -102,8 +104,6 @@ class ShareSnapshot:
 
     now: float
     status: CampaignStatus
-    # worker -> experiments claimed but not yet resulted
-    held_claims: dict[str, list[str]] = field(default_factory=dict)
     # still-open experiment span records, each annotated with "age"
     open_spans: list[dict] = field(default_factory=list)
     # outcomes of completed experiments in result-mtime order
@@ -122,24 +122,6 @@ def snapshot_share(share_dir: str,
         heartbeat_timeout=config.heartbeat_timeout, clock=clock,
         results=results)
     snap = ShareSnapshot(now=now, status=status)
-    done = {result.name for result in results}
-
-    claims_dir = os.path.join(share_dir, "claims")
-    if os.path.isdir(claims_dir):
-        for name in sorted(os.listdir(claims_dir)):
-            if not name.endswith(".claim"):
-                continue
-            experiment = name[:-len(".claim")].replace(".txt", "")
-            if experiment in done:
-                continue
-            try:
-                with open(os.path.join(claims_dir, name), "r",
-                          encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            owner = entry.get("worker", "?")
-            snap.held_claims.setdefault(owner, []).append(experiment)
 
     _finished, opened = load_spans(share_dir)
     for record in opened:
@@ -180,7 +162,9 @@ def rule_dead_worker(snap: ShareSnapshot,
     for worker in sorted(_dead_workers(snap, config)):
         beat = snap.status.workers.get(worker, {})
         age = snap.now - beat.get("time", 0.0)
-        held = list(snap.held_claims.get(worker, []))
+        held = [experiment for experiment, claim
+                in snap.status.in_flight.items()
+                if claim.get("worker") == worker]
         current = beat.get("current_experiment")
         if current and current not in held:
             held.append(current)

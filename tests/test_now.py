@@ -84,7 +84,8 @@ class TestSharedDirProtocol:
                   campaign.claim("w0"), campaign.claim("w1")]
         assert claims[3] is None
         assert len({c for c in claims if c}) == 3
-        assert not os.listdir(tmp_path / "todo")
+        assert sorted(os.listdir(tmp_path / "claims")) == [
+            f"exp_{i:04d}.txt.claim" for i in range(3)]
 
     def test_worker_loop_in_process(self, tmp_path, runner):
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
@@ -125,7 +126,7 @@ class TestSharedDirProtocol:
         campaign.publish(runner, generator.batch(1))
         target = campaign.claim("w0")
         assert target is not None
-        assert os.path.basename(target) == "w0_exp_0000.txt"
+        assert target == "exp_0000"
         claim_path = tmp_path / "claims" / "exp_0000.txt.claim"
         entry = json.loads(claim_path.read_text())
         assert entry["worker"] == "w0"
@@ -144,9 +145,9 @@ class TestSharedDirProtocol:
         blocker.write_text(json.dumps(
             {"worker": "rival", "pid": 1, "time": 10 ** 12}))
         target = campaign.claim("w0")
-        assert os.path.basename(target) == "w0_exp_0001.txt"
-        # exp_0000 stays queued for its (live) claimant.
-        assert os.listdir(tmp_path / "todo") == ["exp_0000.txt"]
+        assert target == "exp_0001"
+        # exp_0000 stays with its (live) claimant.
+        assert json.loads(blocker.read_text())["worker"] == "rival"
         assert campaign.claim("w0") is None
 
     def test_threaded_claim_storm_is_disjoint(self, tmp_path, runner):
@@ -162,7 +163,7 @@ class TestSharedDirProtocol:
                 got = view.claim(worker_id)
                 if got is None:
                     return
-                mine.append(os.path.basename(got).split("_", 1)[1])
+                mine.append(got)
 
         threads = [threading.Thread(target=drain, args=(f"w{i}",))
                    for i in range(4)]
@@ -171,8 +172,8 @@ class TestSharedDirProtocol:
         for thread in threads:
             thread.join()
         winners = [name for mine in claims.values() for name in mine]
-        assert sorted(winners) == [f"exp_{i:04d}.txt" for i in range(12)]
-        assert not os.listdir(tmp_path / "todo")
+        assert sorted(winners) == [f"exp_{i:04d}" for i in range(12)]
+        assert len(os.listdir(tmp_path / "claims")) == 12
 
     def test_stale_claim_is_recovered_once(self, tmp_path, runner):
         clock = {"now": 1000.0}
@@ -189,11 +190,11 @@ class TestSharedDirProtocol:
         clock["now"] += 601.0
         stolen = campaign.claim("w1")
         assert stolen is not None
-        assert os.path.basename(stolen) == "w1_exp_0000.txt"
+        assert stolen == "exp_0000"
         entry = json.loads(
             (tmp_path / "claims" / "exp_0000.txt.claim").read_text())
         assert entry["worker"] == "w1"
-        assert not (tmp_path / "claimed" / "w0_exp_0000.txt").exists()
+        assert os.listdir(tmp_path / "claims") == ["exp_0000.txt.claim"]
         # The queue is drained while w1's claim is fresh.
         assert campaign.claim("w2") is None
 
@@ -265,7 +266,7 @@ class TestAtomicPublication:
         campaign.publish(runner, generator.batch(1))
         (tmp_path / "todo" / "exp_0042.txt.tmp.1.2").write_text("Re")
         first = campaign.claim("w0")
-        assert os.path.basename(first) == "w0_exp_0000.txt"
+        assert first == "exp_0000"
         assert campaign.claim("w0") is None  # the .tmp is not a job
 
     def test_published_files_have_no_tmp_residue(self, tmp_path,

@@ -308,7 +308,7 @@ class TestZeroOverheadWhenDisabled:
         completed = campaign.worker_loop("w0", runner)
         assert completed == 2
         assert sorted(os.listdir(share)) == [
-            "claimed", "claims", "golden.pkl",
+            "claims", "golden.pkl",
             "heartbeats", "manifests", "results", "todo",
             "workload.json"]
         workload = json.loads(
@@ -400,7 +400,7 @@ class TestHeartbeatLivenessRecovery:
         clock["now"] += 130.0
         stolen = campaign.claim("w1")
         assert stolen is not None
-        assert os.path.basename(stolen) == "w1_exp_0000.txt"
+        assert stolen == "exp_0000"
 
 
 def _touch(path, mtime):
@@ -523,7 +523,7 @@ class TestWatchdogIntegration:
         campaign.publish(runner, generator.batch(3), seed=15)
         # w0 claims exp_0000, heartbeats once ... and dies.
         claimed = campaign.claim("w0")
-        assert os.path.basename(claimed) == "w0_exp_0000.txt"
+        assert claimed == "exp_0000"
         write_heartbeat(share, "w0", 0, current_experiment="exp_0000",
                         clock=lambda: clock["now"])
         clock["now"] += 130.0
@@ -695,7 +695,7 @@ class TestZeroOverheadServicePlane:
         assert dash_a[0] == dash_b[0]
         # Rendering is read-only: no spans/, no logs/, nothing new.
         assert sorted(os.listdir(share)) == [
-            "claimed", "claims", "golden.pkl",
+            "claims", "golden.pkl",
             "heartbeats", "manifests", "results", "todo",
             "workload.json"]
 
