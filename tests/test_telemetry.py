@@ -348,7 +348,7 @@ class TestCampaignObservability:
         assert status.todo == 1
         assert status.claimed == 2
         assert status.completed == 2
-        assert status.stale == 1
+        assert status.stale == 0
         assert status.total == 5
         assert status.outcomes == {"masked": 1, "sdc": 1}
         assert status.live_workers == 1
@@ -363,7 +363,7 @@ class TestCampaignObservability:
                                          clock=lambda: 1000.0))
         assert "2/5 completed" in text
         assert "todo=1" in text
-        assert "stale=1" in text
+        assert "stale=0" in text
         assert "masked=1" in text
 
     def test_single_completed_result_reports_no_bogus_eta(self,
