@@ -99,7 +99,9 @@ def run_manifest(*, experiment: str, workload: str, scale: str,
                  outcome: str | None = None,
                  git_rev: str | None = None,
                  extra: dict | None = None) -> dict:
-    """Build one experiment's run manifest (FINJ-style workload record)."""
+    """Build one experiment's run manifest (FINJ-style workload record).
+    *git_rev* is recorded as given: a worker asks :func:`git_describe`
+    once, and outside a git checkout the answer is None."""
     manifest = {
         "experiment": experiment,
         "workload": workload,
@@ -108,7 +110,7 @@ def run_manifest(*, experiment: str, workload: str, scale: str,
         "fault_file": fault_text,
         "worker": worker,
         "pid": os.getpid(),
-        "git": git_rev if git_rev is not None else git_describe(),
+        "git": git_rev,
         "started": started,
         "wall_seconds": wall_seconds,
         "outcome": outcome,
