@@ -39,6 +39,9 @@ from .generator import WindowProfile
 
 #: Watchdog of the golden run and of the golden replays (instructions).
 GOLDEN_LIMIT = 50_000_000
+#: Watchdog of an experiment: this many golden runs' instructions
+#: (plus 100k) from the boot checkpoint, then it counts as crashed.
+WATCHDOG_FACTOR = 4.0
 #: Most rungs a checkpoint ladder keeps, the boot rung included.
 LADDER_RUNGS = 32
 #: First distance between rungs, in scheduler poll intervals.  It
@@ -191,7 +194,6 @@ class CampaignRunner:
                  config: SimConfig | None = None,
                  use_checkpoint: bool = True,
                  detailed_model: str | None = None,
-                 watchdog_factor: float = 4.0,
                  bus=None, golden: GoldenRun | None = None) -> None:
         self.spec = spec
         self.config = config or SimConfig()
@@ -200,7 +202,6 @@ class CampaignRunner:
         # switch to atomic after the fault commits.  None = keep the
         # configured model for the whole run.
         self.detailed_model = detailed_model
-        self.watchdog_factor = watchdog_factor
         # Optional repro.telemetry trace bus: experiment lifecycle events
         # plus every simulator/injector event of each experiment run.
         self.bus = bus
@@ -422,7 +423,7 @@ class CampaignRunner:
         # Instructions and the watchdog count from the boot checkpoint,
         # wherever the run resumed.
         base = sim.instructions - replay_start
-        budget = int(self.golden.instructions * self.watchdog_factor) \
+        budget = int(self.golden.instructions * WATCHDOG_FACTOR) \
             + 100_000
         run_start = time.perf_counter()
         result, rejoined = self._simulate(sim, replay_start, base,

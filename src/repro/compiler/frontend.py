@@ -92,11 +92,6 @@ class ProgramInfo:
     arrays: dict[str, ArrayInfo] = field(default_factory=dict)
     globals: dict[str, GlobalScalar] = field(default_factory=dict)
 
-    def lookup_type(self, name: str) -> str | None:
-        if name in self.globals:
-            return self.globals[name].type
-        return None
-
 
 def parse_program(source: str) -> ProgramInfo:
     """Parse MiniC source and build the program-level symbol table."""

@@ -79,9 +79,6 @@ class FaultInjector:
         # Register-fault propagation watches: (cls, idx) -> record.
         self._watches: dict[tuple[str, int], object] = {}
         self.has_watches = False
-        # Set when a fi_read_init_all pseudo-instruction retires; the
-        # simulator turns it into a checkpoint request.
-        self.checkpoint_requested = False
         # Host-clock stamps of the first/last injection, taken inside
         # _record (a per-experiment-rare event, so no hot-path cost).
         # Campaigns split wall_seconds into boot/window/injection/drain
@@ -91,12 +88,6 @@ class FaultInjector:
         self.refresh_hot_flags()
 
     # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_file(cls, path, clock=None) -> "FaultInjector":
-        with open(path, "r", encoding="utf-8") as handle:
-            faults = parse_fault_file(handle.read())
-        return cls(faults, clock=clock)
 
     @classmethod
     def from_text(cls, text: str, clock=None) -> "FaultInjector":
@@ -126,19 +117,9 @@ class FaultInjector:
         self.windows.clear()
         self._watches.clear()
         self.has_watches = False
-        self.checkpoint_requested = False
         self.first_injection_host = None
         self.last_injection_host = None
         self.refresh_hot_flags()
-
-    def load_faults(self, faults: list[Fault]) -> None:
-        """Replace the configured fault list (campaign restores use this
-        right after :meth:`reset` to install the next experiment)."""
-        self.queues = FaultQueues(list(faults))
-        self.refresh_hot_flags()
-        if self.bus is not None:
-            for fault in faults:
-                self.bus.emit("fault_armed", fault=fault.describe())
 
     # -- def-use trace recording (repro.analysis) -------------------------------
 
@@ -200,10 +181,6 @@ class FaultInjector:
                               committed=window["committed"],
                               ticks=window["ticks"])
         return thread is not None
-
-    def handle_fi_read_init(self, core) -> None:
-        """``fi_read_init_all()`` retired: request a checkpoint."""
-        self.checkpoint_requested = True
 
     def on_context_switch(self, core, pcb_addr: int) -> None:
         """The kernel switched threads on *core*: refresh the core's

@@ -299,7 +299,6 @@ class Core:
                 self.injector.handle_fi_activate(
                     self, thread_id=intregs.read(16))
             else:
-                self.injector.handle_fi_read_init(self)
                 # The simulator checkpoints synchronously, before the
                 # upcoming fi_activate_inst can slip past the snapshot.
                 raise CheckpointRequested(next_pc)

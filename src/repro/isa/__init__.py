@@ -20,7 +20,6 @@ from .traps import (
     MemoryFault,
     MisalignedAccess,
     SimTrap,
-    SimulationLimitExceeded,
     UnmappedAccess,
 )
 
@@ -29,7 +28,7 @@ __all__ = [
     "Decoded", "DecodeCache", "Field", "Format", "HaltRequest",
     "IllegalInstruction", "Image", "MASK64", "MemoryFault",
     "MisalignedAccess", "RegisterFile", "SimTrap",
-    "SimulationLimitExceeded", "UnmappedAccess", "assemble",
+    "UnmappedAccess", "assemble",
     "bits_to_float", "decode", "disassemble", "disassemble_word",
     "field_of_fetch_bit", "float_to_bits", "fp_reg_name", "int_reg_name",
 ]

@@ -85,11 +85,6 @@ def to_signed64(value: int) -> int:
     return value
 
 
-def to_unsigned64(value: int) -> int:
-    """Wrap an arbitrary Python int into the unsigned 64-bit domain."""
-    return value & MASK64
-
-
 def sign_extend(value: int, bits: int) -> int:
     """Sign-extend the low *bits* bits of *value* into the 64-bit domain."""
     value &= (1 << bits) - 1

@@ -59,6 +59,3 @@ class HaltRequest(SimTrap):
     """The PAL HALT instruction was executed (normal machine stop)."""
 
 
-class SimulationLimitExceeded(SimTrap):
-    """Watchdog: the instruction/tick budget ran out (likely a fault-induced
-    infinite loop).  Campaigns classify this outcome as *Crashed*."""

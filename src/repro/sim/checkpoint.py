@@ -7,9 +7,10 @@ model).  The Python equivalent of a process-level checkpoint is a
 complete snapshot of the simulator object graph: memory pages, caches,
 architectural state, kernel state, predictor tables and the tick clock.
 
-Restoring re-parses the fault configuration (``FaultInjector.reset`` +
-``load_faults``), so one checkpoint fast-forwards *every* experiment of a
-campaign past boot + application initialisation (Fig. 3).
+Restoring builds a fresh ``FaultInjector`` from the experiment's fault
+configuration and resets it, so one checkpoint fast-forwards *every*
+experiment of a campaign past boot + application initialisation
+(Fig. 3).
 
 Campaigns also snapshot the golden run at later points (the *rungs* of
 a checkpoint ladder, :func:`rung_state`): an experiment whose faults

@@ -147,8 +147,6 @@ class Simulator:
                 core.committed += 1
                 self.tick += 1
                 self.instructions += 1
-                if self.injector is not None:
-                    self.injector.checkpoint_requested = False
                 self._take_checkpoint()
                 if until_checkpoint:
                     status = "completed"

@@ -114,7 +114,6 @@ from .timeline import (
     render_timeline_svg,
     timeline_summary,
     validate_trace,
-    write_timeline,
 )
 from .watchdog import (
     Alert,
@@ -157,5 +156,5 @@ __all__ = [
     "run_manifest",
     "sanitize_metric_name", "sim_rates",
     "snapshot_share", "span_log_path", "timeline_summary",
-    "validate_trace", "write_heartbeat", "write_timeline",
+    "validate_trace", "write_heartbeat",
 ]

@@ -222,7 +222,7 @@ class Profiler:
         if injector is not None:
             for hook in ("on_fetch", "on_decode", "on_execute",
                          "on_mem", "on_commit", "on_trace", "observe",
-                         "handle_fi_activate", "handle_fi_read_init"):
+                         "handle_fi_activate"):
                 self.wrap(injector, hook, "injector")
 
         if sim.bus is not None:

@@ -245,17 +245,6 @@ def render_timeline(share_dir: str, timebase: str = "host",
     return text + "\n"
 
 
-def write_timeline(share_dir: str, output: str,
-                   timebase: str = "host",
-                   slots: int | None = None) -> int:
-    """Render to *output*; returns the event count."""
-    text = render_timeline(share_dir, timebase=timebase, slots=slots)
-    count = validate_trace(text)
-    with open(output, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return count
-
-
 # -- validation ---------------------------------------------------------------
 
 _KNOWN_PHASES = {"X", "B", "E", "i", "I", "M", "C", "b", "e", "n"}
