@@ -1,6 +1,7 @@
 """Network-of-workstations campaign tests (Section III.E, Fig. 8)."""
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -215,6 +216,23 @@ class TestSharedDirProtocol:
             (tmp_path / "claims" / "exp_0000.txt.claim").read_text())
         assert entry["worker"] == "w0"
 
+    def test_empty_claim_is_recovered_by_its_age(self, tmp_path, runner):
+        """A claimant killed between creating its claim file and writing
+        it leaves an empty claim: it counts as a claim with no worker
+        at the file's mtime, so it is recovered once that is older than
+        the claim limit instead of blocking the experiment forever."""
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
+                                     heartbeat_interval=0)
+        generator = SEUGenerator(runner.golden.profile, seed=12)
+        campaign.publish(runner, generator.batch(2))
+        empty = tmp_path / "claims" / "exp_0000.txt.claim"
+        empty.write_bytes(b"")
+        aged = time.time() - 700
+        os.utime(empty, (aged, aged))
+        assert campaign.worker_loop("w0", runner) == 2
+        assert sorted(os.listdir(tmp_path / "results")) == [
+            "exp_0000.json", "exp_0001.json"]
+
     @pytest.mark.slow
     def test_multiprocess_workers_drain_queue(self, tmp_path, runner):
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
@@ -224,6 +242,67 @@ class TestSharedDirProtocol:
         results = campaign.collect()
         assert len(results) == 4
         assert all("outcome" in entry for entry in results)
+
+
+def _block_in_run_experiment(share_dir: str, marker: str) -> None:
+    """A worker process whose runner blocks inside run_experiment, after
+    touching *marker*."""
+
+    class BlockingRunner:
+        def run_experiment(self, faults, seed=None):
+            open(marker, "w").close()
+            time.sleep(3600)
+
+    SharedDirCampaign(share_dir, "pi", "tiny").worker_loop(
+        "w0", BlockingRunner())
+
+
+class TestCrashRecovery:
+    """A worker killed with SIGKILL while it runs an experiment loses no
+    result and has none counted twice."""
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return CampaignRunner(build("pi", "tiny"))
+
+    def test_sigkilled_worker_is_recovered_exactly_once(self, tmp_path,
+                                                        runner):
+        share = tmp_path / "share"
+        marker = tmp_path / "inside_run_experiment"
+        faults = SEUGenerator(runner.golden.profile, seed=31).batch(3)
+        SharedDirCampaign(str(share), "pi", "tiny").publish(
+            runner, faults, seed=31)
+        worker = multiprocessing.get_context("fork").Process(
+            target=_block_in_run_experiment,
+            args=(str(share), str(marker)))
+        worker.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists():
+                assert worker.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+            claim = json.loads(
+                (share / "claims" / "exp_0000.txt.claim").read_text())
+            assert (claim["worker"], claim["pid"]) == ("w0", worker.pid)
+        finally:
+            worker.kill()  # SIGKILL: no handler, no clean-up
+            worker.join(timeout=30)
+        assert worker.exitcode == -9
+        # A second worker comes along once w0's heartbeat has aged past
+        # the 120 s timeout, and drains the share.
+        late = SharedDirCampaign(str(share), "pi", "tiny",
+                                 heartbeat_interval=0,
+                                 clock=lambda: time.time() + 300)
+        assert late.worker_loop("w1", runner) == 3
+        assert sorted(os.listdir(share / "results")) == [
+            f"exp_{i:04d}.json" for i in range(3)]
+        direct = [r.as_dict() for r in runner.run_campaign(faults, seed=31)]
+        canonical = TestWorkersReuseGolden._canonical
+        assert canonical(late.collect()) == canonical(direct)
+        status = read_status(str(share))
+        assert (status.completed, status.claimed, status.todo) == (3, 0, 0)
+        assert [name for name in os.listdir(share / "claims")
+                if ".steal." in name] == []
 
 
 class TestAtomicPublication:

@@ -416,3 +416,60 @@ class TestOneReadPerView:
         # The stored report is the one `gemfi report` renders.
         assert store.get(job.report_digest).decode("utf-8") == \
             _cli("report", job.share_dir)
+
+
+def _count_claim_reads(monkeypatch, action) -> collections.Counter:
+    """Run *action*, counting how often each ``claims/*.claim`` is
+    opened for reading."""
+    reads: collections.Counter = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and mode.startswith("r"):
+            path = os.fspath(file)
+            if path.endswith(".claim") and \
+                    os.path.basename(os.path.dirname(path)) == "claims":
+                reads[os.path.basename(path)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", counting_open)
+        action()
+    return reads
+
+
+class TestOneClaimReadPerFrame:
+    """A watchdog frame opens every claim file of its share once: the
+    in-flight claims come from the status it already read."""
+
+    @pytest.fixture
+    def head(self, tmp_path):
+        return build_shares(str(tmp_path))[0]
+
+    def _assert_read_once(self, share, reads):
+        names = sorted(os.listdir(os.path.join(share, "claims")))
+        assert reads == {name: 1 for name in names}
+
+    def test_dashboard_once(self, monkeypatch, head):
+        reads = _count_claim_reads(
+            monkeypatch, lambda: _cli("dashboard", head, "--once"))
+        self._assert_read_once(head, reads)
+
+    def test_event_frame(self, monkeypatch, head, tmp_path):
+        queue = JobQueue(str(tmp_path / "queue.db"))
+        app = ServiceApp(queue, ContentStore(str(tmp_path / "store")),
+                         clock=_clock)
+        job = queue.submit(JobSpec.from_dict({"workload": "pi"}))
+        queue.record_share(job.id, head)
+        request = Request(method="GET", path="/", query={"max": "1"},
+                          params={"id": job.id})
+
+        async def one_frame():
+            response = await app.job_events(request)
+            return [chunk async for chunk in response.stream]
+
+        chunks = []
+        reads = _count_claim_reads(
+            monkeypatch, lambda: chunks.extend(asyncio.run(one_frame())))
+        assert json.loads(chunks[0])["campaign"]["claimed"] == 1
+        self._assert_read_once(head, reads)

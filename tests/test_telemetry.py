@@ -366,6 +366,21 @@ class TestCampaignObservability:
         assert "stale=0" in text
         assert "masked=1" in text
 
+    def test_young_claim_of_a_dead_worker_counts_as_stale(self,
+                                                          tmp_path):
+        """Recovery takes a claim as soon as its claimant's heartbeat
+        ages out, however young the claim, and the stale count
+        agrees."""
+        now = 1000.0
+        os.makedirs(tmp_path / "claims")
+        (tmp_path / "claims" / "exp_0000.txt.claim").write_text(
+            json.dumps({"worker": "ws1", "pid": 1, "time": now - 130}))
+        write_heartbeat(str(tmp_path), "ws1", 0,
+                        current_experiment="exp_0000",
+                        clock=lambda: now - 130)
+        status = read_status(str(tmp_path), clock=lambda: now)
+        assert (status.claimed, status.stale) == (1, 1)
+
     def test_single_completed_result_reports_no_bogus_eta(self,
                                                           tmp_path):
         """One completed result spans zero time: the rate must stay 0
@@ -511,6 +526,34 @@ class TestCampaignIntegration:
         end = sink.of_kind("experiment_end")[0]
         assert end.data["outcome"]
         assert end.data["wall_seconds"] > 0
+
+    def test_worker_asks_git_for_the_revision_once(self, runner,
+                                                   tmp_path,
+                                                   monkeypatch):
+        """Outside a git checkout ``git_describe`` gives None: the
+        worker records that in every manifest instead of asking
+        again for each experiment."""
+        import repro.campaign.now
+        import repro.telemetry.campaign
+        from repro.campaign import SEUGenerator, SharedDirCampaign
+        calls = []
+
+        def outside_a_checkout(cwd=None):
+            calls.append(cwd)
+            return None
+
+        for module in (repro.campaign.now, repro.telemetry.campaign):
+            monkeypatch.setattr(module, "git_describe",
+                                outside_a_checkout)
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
+                                     heartbeat_interval=0)
+        generator = SEUGenerator(runner.golden.profile, seed=14)
+        campaign.publish(runner, generator.batch(3), seed=14)
+        assert campaign.worker_loop("ws0", runner) == 3
+        assert len(calls) == 1
+        for name in os.listdir(tmp_path / "manifests"):
+            with open(tmp_path / "manifests" / name) as handle:
+                assert json.load(handle)["git"] is None
 
     def test_worker_loop_writes_heartbeats_and_manifests(
             self, runner, tmp_path):
