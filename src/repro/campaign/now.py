@@ -168,11 +168,11 @@ class SharedDirCampaign:
 
     def _claim_once(self, worker_id: str) -> str | None:
         claims = os.path.join(self.share_dir, "claims")
-        taken = set(os.listdir(claims))
-        for name in sorted(os.listdir(os.path.join(self.share_dir,
-                                                   "todo"))):
-            if not name.endswith(".txt") or name + ".claim" in taken:
-                continue  # an in-flight publish's .tmp.*, or claimed
+        taken = {name[:-len(".claim")] for name in os.listdir(claims)}
+        queued = set(os.listdir(os.path.join(self.share_dir, "todo")))
+        for name in sorted(queued - taken):
+            if not name.endswith(".txt"):
+                continue  # a .tmp.* file of an in-flight publish
             try:
                 handle = os.open(os.path.join(claims, name + ".claim"),
                                  os.O_CREAT | os.O_EXCL | os.O_WRONLY)
