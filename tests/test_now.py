@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -287,7 +288,7 @@ class TestCrashRecovery:
         finally:
             worker.kill()  # SIGKILL: no handler, no clean-up
             worker.join(timeout=30)
-        assert worker.exitcode == -9
+        assert worker.exitcode == -signal.SIGKILL
         # A second worker comes along once w0's heartbeat has aged past
         # the 120 s timeout, and drains the share.
         late = SharedDirCampaign(str(share), "pi", "tiny",
