@@ -27,13 +27,14 @@ import multiprocessing
 import os
 import pickle
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 
 from ..core.parser import parse_fault_file, render_fault_file
 from ..telemetry.campaign import (HEARTBEAT_DIR, HEARTBEAT_TIMEOUT,
                                   MANIFEST_DIR, STALE_CLAIM_SECONDS,
                                   PeriodicBeat, claim_abandoned,
-                                  git_describe, read_claims,
+                                  git_describe, read_claim, read_claims,
                                   read_heartbeats, read_results,
                                   run_manifest, write_atomic,
                                   write_heartbeat)
@@ -115,6 +116,7 @@ class SharedDirCampaign:
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_interval = heartbeat_interval
         self._clock = clock
+        self._unclaimed: list[str] = []  # see _claim_once
         for sub in ("todo", "results", "claims", HEARTBEAT_DIR,
                     MANIFEST_DIR):
             os.makedirs(os.path.join(share_dir, sub), exist_ok=True)
@@ -152,10 +154,7 @@ class SharedDirCampaign:
     # step 4: atomic claim.  A claim file created with O_CREAT|O_EXCL is
     # the one record of a claim: exactly one workstation can create it,
     # so exactly one wins even on network filesystems where rename
-    # semantics are shakier.  The fault file stays in todo/.  A claim
-    # without a result whose claimant is gone (claim_abandoned) is
-    # deleted, which returns its experiment to the queue; recovery
-    # itself is single-winner via a unique rename of the claim file.
+    # semantics are shakier.  The fault file stays in todo/.
 
     def claim(self, worker_id: str) -> str | None:
         """Claim a queued experiment for *worker_id* and return its name
@@ -167,24 +166,31 @@ class SharedDirCampaign:
         return experiment
 
     def _claim_once(self, worker_id: str) -> str | None:
+        # Fault files never move: the names left unclaimed at the last
+        # listing are tried in order, and todo/ minus claims/ is listed
+        # again only when they run out.
         claims = os.path.join(self.share_dir, "claims")
-        taken = {name[:-len(".claim")] for name in os.listdir(claims)}
-        queued = set(os.listdir(os.path.join(self.share_dir, "todo")))
-        for name in sorted(queued - taken):
-            if not name.endswith(".txt"):
-                continue  # a .tmp.* file of an in-flight publish
-            try:
-                handle = os.open(os.path.join(claims, name + ".claim"),
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue  # another workstation won it since the listing
-            try:
-                os.write(handle, json.dumps(
-                    {"worker": worker_id, "pid": os.getpid(),
-                     "time": self._clock()}).encode("utf-8"))
-            finally:
-                os.close(handle)
-            return name[:-len(".txt")]
+        for relist in (False, True):
+            if relist:
+                taken = set(os.listdir(claims))
+                todo = os.listdir(os.path.join(self.share_dir, "todo"))
+                self._unclaimed = sorted(  # no .tmp.* of a publish
+                    (name for name in todo if name.endswith(".txt")
+                     and name + ".claim" not in taken), reverse=True)
+            while self._unclaimed:
+                name = self._unclaimed.pop()
+                try:
+                    handle = os.open(os.path.join(claims, name + ".claim"),
+                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    continue  # another workstation won it since the listing
+                try:
+                    os.write(handle, json.dumps(
+                        {"worker": worker_id, "pid": os.getpid(),
+                         "time": self._clock()}).encode("utf-8"))
+                finally:
+                    os.close(handle)
+                return name[:-len(".txt")]
         return None
 
     def _recover_abandoned(self, worker_id: str) -> bool:
@@ -192,19 +198,21 @@ class SharedDirCampaign:
         experiment to the queue; True if any was.  Liveness comes from
         the claimant's heartbeat (:func:`claim_abandoned`), so a live
         worker running one slow experiment is never robbed: a double
-        run corrupts the outcome statistics."""
+        run corrupts the outcome statistics.  A unique rename of the
+        claim file makes each steal single-winner."""
         beats = read_heartbeats(self.share_dir)
+        results = os.path.join(self.share_dir, "results")
+        finished = {name[:-len(".json")] for name in os.listdir(results)
+                    if name.endswith(".json")}
         recovered = False
-        for experiment, claim in read_claims(self.share_dir).items():
+        for experiment, claim in read_claims(self.share_dir,
+                                             skip=finished).items():
             if not claim_abandoned(claim, beats, self._clock(),
                                    self.stale_claim_seconds,
                                    self.heartbeat_timeout):
                 continue
-            if os.path.exists(os.path.join(self.share_dir, "results",
-                                           experiment + ".json")):
-                continue  # finished normally
-            # Single-winner steal: only one workstation's rename of the
-            # claim file succeeds.
+            if os.path.exists(os.path.join(results, experiment + ".json")):
+                continue  # finished since the listing
             path = os.path.join(self.share_dir, "claims",
                                 experiment + ".txt.claim")
             stolen = f"{path}.steal.{worker_id}.{os.getpid()}"
@@ -212,11 +220,15 @@ class SharedDirCampaign:
                 os.rename(path, stolen)
             except OSError:
                 continue  # somebody else is recovering this one
-            try:
+            if read_claim(stolen) == claim:
+                recovered = True
+            else:
+                # Recovered by another workstation since the read above
+                # and claimed again: put that live claim back.
+                with suppress(OSError):
+                    os.link(stolen, path)
+            with suppress(OSError):
                 os.unlink(stolen)
-            except OSError:
-                pass  # the claim is out of the way all the same
-            recovered = True
         return recovered
 
     # steps 4-5: run locally, move results back to the share.

@@ -13,9 +13,10 @@ the workers:
   to the claim files; a worker whose heartbeat stops aging is alive,
   one that stops refreshing is presumed dead (its claims are recovered
   by the stale-claim protocol);
-* **claims** — one reader, :func:`read_claims`, and one abandonment
-  rule, :func:`claim_abandoned`, shared by the recovery protocol and
-  the stale count;
+* **claims** — one reader, :func:`read_claims` (one file:
+  :func:`read_claim`), and one abandonment rule,
+  :func:`claim_abandoned`, shared by the recovery protocol and the
+  stale count;
 * **status aggregation** — todo/claimed/completed/stale counts, outcome
   mix, throughput and ETA.
 
@@ -230,16 +231,36 @@ def read_heartbeats(share_dir: str) -> dict[str, dict]:
 # -- claims -----------------------------------------------------------------
 
 
-def read_claims(share_dir: str) -> dict[str, dict]:
-    """Every claim of *share_dir* (``claims/exp_NNNN.txt.claim``), by
-    experiment name: ``{worker, pid, time}``, finished or not.
+def read_claim(path: str) -> dict | None:
+    """The claim file at *path*, ``{worker, pid, time}``, or None when
+    it is gone.  A claim file is created with ``O_CREAT|O_EXCL`` and
+    written after, so one that does not parse belongs to a claimant
+    that died in between (or whose write failed): it counts as a claim
+    with no worker, timed at the file's mtime, which lets the claim-age
+    rule of :func:`claim_abandoned` recover it."""
+    try:
+        with open(path, "rb") as handle:
+            mtime = os.fstat(handle.fileno()).st_mtime
+            data = handle.read()
+    except OSError:
+        return None
+    try:
+        entry = json.loads(data)
+    except ValueError:
+        entry = None
+    if not isinstance(entry, dict) or \
+            not isinstance(entry.get("time"), (int, float)):
+        entry = {"worker": None, "pid": None, "time": mtime}
+    return entry
 
-    A claim file is created with ``O_CREAT|O_EXCL`` and written after,
-    so one that does not parse belongs to a claimant that died in
-    between (or whose write failed): it counts as a claim with no
-    worker, timed at the file's mtime, which lets the claim-age rule of
-    :func:`claim_abandoned` recover it.  A claim stolen since the
-    listing (or a ``.steal.*`` marker of one) is skipped."""
+
+def read_claims(share_dir: str,
+                skip: frozenset[str] | set[str] = frozenset()
+                ) -> dict[str, dict]:
+    """Every claim of *share_dir* (``claims/exp_NNNN.txt.claim``) by
+    experiment name, finished or not, except those named in *skip*,
+    which stay unopened.  A claim stolen since the listing (or a
+    ``.steal.*`` marker of one) is skipped."""
     directory = os.path.join(share_dir, "claims")
     try:
         names = sorted(os.listdir(directory))
@@ -247,28 +268,18 @@ def read_claims(share_dir: str) -> dict[str, dict]:
         return {}
     claims: dict[str, dict] = {}
     for name in names:
-        if not name.endswith(".txt.claim"):
+        experiment = name[:-len(".txt.claim")]
+        if not name.endswith(".txt.claim") or experiment in skip:
             continue
-        try:
-            with open(os.path.join(directory, name), "rb") as handle:
-                mtime = os.fstat(handle.fileno()).st_mtime
-                data = handle.read()
-        except OSError:
-            continue
-        try:
-            entry = json.loads(data)
-        except ValueError:
-            entry = None
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("time"), (int, float)):
-            entry = {"worker": None, "pid": None, "time": mtime}
-        claims[name[:-len(".txt.claim")]] = entry
+        entry = read_claim(os.path.join(directory, name))
+        if entry is not None:
+            claims[experiment] = entry
     return claims
 
 
 def claim_abandoned(claim: dict, beats: dict[str, dict], now: float,
-                    stale_claim_seconds: float = STALE_CLAIM_SECONDS,
-                    heartbeat_timeout: float = HEARTBEAT_TIMEOUT) -> bool:
+                    stale_claim_seconds: float,
+                    heartbeat_timeout: float) -> bool:
     """Whether a result-less *claim* (from :func:`read_claims`) is
     abandoned, so recovery returns its experiment to the queue: its
     claimant's heartbeat (from :func:`read_heartbeats`) is older than

@@ -18,7 +18,9 @@ from repro.campaign import (
     outcome_counts,
     simulate_makespan,
 )
+from repro.campaign import now
 from repro.campaign.now import load_golden
+from repro.telemetry import campaign as telemetry_campaign
 from repro.telemetry import read_status
 from repro.workloads import build
 
@@ -233,6 +235,67 @@ class TestSharedDirProtocol:
         assert campaign.worker_loop("w0", runner) == 2
         assert sorted(os.listdir(tmp_path / "results")) == [
             "exp_0000.json", "exp_0001.json"]
+
+    def test_recovery_puts_back_a_claim_made_after_its_read(
+            self, tmp_path, runner, monkeypatch):
+        """Two workstations recover the same abandoned claim.  B steals
+        it and claims the experiment again after A read the claims, so
+        A's rename takes B's live claim: A must find that it is not the
+        claim it judged abandoned and put it back, or the experiment
+        runs twice."""
+        share = str(tmp_path)
+        generator = SEUGenerator(runner.golden.profile, seed=13)
+        SharedDirCampaign(share, "pi", "tiny").publish(
+            runner, generator.batch(1))
+        assert SharedDirCampaign(share, "pi", "tiny").claim("w0") == \
+            "exp_0000"
+        # w0 never heartbeats, and to A and B its claim is 1000 s old.
+        a = SharedDirCampaign(share, "pi", "tiny",
+                              clock=lambda: time.time() + 1000)
+        b = SharedDirCampaign(share, "pi", "tiny",
+                              clock=lambda: time.time() + 1000)
+        read_claims = now.read_claims
+
+        def read_then_b_recovers(*args, **kwargs):
+            claims = read_claims(*args, **kwargs)
+            monkeypatch.setattr(now, "read_claims", read_claims)
+            assert b.claim("b") == "exp_0000"
+            return claims
+
+        monkeypatch.setattr(now, "read_claims", read_then_b_recovers)
+        assert a.claim("a") is None
+        entry = json.loads(
+            (tmp_path / "claims" / "exp_0000.txt.claim").read_text())
+        assert entry["worker"] == "b"
+        assert os.listdir(tmp_path / "claims") == ["exp_0000.txt.claim"]
+
+    def test_claims_cost_no_listing_of_the_whole_campaign(
+            self, tmp_path, runner, monkeypatch):
+        """Fault files stay in todo/, so a worker claims from the names
+        it listed last: five claims list claims/ and todo/ once, and the
+        empty-queue claim on a drained share opens no finished claim."""
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
+        generator = SEUGenerator(runner.golden.profile, seed=14)
+        campaign.publish(runner, generator.batch(5))
+        listed = []
+        listdir = os.listdir
+
+        def counting_listdir(path):
+            listed.append(os.path.basename(path))
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        assert [campaign.claim("w0") for _ in range(5)] == [
+            f"exp_{i:04d}" for i in range(5)]
+        assert listed == ["claims", "todo"]
+        for i in range(5):
+            (tmp_path / "results" / f"exp_{i:04d}.json").write_text(
+                json.dumps({"outcome": "correct"}))
+        opened = []
+        monkeypatch.setattr(telemetry_campaign, "read_claim",
+                            opened.append)
+        assert campaign.claim("w1") is None
+        assert opened == []
 
     @pytest.mark.slow
     def test_multiprocess_workers_drain_queue(self, tmp_path, runner):
