@@ -8,15 +8,10 @@ The pipeline (docs/analysis.md):
    zero-overhead behind the ``trace_hot`` flag).
 2. :class:`LivenessAnalysis` classifies candidate ``(location, time,
    bit)`` SEU sites as provably masked or live.
-3. :func:`build_classes` collapses live sites that share their
-   first-use instruction into weighted equivalence classes.
-4. ``campaign.generator.PrunedGenerator`` plans a campaign that runs
-   only class representatives and predicts masked outcomes for free;
-   ``campaign.results.expand_pruned`` re-expands to the unpruned
-   estimator.
+3. ``CampaignRunner.run_campaign(..., prune=True)`` predicts the
+   outcome of each provably masked site and simulates the rest.
 """
 
-from .equivalence import SiteClass, build_classes
 from .propagation import PropagationGraph, build_propagation_graph
 from .liveness import (
     LIVE,
@@ -38,10 +33,6 @@ from .liveness import (
     SiteVerdict,
 )
 from .trace import DefUseTracer, TraceEvent
-
-# .coverage lazily imports campaign.generator (which itself imports
-# .equivalence above at module scope) — keep it last so the partially
-# initialised package never bites.
 from .coverage import (
     ConvergenceTracker,
     CoverageCell,
@@ -51,9 +42,6 @@ from .coverage import (
     coverage_summary,
     render_coverage_svg,
 )
-
-# .diff builds on .coverage (heatmap rollups) and campaign.sampling
-# (Wilson/Kish machinery) — same ordering caveat as above.
 from .diff import (
     CampaignDiff,
     CampaignSummary,
@@ -78,6 +66,6 @@ __all__ = [
     "MASKED_NO_OPERAND_FIELDS", "MASKED_OVERWRITTEN_REGISTER",
     "MASKED_OVERWRITTEN_RESULT", "MASKED_OVERWRITTEN_STORE",
     "MASKED_UNUSED_ENCODING_BITS", "MASKED_ZERO_REGISTER",
-    "PropagationGraph", "SiteClass", "SiteVerdict", "TraceEvent",
-    "build_classes", "build_propagation_graph",
+    "PropagationGraph", "SiteVerdict", "TraceEvent",
+    "build_propagation_graph",
 ]

@@ -10,9 +10,8 @@ accounts every experiment result into it:
 
 * **space accounting** — how many distinct fault sites the campaign has
   actually visited, per location and overall, never exceeding the
-  enumerated space (a weighted class representative visits exactly its
-  own site; the other members of its liveness equivalence class enter
-  the *weight*, not the site count — conservative by construction);
+  enumerated space (a record of weight w visits exactly its own site;
+  w enters the *weight*, not the site count);
 * **outcome heatmaps** — per-dimension outcome distributions (fault
   location, bit position, injection-cycle decile, destination register,
   PC region), each cell carrying a Wilson score interval computed with
@@ -33,6 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from ..campaign.generator import DEFAULT_LOCATIONS, LOCATION_WIDTHS
 from ..core.fault import Fault, LocationKind
 from ..telemetry.campaign import (
     LOCATION_LABELS,
@@ -64,11 +64,8 @@ DIMENSION_TITLES = {
 
 def _space_terms(locations=None):
     """(location, slots-per-time-unit multiplier, width) terms of the
-    fault-space product, imported from the generator so the two can
-    never disagree.  Lazy import: ``repro.campaign.generator`` imports
-    ``repro.analysis.equivalence`` at module scope, so a module-level
-    import here would be a cycle."""
-    from ..campaign.generator import DEFAULT_LOCATIONS, LOCATION_WIDTHS
+    fault-space product, from the generator's tables so the two can
+    never disagree."""
     locations = tuple(locations) if locations else DEFAULT_LOCATIONS
     terms = []
     for location in locations:
@@ -278,7 +275,6 @@ class FaultSpaceMap:
     def locations(self) -> tuple:
         if self._locations is not None:
             return self._locations
-        from ..campaign.generator import DEFAULT_LOCATIONS
         return DEFAULT_LOCATIONS
 
     def space_per_location(self) -> dict[str, int] | None:

@@ -100,7 +100,7 @@ def newcombe_interval(success_base: float, total_base: float,
     """``(delta, low, high)`` for ``p_head - p_base`` by Newcombe's
     score method: the interval is assembled from the two weighted
     Wilson intervals, each computed over its side's Kish effective
-    sample size, so pruned (weighted) campaigns are not overconfident.
+    sample size, so weighted records are not overconfident.
     """
     from ..campaign.sampling import (
         weighted_proportion_confidence_interval,

@@ -35,11 +35,7 @@ can never reach an architecturally observable output:
   the initial register files, so both operands' values are known):
   execution is bit-identical downstream.
 
-Everything else is LIVE, and live sites carry an *equivalence key*: two
-sites whose corrupted value first meets the same dynamic instruction
-with the same bit flipped produce bit-identical downstream state, so a
-campaign only needs to run one representative per key (see
-``equivalence.py``).
+Everything else is LIVE.
 
 Soundness notes: the analysis refuses to prune (classifies everything
 LIVE) when the trace is tainted — context switches or overflow — and
@@ -118,7 +114,6 @@ class SiteVerdict:
     reason: str                    # LIVE or one of MASK_REASONS
     propagated: bool = False       # predicted InjectionRecord.propagated
     injected: bool = True          # predicted "the fault actually fired"
-    class_key: tuple | None = None  # equivalence key for LIVE sites
 
     @property
     def live(self) -> bool:
@@ -336,8 +331,7 @@ class LivenessAnalysis:
         if gidx is None:
             return SiteVerdict(True, MASKED_DEAD_REGISTER)
         if code & _READ:
-            return SiteVerdict(False, LIVE,
-                               class_key=("reg", cls, reg, bit, gidx))
+            return SiteVerdict(False, LIVE)
         return SiteVerdict(True, MASKED_OVERWRITTEN_REGISTER)
 
     def _classify_fetch(self, t: int, bit: int, n: int) -> SiteVerdict:
@@ -449,8 +443,7 @@ class LivenessAnalysis:
             return SiteVerdict(True, MASKED_BIT_OUT_OF_RANGE)
         if event.kind in MEM_KINDS:
             # Effective-address corruption: always live.
-            return SiteVerdict(False, LIVE,
-                               class_key=("exec", bit, gidx))
+            return SiteVerdict(False, LIVE)
         cls, dest = event.writes[0]
         if dest == 31:
             return SiteVerdict(True, MASKED_DISCARDED_WRITE,
@@ -458,7 +451,7 @@ class LivenessAnalysis:
         reason = self._dead_or_overwritten(cls, dest, gidx)
         if reason is not None:
             return SiteVerdict(True, reason, propagated=True)
-        return SiteVerdict(False, LIVE, class_key=("exec", bit, gidx))
+        return SiteVerdict(False, LIVE)
 
     def _classify_mem(self, t: int, bit: int, n: int) -> SiteVerdict:
         i = bisect_left(self._mem_widx, t)
@@ -477,14 +470,13 @@ class LivenessAnalysis:
             reason = self._dead_or_overwritten(cls, dest, gidx)
             if reason is not None:
                 return SiteVerdict(True, reason, propagated=True)
-            return SiteVerdict(False, LIVE,
-                               class_key=("mem", bit, gidx))
+            return SiteVerdict(False, LIVE)
         # Store-value corruption of one byte of memory.
         byte_addr = event.mem_addr + bit // 8
         if self._store_byte_masked(byte_addr, gidx):
             return SiteVerdict(True, MASKED_OVERWRITTEN_STORE,
                                propagated=True)
-        return SiteVerdict(False, LIVE, class_key=("mem", bit, gidx))
+        return SiteVerdict(False, LIVE)
 
     def _store_byte_masked(self, byte_addr: int, gidx: int) -> bool:
         """True iff the byte at *byte_addr* is rewritten by a later

@@ -4,10 +4,6 @@ from .classify import OUTCOME_ORDER, Outcome, classify
 from .generator import (
     DEFAULT_LOCATIONS,
     LOCATION_WIDTHS,
-    PlannedRun,
-    PredictedSite,
-    PrunedGenerator,
-    PrunedPlan,
     SEUGenerator,
     VddScaledGenerator,
     WindowProfile,
@@ -24,7 +20,6 @@ from .results import (
     by_fetch_field,
     by_location,
     by_time_bins,
-    expand_pruned,
     render_location_table,
     render_table,
     render_time_table,
@@ -32,7 +27,6 @@ from .results import (
 )
 from .runner import CampaignRunner, ExperimentResult, GoldenRun
 from .sampling import (
-    kish_effective_sample_size,
     mean_confidence_interval,
     proportion_confidence_interval,
     sample_size,
@@ -43,11 +37,9 @@ from .sampling import (
 __all__ = [
     "CampaignRunner", "DEFAULT_LOCATIONS", "Distribution",
     "ExperimentResult", "GoldenRun", "LOCATION_WIDTHS", "NoWConfig",
-    "OUTCOME_ORDER", "Outcome", "PlannedRun", "PredictedSite",
-    "PrunedGenerator", "PrunedPlan", "SEUGenerator",
+    "OUTCOME_ORDER", "Outcome", "SEUGenerator",
     "SharedDirCampaign", "VddScaledGenerator", "WindowProfile",
     "by_fetch_field", "by_location", "by_time_bins", "classify",
-    "expand_pruned", "kish_effective_sample_size",
     "mean_confidence_interval", "now_speedup", "outcome_counts",
     "proportion_confidence_interval", "render_location_table",
     "render_table", "render_time_table", "sample_size",

@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from ..analysis.equivalence import SiteClass, build_classes
 from ..core.fault import (
     Behavior,
     BehaviorKind,
@@ -121,107 +120,6 @@ class SEUGenerator:
                                             LocationKind.FP_REG) else 1
             total += slots * width * multiplier
         return total
-
-
-@dataclass
-class PlannedRun:
-    """One experiment of a pruned campaign: the representative fault of
-    an equivalence class, standing for *members* sampled sites."""
-
-    fault: Fault
-    members: list[Fault]
-
-    @property
-    def weight(self) -> int:
-        return len(self.members)
-
-
-@dataclass
-class PredictedSite:
-    """A sampled site whose outcome is known without simulation."""
-
-    fault: Fault
-    reason: str          # a repro.analysis MASKED_* reason
-    propagated: bool     # predicted InjectionRecord.propagated
-    injected: bool       # predicted "the fault actually fired"
-
-
-@dataclass
-class PrunedPlan:
-    """A pruned campaign: run the representatives, predict the rest."""
-
-    runs: list[PlannedRun]
-    predicted: list[PredictedSite]
-    total: int                      # sampled sites before pruning
-
-    @property
-    def experiments(self) -> int:
-        """Simulations the pruned campaign actually executes."""
-        return len(self.runs)
-
-    @property
-    def masked_count(self) -> int:
-        return len(self.predicted)
-
-    @property
-    def collapsed(self) -> int:
-        """Live sites absorbed into an already-planned class."""
-        return self.total - self.masked_count - self.experiments
-
-    @property
-    def saved(self) -> int:
-        return self.total - self.experiments
-
-    @property
-    def fraction_saved(self) -> float:
-        return self.saved / self.total if self.total else 0.0
-
-    def reason_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for site in self.predicted:
-            counts[site.reason] = counts.get(site.reason, 0) + 1
-        return counts
-
-    def weights(self) -> list[float]:
-        """Per-executed-experiment weights (for the Kish effective
-        sample size in ``sampling.py``)."""
-        return [float(run.weight) for run in self.runs]
-
-
-class PrunedGenerator:
-    """Wraps an :class:`SEUGenerator` with liveness-based pruning.
-
-    Draws the *same* fault stream as the wrapped generator (same seed,
-    same RNG consumption), then classifies each site with a
-    :class:`repro.analysis.LivenessAnalysis`: provably-masked sites
-    become free :class:`PredictedSite` outcomes, live sites collapse
-    into equivalence classes and only the representatives are simulated.
-    ``campaign.results.expand_pruned`` re-expands a plan's results into
-    the exact estimator of the unpruned campaign.
-    """
-
-    def __init__(self, generator: SEUGenerator, liveness) -> None:
-        self.generator = generator
-        self.liveness = liveness
-
-    def plan(self, count: int,
-             location: LocationKind | None = None) -> PrunedPlan:
-        faults = self.generator.batch(count, location=location)
-        predicted: list[PredictedSite] = []
-        live_pairs = []
-        for fault in faults:
-            verdict = self.liveness.classify(fault)
-            if verdict.masked:
-                predicted.append(PredictedSite(
-                    fault=fault, reason=verdict.reason,
-                    propagated=verdict.propagated,
-                    injected=verdict.injected))
-            else:
-                live_pairs.append((fault, verdict))
-        classes: list[SiteClass] = build_classes(live_pairs)
-        runs = [PlannedRun(fault=cls.representative,
-                           members=list(cls.members)) for cls in classes]
-        return PrunedPlan(runs=runs, predicted=predicted, total=count)
 
 
 class VddScaledGenerator(SEUGenerator):

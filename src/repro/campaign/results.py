@@ -30,11 +30,8 @@ LOCATION_LABELS = {
 
 @dataclass
 class Distribution:
-    """Outcome counts for one group (a location, a time bin...).
-
-    Counts may be weighted: a pruned campaign adds each class
-    representative with its sample multiplicity, reproducing the
-    unpruned estimator exactly (``expand_pruned``)."""
+    """Outcome counts for one group (a location, a time bin...),
+    each result counted with its ``weight``."""
 
     counts: Counter = field(default_factory=Counter)
 
@@ -107,50 +104,6 @@ def by_fetch_field(results: list[ExperimentResult]
 
 def _weight(result: ExperimentResult) -> float:
     return getattr(result, "weight", 1.0)
-
-
-def expand_pruned(plan, run_results: list[ExperimentResult],
-                  window: int,
-                  per_member: bool = False) -> list[ExperimentResult]:
-    """Re-expand a pruned campaign to the unpruned estimator.
-
-    *run_results* are the executed representatives, aligned with
-    ``plan.runs``.  Each is replicated over its class — either as one
-    weighted result (the default; the aggregators above honour the
-    weight) or, with ``per_member=True``, as one weight-1 clone per
-    member carrying the member's own fault and time fraction (exact
-    per-experiment equivalence, e.g. for Fig. 6 time bins).  Predicted
-    masked sites are synthesised for free: their outputs equal the
-    golden run's, so the outcome is strictly-correct when the corrupted
-    value was read (``propagated``) and non-propagated otherwise.
-    """
-    from dataclasses import replace
-
-    window = max(1, window)
-    expanded: list[ExperimentResult] = []
-    for planned, result in zip(plan.runs, run_results):
-        if result is None:
-            continue
-        if per_member:
-            for member in planned.members:
-                expanded.append(replace(
-                    result, fault=member, weight=1.0,
-                    time_fraction=min(1.0, member.time / window)))
-        else:
-            expanded.append(replace(result,
-                                    weight=float(planned.weight)))
-    for site in plan.predicted:
-        outcome = (Outcome.STRICTLY_CORRECT if site.propagated
-                   else Outcome.NON_PROPAGATED)
-        expanded.append(ExperimentResult(
-            fault=site.fault, outcome=outcome, injected=site.injected,
-            propagated=site.propagated if site.injected else None,
-            crash_reason=None, instructions=0, ticks=0,
-            wall_seconds=0.0, console="",
-            time_fraction=min(1.0, site.fault.time / window),
-            injection_detail=f"predicted: {site.reason}",
-            weight=1.0, predicted=True))
-    return expanded
 
 
 def render_table(rows: dict[str, Distribution],

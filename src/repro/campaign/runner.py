@@ -70,8 +70,9 @@ class ExperimentResult:
     # this is the original instruction word, used by the Table I
     # per-field analysis).
     injection_before: int | None = None
-    # Pruned campaigns (repro.analysis): estimator weight of this result
-    # and whether it was predicted rather than simulated.
+    # Estimator weight (always 1 now; the result readers still weigh by
+    # it, as it is part of the record format) and whether the liveness
+    # analysis predicted this result instead of simulating it.
     weight: float = 1.0
     predicted: bool = False
     # Provenance (repro.telemetry): what produced this result, so the
@@ -492,13 +493,44 @@ class CampaignRunner:
         )
 
     def run_campaign(self, fault_sets, progress=None,
-                     seed: int | None = None) -> list[ExperimentResult]:
+                     seed: int | None = None,
+                     prune: bool = False) -> list[ExperimentResult]:
+        """One record per fault set, in order.  With *prune*, a
+        single-fault set that the liveness analysis proves masked gets
+        a predicted record instead of a simulation."""
+        liveness = self.liveness() if prune else None
         results = []
         for index, faults in enumerate(fault_sets):
-            results.append(self.run_experiment(faults, seed=seed))
+            if isinstance(faults, Fault):
+                faults = [faults]
+            verdict = None
+            if liveness is not None and len(faults) == 1:
+                verdict = liveness.classify(faults[0])
+            if verdict is not None and verdict.masked:
+                results.append(self._predicted(faults[0], verdict, seed))
+            else:
+                results.append(self.run_experiment(faults, seed=seed))
             if progress is not None:
                 progress(index + 1, len(fault_sets))
         return results
+
+    def _predicted(self, fault: Fault, verdict,
+                   seed: int | None) -> ExperimentResult:
+        """The record of a provably masked site: its outputs equal the
+        golden run's, so it is strictly correct when the corrupted value
+        was read (``propagated``) and non-propagated otherwise."""
+        outcome = (Outcome.STRICTLY_CORRECT if verdict.propagated
+                   else Outcome.NON_PROPAGATED)
+        window = max(1, self.golden.profile.count_for(fault.location))
+        return ExperimentResult(
+            fault=fault, outcome=outcome, injected=verdict.injected,
+            propagated=verdict.propagated if verdict.injected else None,
+            crash_reason=None, instructions=0, ticks=0,
+            wall_seconds=0.0, console="",
+            time_fraction=min(1.0, fault.time / window),
+            injection_detail=f"predicted: {verdict.reason}",
+            predicted=True, workload=self.spec.name, seed=seed,
+            fault_file=render_fault_file([fault]))
 
     # -- span tracing (repro.telemetry.spans) ----------------------------------
 
@@ -647,31 +679,6 @@ class CampaignRunner:
             from ..analysis import LivenessAnalysis
             self._liveness = LivenessAnalysis(self.ensure_trace())
         return self._liveness
-
-    def pruned_generator(self, seed: int = 0, **kwargs):
-        """An SEU generator wrapped with liveness pruning.  Same seed =>
-        same sampled fault stream as a plain ``SEUGenerator``."""
-        from .generator import PrunedGenerator, SEUGenerator
-        base = SEUGenerator(self.golden.profile, seed=seed, **kwargs)
-        return PrunedGenerator(base, self.liveness())
-
-    def run_pruned(self, plan, progress=None,
-                   per_member: bool = False,
-                   seed: int | None = None):
-        """Execute a :class:`~repro.campaign.generator.PrunedPlan`:
-        simulate one representative per equivalence class, then
-        re-expand to the full estimator (weighted, or per-member exact
-        clones with ``per_member=True``)."""
-        from .results import expand_pruned
-        run_results = []
-        for index, planned in enumerate(plan.runs):
-            run_results.append(self.run_experiment(planned.fault,
-                                                   seed=seed))
-            if progress is not None:
-                progress(index + 1, len(plan.runs))
-        window = max(1, self.golden.profile.committed)
-        return expand_pruned(plan, run_results, window,
-                             per_member=per_member)
 
     # -- helpers ----------------------------------------------------------------------
 

@@ -82,19 +82,6 @@ def proportion_confidence_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def kish_effective_sample_size(weights) -> float:
-    """Kish's approximation n_eff = (sum w)^2 / sum(w^2) for a weighted
-    sample.  A pruned campaign (``repro.analysis``) runs one weighted
-    representative per equivalence class; its confidence intervals must
-    use the effective sample size of the reduced population rather than
-    the raw experiment count."""
-    weights = [float(w) for w in weights if w > 0]
-    if not weights:
-        return 0.0
-    total = sum(weights)
-    return total * total / sum(w * w for w in weights)
-
-
 def weighted_proportion_confidence_interval(
         success_weight: float, total_weight: float,
         effective_n: float, confidence: float = 0.95

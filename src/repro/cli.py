@@ -42,6 +42,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 
 from .analysis.coverage import DIMENSIONS
 from .campaign import (
@@ -210,24 +211,21 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 0
     progress = lambda done, total: print(  # noqa: E731
         f"\r# {done}/{total}", end="", file=sys.stderr)
-    if args.prune:
-        if args.detailed_model is not None:
-            print("# warning: liveness verdicts for fetch/decode sites "
-                  "assume an in-order frontend; --detailed-model o3 "
-                  "fetches speculatively and may time them differently",
-                  file=sys.stderr)
-        plan = runner.pruned_generator(seed=args.seed).plan(
-            args.experiments, location=location)
-        print(f"# pruned: {plan.total} sites -> {plan.experiments} "
-              f"simulations ({plan.masked_count} provably masked, "
-              f"{plan.collapsed} collapsed into classes; "
-              f"{plan.fraction_saved:.0%} saved)")
-        results = runner.run_pruned(plan, progress=progress)
-    else:
-        generator = SEUGenerator(runner.golden.profile, seed=args.seed)
-        faults = generator.batch(args.experiments, location=location)
-        results = runner.run_campaign(faults, progress=progress)
+    if args.prune and args.detailed_model is not None:
+        print("# warning: liveness verdicts for fetch/decode sites "
+              "assume an in-order frontend; --detailed-model o3 "
+              "fetches speculatively and may time them differently",
+              file=sys.stderr)
+    generator = SEUGenerator(runner.golden.profile, seed=args.seed)
+    faults = generator.batch(args.experiments, location=location)
+    results = runner.run_campaign(faults, progress=progress,
+                                  prune=args.prune)
     print(file=sys.stderr)
+    if args.prune:
+        masked = sum(1 for r in results if r.predicted)
+        print(f"# pruned: {len(results)} sites -> "
+              f"{len(results) - masked} simulations ({masked} provably "
+              f"masked; {masked / len(results):.0%} saved)")
     print(render_location_table(
         results, title=f"{args.workload} ({args.scale}) — "
                        f"{args.experiments} experiments, "
@@ -243,7 +241,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Liveness analysis report: how much of a sampled campaign the
     pruner would skip, and why."""
-    from .campaign import kish_effective_sample_size
     spec = build(args.workload, args.scale)
     print(f"# {spec.description}")
     runner = CampaignRunner(spec)
@@ -254,21 +251,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     location = None
     if args.location:
         location = LocationKind(args.location)
-    plan = runner.pruned_generator(seed=args.seed).plan(
-        args.experiments, location=location)
-    print(f"sampled fault sites : {plan.total}")
-    print(f"provably masked     : {plan.masked_count}")
-    for reason, count in sorted(plan.reason_counts().items()):
+    generator = SEUGenerator(runner.golden.profile, seed=args.seed)
+    liveness = runner.liveness()
+    reasons = Counter()
+    for fault in generator.batch(args.experiments, location=location):
+        verdict = liveness.classify(fault)
+        if verdict.masked:
+            reasons[verdict.reason] += 1
+    masked = sum(reasons.values())
+    print(f"sampled fault sites : {args.experiments}")
+    print(f"provably masked     : {masked}")
+    for reason, count in sorted(reasons.items()):
         print(f"  {reason:28s} {count}")
-    print(f"live classes        : {plan.experiments} "
-          f"(+{plan.collapsed} collapsed members)")
-    print(f"experiments saved   : {plan.saved} "
-          f"({plan.fraction_saved:.1%})")
-    weights = plan.weights()
-    if weights:
-        n_eff = kish_effective_sample_size(weights)
-        print(f"effective n (Kish)  : {n_eff:.1f} over "
-              f"{plan.experiments} weighted runs")
+    print(f"simulated sites     : {args.experiments - masked}")
+    print(f"experiments saved   : {masked} "
+          f"({masked / args.experiments:.1%})")
     return 0
 
 
@@ -969,9 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "atomic (paper methodology; not with "
                              "--share-dir)")
     camp_p.add_argument("--prune", action="store_true",
-                        help="skip provably-masked sites and collapse "
-                             "equivalent live sites (repro.analysis; "
-                             "not with --share-dir)")
+                        help="predict provably-masked sites instead "
+                             "of simulating them (repro.analysis; not "
+                             "with --share-dir)")
     camp_p.add_argument("--flight", type=int, nargs="?", const=32,
                         default=None, metavar="INTERVAL",
                         help="enable the fault-propagation flight "

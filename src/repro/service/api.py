@@ -68,7 +68,7 @@ from .http import (
     bound_port,
     start_http_server,
 )
-from .jobs import JobSpec, JobSpecError
+from .jobs import JobSpec, JobSpecError, is_integer
 from .observability import HELP_TEXTS, LOG_DIR, ServiceObserver
 from .queue import USAGE_FIELDS, JobQueue, QuotaExceeded, UnknownJobError
 from .store import ContentStore
@@ -190,9 +190,11 @@ class ServiceApp:
         tenant = request.headers.get("x-tenant") \
             or payload.pop("tenant", None) or "default"
         priority = payload.pop("priority", 0)
-        reuse = bool(payload.pop("reuse", True))
-        if not isinstance(priority, int):
+        reuse = payload.pop("reuse", True)
+        if not is_integer(priority):
             raise HTTPError(400, "priority must be an integer")
+        if not isinstance(reuse, bool):
+            raise HTTPError(400, "reuse must be a boolean")
         try:
             spec = JobSpec.from_dict(payload)
         except JobSpecError as exc:

@@ -44,6 +44,12 @@ class JobSpecError(ValueError):
     """A submitted job description failed validation."""
 
 
+def is_integer(value) -> bool:
+    """An ``int`` that is not a ``bool``: Python's ``True`` is an
+    ``int``, but JSON ``true`` must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class JobSpec:
     """What to run: the campaign parameters of one job."""
@@ -87,11 +93,11 @@ class JobSpec:
         if self.scale not in SCALES:
             raise JobSpecError(f"unknown scale '{self.scale}' "
                                f"(known: {', '.join(SCALES)})")
-        if not isinstance(self.experiments, int) \
+        if not is_integer(self.experiments) \
                 or not 1 <= self.experiments <= 100_000:
             raise JobSpecError("experiments must be an integer in "
                                "[1, 100000]")
-        if not isinstance(self.seed, int):
+        if not is_integer(self.seed):
             raise JobSpecError("seed must be an integer")
         if self.location is not None \
                 and not isinstance(self.location, str):
@@ -104,7 +110,7 @@ class JobSpec:
                 raise JobSpecError(
                     f"unknown fault location '{self.location}'") \
                     from None
-        if not isinstance(self.workers, int) \
+        if not is_integer(self.workers) \
                 or not 0 <= self.workers <= 64:
             raise JobSpecError("workers must be an integer in [0, 64] "
                                "(0/1 = run in the dispatcher process)")
@@ -178,6 +184,10 @@ class Job:
         # Rows stored while specs had a ``backend`` field carry it;
         # every job runs on the shared-dir protocol, so drop it.
         spec.pop("backend", None)
+        # Rows stored while booleans passed for integers read as 1/0.
+        for name in ("experiments", "seed", "workers"):
+            if isinstance(spec.get(name), bool):
+                spec[name] = int(spec[name])
         return cls(
             id=row["id"], tenant=row["tenant"],
             priority=row["priority"], state=row["state"],

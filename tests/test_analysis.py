@@ -1,5 +1,7 @@
 """Liveness analysis & campaign pruning tests (repro.analysis)."""
 
+import types
+
 import pytest
 
 from repro.analysis import (
@@ -20,25 +22,18 @@ from repro.analysis import (
     MASKED_ZERO_REGISTER,
     SiteVerdict,
     TraceEvent,
-    build_classes,
 )
 from repro.campaign import (
     CampaignRunner,
-    ExperimentResult,
     Outcome,
-    PlannedRun,
-    PredictedSite,
-    PrunedPlan,
     SEUGenerator,
     by_location,
-    expand_pruned,
-    kish_effective_sample_size,
     proportion_confidence_interval,
     summary,
     weighted_proportion_confidence_interval,
 )
 from repro.compiler import compile_source
-from repro.core import FaultInjector
+from repro.core import FaultInjector, render_fault_file
 from repro.core.fault import (
     Behavior,
     BehaviorKind,
@@ -119,22 +114,6 @@ class TestRegisterLiveness:
         verdict = analysis.classify(
             seu(LocationKind.INT_REG, 1, 3, reg_index=5))
         assert verdict.live
-        assert verdict.class_key == ("reg", "int", 5, 3, 1)
-
-    def test_same_first_read_shares_class_key(self):
-        events = [ev(1, writes=[("int", 5)]), ev(2, writes=[("int", 6)]),
-                  ev(3, reads=[("int", 5)])]
-        analysis = analysis_of(events)
-        v1 = analysis.classify(seu(LocationKind.INT_REG, 1, 9,
-                                   reg_index=5))
-        v2 = analysis.classify(seu(LocationKind.INT_REG, 2, 9,
-                                   reg_index=5))
-        assert v1.live and v2.live
-        assert v1.class_key == v2.class_key
-        # Different bit => different downstream state => different class.
-        v3 = analysis.classify(seu(LocationKind.INT_REG, 1, 8,
-                                   reg_index=5))
-        assert v3.class_key != v1.class_key
 
     def test_zero_register_masked_with_propagation_prediction(self):
         read_after = analysis_of([ev(1, writes=[("int", 5)]),
@@ -220,7 +199,6 @@ class TestExecuteAndMemLiveness:
                                    mem_addr=0x100, is_load=True)])
         verdict = analysis.classify(seu(LocationKind.EXECUTE, 1, 0))
         assert verdict.live
-        assert verdict.class_key is not None
 
     def test_store_byte_overwritten_before_any_read(self):
         analysis = analysis_of([
@@ -358,96 +336,31 @@ class TestFetchDecodeLiveness:
         assert live.classify(seu(LocationKind.FETCH, 1, 2)).live
 
 
-# -- equivalence classes ----------------------------------------------------------
-
-
-class TestEquivalenceClasses:
-    def test_groups_by_key_with_first_member_representative(self):
-        f1 = seu(LocationKind.INT_REG, 1, 3, reg_index=5)
-        f2 = seu(LocationKind.INT_REG, 2, 3, reg_index=5)
-        f3 = seu(LocationKind.EXECUTE, 4, 1)
-        key = ("reg", "int", 5, 3, 10)
-        pairs = [(f1, SiteVerdict(False, LIVE, class_key=key)),
-                 (f3, SiteVerdict(False, LIVE, class_key=None)),
-                 (f2, SiteVerdict(False, LIVE, class_key=key))]
-        classes = build_classes(pairs)
-        assert len(classes) == 2
-        assert classes[0].representative is f1
-        assert classes[0].members == [f1, f2]
-        assert classes[0].weight == 2
-        assert classes[1].members == [f3]
-
-    def test_keyless_sites_stay_singletons(self):
-        faults = [seu(LocationKind.PC, t, 0) for t in (1, 2, 3)]
-        pairs = [(f, SiteVerdict(False, LIVE)) for f in faults]
-        classes = build_classes(pairs)
-        assert len(classes) == 3
-        assert all(cls.weight == 1 for cls in classes)
-
-    def test_masked_sites_are_rejected(self):
-        fault = seu(LocationKind.INT_REG, 1, 0, reg_index=5)
-        with pytest.raises(ValueError):
-            build_classes([(fault,
-                            SiteVerdict(True, MASKED_DEAD_REGISTER))])
-
-
-# -- weighted estimator expansion (unit) ------------------------------------------
-
-
-def _result(fault, outcome):
-    return ExperimentResult(
-        fault=fault, outcome=outcome, injected=True, propagated=True,
-        crash_reason=None, instructions=10, ticks=10, wall_seconds=0.0,
-        console="", time_fraction=0.5)
+# -- predicted records -----------------------------------------------------------
 
 
 class TestExpandPruned:
-    def _plan(self):
+    """A pruned campaign still returns one record per sampled site."""
+
+    def test_predicted_sites_synthesised_for_free(self, dct_runner,
+                                                  monkeypatch):
         f1 = seu(LocationKind.INT_REG, 1, 3, reg_index=5)
         f2 = seu(LocationKind.INT_REG, 2, 3, reg_index=5)
         f3 = seu(LocationKind.PC, 3, 0)
         masked = seu(LocationKind.INT_REG, 4, 0, reg_index=6)
         silent = seu(LocationKind.INT_REG, 9, 0, reg_index=7)
-        return PrunedPlan(
-            runs=[PlannedRun(fault=f1, members=[f1, f2]),
-                  PlannedRun(fault=f3, members=[f3])],
-            predicted=[
-                PredictedSite(fault=masked, reason=MASKED_ZERO_REGISTER,
-                              propagated=True, injected=True),
-                PredictedSite(fault=silent,
-                              reason=MASKED_NEVER_TRIGGERS,
-                              propagated=False, injected=False)],
-            total=5)
-
-    def test_plan_accounting(self):
-        plan = self._plan()
-        assert plan.experiments == 2
-        assert plan.masked_count == 2
-        assert plan.collapsed == 1
-        assert plan.saved == 3
-        assert plan.fraction_saved == pytest.approx(0.6)
-        assert plan.reason_counts() == {MASKED_ZERO_REGISTER: 1,
-                                        MASKED_NEVER_TRIGGERS: 1}
-        assert plan.weights() == [2.0, 1.0]
-
-    def test_weighted_and_per_member_agree(self):
-        plan = self._plan()
-        run_results = [_result(plan.runs[0].fault, Outcome.SDC),
-                       _result(plan.runs[1].fault, Outcome.CRASHED)]
-        weighted = expand_pruned(plan, run_results, window=10)
-        per_member = expand_pruned(plan, run_results, window=10,
-                                   per_member=True)
-        assert summary(weighted).total == plan.total
-        assert summary(per_member).total == plan.total
-        assert summary(weighted).counts == summary(per_member).counts
-        assert summary(weighted).counts[Outcome.SDC] == 2
-        assert summary(weighted).counts[Outcome.CRASHED] == 1
-
-    def test_predicted_sites_synthesised_for_free(self):
-        plan = self._plan()
-        run_results = [_result(plan.runs[0].fault, Outcome.SDC),
-                       _result(plan.runs[1].fault, Outcome.CRASHED)]
-        expanded = expand_pruned(plan, run_results, window=10)
+        verdicts = {
+            masked.describe(): SiteVerdict(
+                True, MASKED_ZERO_REGISTER, propagated=True,
+                injected=True),
+            silent.describe(): SiteVerdict(
+                True, MASKED_NEVER_TRIGGERS, propagated=False,
+                injected=False)}
+        stub = types.SimpleNamespace(classify=lambda fault: verdicts.get(
+            fault.describe(), SiteVerdict(False, LIVE)))
+        monkeypatch.setattr(dct_runner, "_liveness", stub)
+        expanded = dct_runner.run_campaign([f1, f2, f3, masked, silent],
+                                           prune=True)
         predicted = [r for r in expanded if r.predicted]
         assert len(predicted) == 2
         by_outcome = {r.outcome for r in predicted}
@@ -458,20 +371,6 @@ class TestExpandPruned:
 
 
 class TestWeightedSampling:
-    def test_kish_equal_weights_is_sample_size(self):
-        assert kish_effective_sample_size([1.0] * 50) \
-            == pytest.approx(50.0)
-
-    def test_kish_unequal_weights_shrink_effective_n(self):
-        n_eff = kish_effective_sample_size([1.0, 1.0, 2.0])
-        assert n_eff == pytest.approx(16.0 / 6.0)
-        assert n_eff < 3.0
-
-    def test_kish_edge_cases(self):
-        assert kish_effective_sample_size([]) == 0.0
-        assert kish_effective_sample_size([0.0, -1.0]) == 0.0
-        assert kish_effective_sample_size([2.0, 0.0]) == 1.0
-
     def test_weighted_interval_reduces_to_wilson(self):
         low, high = weighted_proportion_confidence_interval(
             30.0, 100.0, 100.0)
@@ -576,22 +475,45 @@ def dct_runner():
     return CampaignRunner(build("dct", "tiny"))
 
 
-class TestCampaignPruning:
-    def test_pruned_plan_saves_at_least_30_percent(self, dct_runner):
-        plan = dct_runner.pruned_generator(seed=0).plan(200)
-        assert plan.total == 200
-        assert plan.experiments + plan.masked_count + plan.collapsed \
-            == plan.total
-        assert plan.fraction_saved >= 0.30
+@pytest.fixture(scope="module")
+def seed0_pruned(dct_runner):
+    """The first 200 SEUs of seed 0, run pruned."""
+    faults = SEUGenerator(dct_runner.golden.profile, seed=0).batch(200)
+    return faults, dct_runner.run_campaign(faults, seed=0, prune=True)
 
-    def test_pruned_plan_covers_the_exact_fault_stream(self, dct_runner):
+
+@pytest.fixture(scope="module")
+def seed7_campaigns(dct_runner):
+    """The first 16 SEUs of seed 7, run in full and pruned."""
+    faults = SEUGenerator(dct_runner.golden.profile, seed=7).batch(16)
+    full = dct_runner.run_campaign(faults, seed=7)
+    pruned = dct_runner.run_campaign(faults, seed=7, prune=True)
+    return faults, full, pruned
+
+
+def _simulated_fields(record):
+    entry = record.as_dict()
+    del entry["wall_seconds"], entry["phases"]
+    return entry
+
+
+class TestCampaignPruning:
+    def test_pruned_plan_saves_at_least_30_percent(self, seed0_pruned):
+        _, records = seed0_pruned
+        assert len(records) == 200
+        saved = sum(1 for r in records if r.predicted)
+        assert saved / len(records) >= 0.30
+
+    def test_pruned_plan_covers_the_exact_fault_stream(self, dct_runner,
+                                                       seed0_pruned):
         baseline = SEUGenerator(dct_runner.golden.profile,
                                 seed=0).batch(200)
-        plan = dct_runner.pruned_generator(seed=0).plan(200)
-        planned = [f for run in plan.runs for f in run.members]
-        planned += [site.fault for site in plan.predicted]
+        _, records = seed0_pruned
+        planned = [r.fault for r in records]
         key = lambda fs: sorted(f.describe() for f in fs)
         assert key(planned) == key(baseline)
+        assert [f.describe() for f in planned] == \
+            [f.describe() for f in baseline]
 
     def test_provably_masked_sites_are_actually_masked(self, dct_runner):
         """Acceptance check: inject at predicted-masked sites and
@@ -611,20 +533,21 @@ class TestCampaignPruning:
         assert picked, "expected some provably-masked sites"
         for reason, sites in picked.items():
             for fault, verdict in sites:
+                predicted, = dct_runner.run_campaign([fault], prune=True)
+                assert predicted.predicted, reason
                 result = dct_runner.run_experiment(fault)
                 expected = (Outcome.STRICTLY_CORRECT if verdict.propagated
                             else Outcome.NON_PROPAGATED)
+                assert predicted.outcome == expected, reason
                 assert result.outcome == expected, \
                     f"{reason}: {fault.describe()} -> {result.outcome}"
-                assert result.injected == verdict.injected, reason
+                assert result.injected == verdict.injected \
+                    == predicted.injected, reason
 
-    def test_pruned_estimator_equals_unpruned(self, dct_runner):
+    def test_pruned_estimator_equals_unpruned(self, seed7_campaigns):
         """Same seed => same fault stream => identical estimator."""
-        generator = SEUGenerator(dct_runner.golden.profile, seed=7)
-        full = dct_runner.run_campaign(generator.batch(16))
-        plan = dct_runner.pruned_generator(seed=7).plan(16)
-        assert plan.experiments < 16
-        pruned = dct_runner.run_pruned(plan, per_member=True)
+        _, full, pruned = seed7_campaigns
+        assert any(r.predicted for r in pruned)
         assert len(pruned) == 16
         assert summary(pruned).counts == summary(full).counts
         full_loc = by_location(full)
@@ -633,10 +556,25 @@ class TestCampaignPruning:
         for location, dist in full_loc.items():
             assert pruned_loc[location].counts == dist.counts
 
-    def test_weighted_run_reports_effective_sample_size(self, dct_runner):
-        plan = dct_runner.pruned_generator(seed=7).plan(16)
-        n_eff = kish_effective_sample_size(plan.weights())
-        assert 0 < n_eff <= plan.experiments
-        low, high = weighted_proportion_confidence_interval(
-            plan.total - 1, plan.total, n_eff)
-        assert 0.0 <= low <= high <= 1.0
+    def test_pruned_run_keeps_order_and_simulated_records(
+            self, seed7_campaigns):
+        """One record per fault set, in order; a simulated record is
+        the unpruned run's, and every weight is 1."""
+        faults, full, pruned = seed7_campaigns
+        assert [r.fault for r in pruned] == faults
+        for fast, slow in zip(pruned, full):
+            assert fast.weight == 1.0
+            if not fast.predicted:
+                assert _simulated_fields(fast) == _simulated_fields(slow)
+
+    def test_predicted_records_name_workload_seed_and_fault_file(
+            self, seed7_campaigns):
+        _, full, pruned = seed7_campaigns
+        predicted = [(fast, slow) for fast, slow in zip(pruned, full)
+                     if fast.predicted]
+        assert predicted
+        for fast, slow in predicted:
+            assert (fast.workload, fast.seed) == ("dct", 7)
+            assert fast.fault_file == render_fault_file([fast.fault])
+            assert (fast.workload, fast.seed, fast.fault_file) == \
+                (slow.workload, slow.seed, slow.fault_file)

@@ -128,8 +128,8 @@ class TestOtherCommands:
                      "-n", "60", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "provably masked" in out
+        assert "simulated sites" in out
         assert "experiments saved" in out
-        assert "effective n (Kish)" in out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -26,14 +26,15 @@ from repro.analysis.coverage import (
     render_coverage_svg,
 )
 from repro.analysis.liveness import SiteVerdict
+from repro.campaign import CampaignRunner, GoldenRun
 from repro.campaign.generator import (
     DEFAULT_LOCATIONS,
-    PrunedGenerator,
     SEUGenerator,
     WindowProfile,
 )
 from repro.core import LocationKind
 from repro.telemetry import render_markdown, render_text
+from repro.workloads import build
 
 PROFILE = WindowProfile(committed=100, ticks=5000)
 
@@ -144,8 +145,8 @@ class TestAccounting:
         assert space.as_dict()["accounted"]["experiments"] == 1
 
     def test_weights_enter_mass_not_sites(self):
-        # A class representative with weight 3 stands for 3 sites'
-        # worth of estimator mass but visits only its own site.
+        # A record with weight 3 stands for 3 sites' worth of
+        # estimator mass but visits only its own site.
         entry = synthetic_results(1)[0]
         entry["weight"] = 3.0
         space = populate(FaultSpaceMap(window=PROFILE), [entry])
@@ -352,14 +353,17 @@ class TestGeneratorEdgeCases:
     """Satellite: sampling/generator edges the coverage map leans on."""
 
     def test_empty_fault_space_after_pruning(self):
-        generator = SEUGenerator(PROFILE, seed=3)
-        plan = PrunedGenerator(generator, MaskEverything()).plan(20)
-        assert plan.runs == []
-        assert len(plan.predicted) == 20
-        assert plan.experiments == 0
-        # Coverage over the all-predicted expansion still reconciles.
-        from repro.campaign.results import expand_pruned
-        results = expand_pruned(plan, [], window=PROFILE.committed)
+        golden = GoldenRun(outputs=None, profile=PROFILE, checkpoint=None,
+                           instructions=0, ticks=0, wall_seconds=0.0,
+                           boot_instructions=0)
+        runner = CampaignRunner(build("pi", "tiny"), golden=golden)
+        runner._liveness = MaskEverything()
+        faults = SEUGenerator(PROFILE, seed=3).batch(20)
+        results = runner.run_campaign(faults, prune=True)
+        assert [r for r in results if not r.predicted] == []
+        assert len(results) == 20
+        assert [r.fault for r in results] == faults
+        # Coverage over the all-predicted campaign still reconciles.
         space = populate(FaultSpaceMap(window=PROFILE),
                          [r.as_dict() for r in results])
         assert space.accounted == 20
@@ -385,13 +389,9 @@ class TestGeneratorEdgeCases:
 
     def test_sampling_degenerate_inputs(self):
         from repro.campaign.sampling import (
-            kish_effective_sample_size,
             weighted_proportion_confidence_interval,
         )
         assert weighted_proportion_confidence_interval(
             0.0, 0.0, 0.0) == (0.0, 1.0)
         assert weighted_proportion_confidence_interval(
             1.0, 2.0, 0.0) == (0.0, 1.0)
-        assert kish_effective_sample_size([]) == 0.0
-        assert kish_effective_sample_size([2.0] * 7) == \
-            pytest.approx(7.0)

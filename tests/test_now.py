@@ -104,10 +104,9 @@ class TestSharedDirProtocol:
 
     def test_worker_ids_with_underscores_run_each_experiment_once(
             self, tmp_path, runner):
-        """Claims are claimed/<worker>_<experiment>; a worker id with
-        an "_" in it must not garble the experiment's name, or a later
-        worker finds no result, steals the claims and runs them all
-        again."""
+        """A worker id with an "_" in it must not garble the names of
+        the experiments it runs, or a later worker finds no result,
+        steals the claims and runs them all again."""
         share = str(tmp_path)
         campaign = SharedDirCampaign(share, "pi", "tiny",
                                      heartbeat_interval=0)

@@ -120,12 +120,12 @@ def _write_text(path, text: str) -> None:
 
 def build_share(root: str, name: str, outcomes: tuple, completed: int,
                 queued: int = 0, service: dict | None = None) -> str:
-    """A share left behind by a two-worker campaign: *completed*
-    results (the last one canonical, wall and phases stripped),
-    *queued* experiments still in todo/, one in-flight claim of a
-    silent worker, heartbeats and fixed mtimes throughout."""
+    """A share left behind by a two-worker campaign: every fault file
+    in todo/, *completed* results (the last one canonical, wall and
+    phases stripped), one in-flight claim of a silent worker among the
+    *queued* experiments, heartbeats and fixed mtimes throughout."""
     share = os.path.join(root, name)
-    for sub in ("todo", "claimed", "results", "claims", "heartbeats",
+    for sub in ("todo", "results", "claims", "heartbeats",
                 "manifests"):
         os.makedirs(os.path.join(share, sub))
     _write_json(os.path.join(share, "workload.json"),
@@ -142,8 +142,7 @@ def build_share(root: str, name: str, outcomes: tuple, completed: int,
         claimed_at = NOW - 400 + 20 * index
         _write_json(os.path.join(share, "results", f"{experiment}.json"),
                     entry, mtime=claimed_at + 15)
-        _write_text(os.path.join(share, "claimed",
-                                 f"{worker}_{experiment}.txt"),
+        _write_text(os.path.join(share, "todo", f"{experiment}.txt"),
                     entry["fault_file"])
         _write_json(os.path.join(share, "claims",
                                  f"{experiment}.txt.claim"),
@@ -153,8 +152,8 @@ def build_share(root: str, name: str, outcomes: tuple, completed: int,
         # One experiment in flight on ws1, whose heartbeat stopped long
         # ago: a stale claim and a dead worker holding it.
         experiment = f"exp_{completed:04d}"
-        _write_text(os.path.join(share, "claimed",
-                                 f"ws1_{experiment}.txt"), "x\n")
+        _write_text(os.path.join(share, "todo", f"{experiment}.txt"),
+                    "x\n")
         _write_json(os.path.join(share, "claims",
                                  f"{experiment}.txt.claim"),
                     {"worker": "ws1", "pid": 101, "time": NOW - 900})

@@ -115,6 +115,9 @@ class TestJobSpec:
         {"workload": "pi", "workers": -1},         # negative
         {"workload": "pi", "backend": "carrier-pigeon"},
         {"workload": "pi", "frobnicate": True},    # unknown field
+        {"workload": "pi", "experiments": True},   # bool for an int
+        {"workload": "pi", "seed": False},         # bool for an int
+        {"workload": "pi", "workers": True},       # bool for an int
     ])
     def test_invalid_specs_rejected(self, payload):
         with pytest.raises(JobSpecError):
@@ -492,6 +495,13 @@ class TestServiceApi:
             client.submit({"workload": "nope"})
         assert err.value.status == 400
         assert "unknown workload" in err.value.message
+        for kwargs, message in (
+                ({"priority": True}, "priority must be an integer"),
+                ({"reuse": "false"}, "reuse must be a boolean")):
+            with pytest.raises(ServiceError) as err:
+                client.submit({"workload": "pi"}, **kwargs)
+            assert err.value.status == 400
+            assert err.value.message == message
 
     def test_submit_naming_backend_is_400(self, api_service):
         """``backend`` was dropped from the spec: there is one way to
@@ -519,6 +529,29 @@ class TestServiceApi:
         listing = ServiceClient(api_service.url).jobs()
         assert [j["id"] for j in listing["jobs"]] == [job.id]
         assert "backend" not in listing["jobs"][0]["spec"]
+        assert api_service.dispatcher.poll_once() is True
+        assert queue.get(job.id).state == "done"
+
+    def test_stored_spec_with_booleans_lists_and_dispatches(
+            self, api_service):
+        """A queue row stored while booleans passed for integers
+        loads with 1/0 in their place, and the dispatcher runs it."""
+        queue = api_service.queue
+        job = queue.submit(JobSpec.from_dict(
+            {"workload": "pi", "scale": "tiny", "experiments": 1}))
+        stored = json.dumps(dict(job.spec.as_dict(), experiments=True,
+                                 seed=False, workers=True),
+                            sort_keys=True)
+        with closing(sqlite3.connect(queue.path)) as conn:
+            conn.execute("UPDATE jobs SET spec = ? WHERE id = ?",
+                         (stored, job.id))
+            conn.commit()
+        listing = ServiceClient(api_service.url).jobs()
+        spec = listing["jobs"][0]["spec"]
+        values = [spec[name] for name in ("experiments", "seed",
+                                          "workers")]
+        assert values == [1, 0, 1]
+        assert not any(isinstance(value, bool) for value in values)
         assert api_service.dispatcher.poll_once() is True
         assert queue.get(job.id).state == "done"
 

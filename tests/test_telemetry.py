@@ -318,10 +318,13 @@ class TestCampaignObservability:
                 if ".tmp." in name] == []
 
     def _make_share(self, tmp_path, now=1000.0):
-        """Synthetic share: 1 todo, 2 claimed (1 stale), 2 results."""
-        for sub in ("todo", "claimed", "results", "claims"):
+        """Synthetic share: five fault files in todo/, four claims of
+        live worker ws0 (one 2000 s old) and two results, so 1 todo,
+        2 claimed and 2 completed."""
+        for sub in ("todo", "results", "claims"):
             os.makedirs(tmp_path / sub)
-        (tmp_path / "todo" / "exp_0004.txt").write_text("x")
+        for index in range(5):
+            (tmp_path / "todo" / f"exp_{index:04d}.txt").write_text("x")
         for index, claim_time in ((0, now - 50), (1, now - 40),
                                   (2, now - 2000), (3, now - 30)):
             name = f"exp_{index:04d}.txt"
@@ -333,8 +336,6 @@ class TestCampaignObservability:
                  ).write_text(json.dumps(
                     {"outcome": "masked" if index == 0 else "sdc",
                      "wall_seconds": 1.0, "injected": True}))
-            else:
-                (tmp_path / "claimed" / f"ws0_{name}").write_text("x")
         write_heartbeat(str(tmp_path), "ws0", 2, clock=lambda: now - 5)
         write_heartbeat(str(tmp_path), "ws1", 0,
                         clock=lambda: now - 500)
@@ -578,7 +579,7 @@ class TestCampaignIntegration:
         with open(tmp_path / "results" / "exp_0000.json") as handle:
             assert json.load(handle)["seed"] == 13
         # A drained campaign reads as fully complete: finished claims
-        # (which stay in claimed/) must not count as in flight.
+        # (which stay in claims/) must not count as in flight.
         status = read_status(str(tmp_path))
         assert status.completed == 2
         assert status.claimed == 0
