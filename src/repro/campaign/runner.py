@@ -45,8 +45,9 @@ WATCHDOG_FACTOR = 4.0
 #: Most rungs a checkpoint ladder keeps, the boot rung included.
 LADDER_RUNGS = 32
 #: First distance between rungs, in scheduler poll intervals.  It
-#: doubles, dropping every other rung, whenever the ladder fills.
-RUNG_STRIDE_POLLS = 32
+#: doubles, dropping every other rung, whenever the ladder fills, so
+#: short windows get rungs and long ones thin back to a wide spacing.
+RUNG_STRIDE_POLLS = 1
 
 
 @dataclass

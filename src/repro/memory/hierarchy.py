@@ -9,10 +9,13 @@ modelled latency.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 from .cache import Cache, CacheConfig
 from .mainmem import MainMemory
+
+_LEVELS = ("l1i", "l1d", "l2")
 
 
 @dataclass
@@ -30,16 +33,30 @@ class HierarchyConfig:
 
 
 class MemoryHierarchy:
-    """L1I + L1D over a unified L2 over DRAM."""
+    """L1I + L1D over a unified L2 over DRAM.
+
+    The caches are built on first use, and a restored snapshot is
+    applied only then.  The atomic model reads ``memory`` directly, so
+    its runs never build, fill or unpickle thousands of cache sets; every
+    reader of the caches (the timing models, stats, snapshots, the
+    profiler) builds them and sees the restored state.
+    """
+
+    # Fixed slots let an instance switch between this class and
+    # _UnbuiltHierarchy without moving its attributes, so CPython keeps
+    # its fast, specialised loads of them; __dict__ holds per-instance
+    # method wrappers (the profiler's).
+    __slots__ = ("memory", "config", "_pending", "l1i", "l1d", "l2",
+                 "__dict__")
 
     def __init__(self, memory: MainMemory,
                  config: HierarchyConfig | None = None) -> None:
         self.memory = memory
         self.config = config or HierarchyConfig()
-        self.l2 = Cache(self.config.l2,
-                        memory_latency=self.config.memory_latency)
-        self.l1i = Cache(self.config.l1i, next_level=self.l2)
-        self.l1d = Cache(self.config.l1d, next_level=self.l2)
+        # The snapshot the caches take when they are built: a
+        # snapshot() dict, its pickled bytes, or None for cold caches.
+        self._pending = None
+        self.__class__ = _UnbuiltHierarchy
 
     # -- functional + timing access paths -------------------------------------
 
@@ -71,7 +88,37 @@ class MemoryHierarchy:
         return {"l1i": self.l1i.snapshot(), "l1d": self.l1d.snapshot(),
                 "l2": self.l2.snapshot()}
 
-    def restore(self, snap: dict) -> None:
-        self.l1i.restore(snap["l1i"])
-        self.l1d.restore(snap["l1d"])
-        self.l2.restore(snap["l2"])
+    def restore(self, snap: dict | bytes) -> None:
+        """Install *snap*, a :meth:`snapshot` or its pickled bytes (a
+        checkpoint rung's form).  Unbuilt caches take it when they are
+        first used."""
+        if isinstance(snap, bytes):
+            snap = pickle.loads(snap)
+        for name in _LEVELS:
+            getattr(self, name).restore(snap[name])
+
+
+class _UnbuiltHierarchy(MemoryHierarchy):
+    """A hierarchy whose caches do not exist yet.  The first access to
+    one (an empty slot) builds all three, makes the instance a plain
+    :class:`MemoryHierarchy` again and applies the pending snapshot.  A
+    ``__getattr__`` on the class of a built hierarchy would slow every
+    attribute access of the timing models, so built ones have none."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in _LEVELS:
+            raise AttributeError(name)
+        config = self.config
+        self.l2 = Cache(config.l2, memory_latency=config.memory_latency)
+        self.l1i = Cache(config.l1i, next_level=self.l2)
+        self.l1d = Cache(config.l1d, next_level=self.l2)
+        self.__class__ = MemoryHierarchy
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            self.restore(pending)
+        return getattr(self, name)
+
+    def restore(self, snap: dict | bytes) -> None:
+        self._pending = snap

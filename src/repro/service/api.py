@@ -187,8 +187,18 @@ class ServiceApp:
         if not isinstance(payload, dict):
             raise HTTPError(400, "job submission must be a JSON "
                                  "object")
-        tenant = request.headers.get("x-tenant") \
-            or payload.pop("tenant", None) or "default"
+        # The X-Tenant header and the body's "tenant" may both name the
+        # tenant, but not two different ones.
+        tenant = request.headers.get("x-tenant") or None
+        if "tenant" in payload:
+            named = payload.pop("tenant")
+            if not isinstance(named, str) or not named:
+                raise HTTPError(400, "tenant must be a non-empty string")
+            if tenant is not None and named != tenant:
+                raise HTTPError(400, f"tenant '{named}' differs from "
+                                     f"the X-Tenant header '{tenant}'")
+            tenant = named
+        tenant = tenant or "default"
         priority = payload.pop("priority", 0)
         reuse = payload.pop("reuse", True)
         if not is_integer(priority):
@@ -693,6 +703,7 @@ class Service:
 
     def stop(self) -> None:
         self._stop.set()
+        self.queue.wakeup.set()     # end an idle dispatcher's wait
         if self._dispatch_thread is not None:
             self._dispatch_thread.join(timeout=30.0)
             self._dispatch_thread = None

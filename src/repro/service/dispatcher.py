@@ -257,6 +257,15 @@ class Dispatcher:
         return True
 
     def run_forever(self, stop: threading.Event) -> None:
+        """Dispatch until *stop* is set.  An empty queue parks the loop
+        on the queue's wake-up event, which a submit or requeue in this
+        process sets; ``poll_seconds`` only bounds the wait, for lease
+        expiry and for jobs queued by other processes.  Whoever sets
+        *stop* must also set the event to end a wait early."""
+        wakeup = self.queue.wakeup
         while not stop.is_set():
+            # Cleared before the lease looks, so a job queued after
+            # that look leaves the event set and the wait returns.
+            wakeup.clear()
             if not self.poll_once():
-                stop.wait(self.poll_seconds)
+                wakeup.wait(self.poll_seconds)

@@ -185,10 +185,13 @@ class Router:
 
 
 async def read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request; None on a cleanly closed connection."""
+    """Parse one request; None on a cleanly closed connection.  A
+    shutdown cancels keep-alive connections parked here waiting for
+    their next request, which closes them just as cleanly."""
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
+    except (ConnectionError, asyncio.IncompleteReadError,
+            asyncio.CancelledError):
         return None
     if not line:
         return None

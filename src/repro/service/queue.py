@@ -13,7 +13,10 @@ FINJ-style dispatch discipline over a single SQLite database:
   it expires;
 * **recovery** — a dispatcher that dies mid-job simply stops
   extending; :meth:`JobQueue.requeue_expired` returns its jobs to
-  ``queued`` with the attempt recorded, so a crash loses no work.
+  ``queued`` with the attempt recorded, so a crash loses no work;
+* **wake-up** — every transition into ``queued`` sets
+  :attr:`JobQueue.wakeup`, so a dispatcher sharing the instance leases
+  the job at once instead of at its next poll.
 
 The database lives in WAL mode, so the HTTP API (readers) and the
 dispatcher (writer) share it without blocking each other, and
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
 import time
 import uuid
 from contextlib import closing
@@ -112,6 +116,9 @@ class JobQueue:
         #: optional ServiceObserver; every hook is a pointer test.
         self.observer = observer
         self._clock = clock
+        #: set whenever a job becomes ``queued``; dispatchers in this
+        #: process wait on it (other processes still poll).
+        self.wakeup = threading.Event()
         with closing(self._connect()) as conn:
             conn.executescript(_SCHEMA)
             self._migrate(conn)
@@ -203,6 +210,7 @@ class JobQueue:
                 (job_id, tenant, priority, spec_json, spec_digest,
                  now, request_id))
             conn.commit()
+        self.wakeup.set()
         if self.observer is not None:
             self.observer.inc("queue.jobs_submitted", tenant=tenant)
         return self.get(job_id)
@@ -295,8 +303,10 @@ class JobQueue:
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise
-        if ids and self.observer is not None:
-            self.observer.inc("queue.requeued", amount=len(ids))
+        if ids:
+            self.wakeup.set()
+            if self.observer is not None:
+                self.observer.inc("queue.requeued", amount=len(ids))
         return ids
 
     # -- completion -----------------------------------------------------------
@@ -328,6 +338,7 @@ class JobQueue:
                     raise LeaseError(
                         f"job {job_id} is not leased"
                         + (f" by {owner}" if owner else ""))
+            self.wakeup.set()
             return self.get(job_id)
         return self._finish(job_id, owner, "failed", error=error)
 

@@ -182,10 +182,9 @@ def _restore(source, faults, config_override, bus) -> Simulator:
     sim.tick = state["tick"]
     sim.instructions = state["instructions"]
     sim.memory.restore(state["memory"])
-    hierarchy = state["hierarchy"]
-    if isinstance(hierarchy, bytes):    # a rung's pickled hierarchy
-        hierarchy = pickle.loads(hierarchy)
-    sim.hierarchy.restore(hierarchy)
+    # Dict or a rung's pickled bytes: applied when a reader builds the
+    # caches, which an atomic run never does.
+    sim.hierarchy.restore(state["hierarchy"])
     sim.core.restore(state["core"])
     sim.system.restore(state["system"])
     sim.program_sources = dict(state["program_sources"])

@@ -112,12 +112,11 @@ def test_results_byte_identical_to_boot_rung(workload, model, detailed,
         assert len(runner.golden.rungs) == 1
         assert all(r.replay_start == 0 and r.early_exit is None
                    for r in results)
-    elif runner.golden.instructions - runner.golden.boot_instructions \
-            > RUNG_STRIDE_POLLS * runner.config.poll_interval:
+    else:
+        # Every window spans several strides, deblocking/tiny's ~2k
+        # instructions included.
         assert len(runner.golden.rungs) > 1
         assert any(r.replay_start > 0 for r in results)
-    else:  # deblocking/tiny ends within one rung stride
-        assert len(runner.golden.rungs) == 1
     if flight:
         assert any(r.divergence for r in results)
 
@@ -220,7 +219,9 @@ def test_full_ladder_doubles_its_stride(monkeypatch):
     gaps = {b.position - a.position for a, b in zip(rungs, rungs[1:])}
     stride = RUNG_STRIDE_POLLS * runner.config.poll_interval
     assert len(gaps) == 1
-    assert gaps.pop() in (2 * stride, 4 * stride, 8 * stride, 16 * stride)
+    multiple, remainder = divmod(gaps.pop(), stride)
+    assert remainder == 0
+    assert multiple >= 2 and multiple & (multiple - 1) == 0
     assert_oracle(runner,
                   SEUGenerator(runner.golden.profile, seed=3).batch(3))
 

@@ -3,6 +3,7 @@
 import asyncio
 import hashlib
 import json
+import logging
 import os
 import sqlite3
 import threading
@@ -268,6 +269,29 @@ class TestJobQueue:
         fresh = queue.submit(_spec(), reuse=False)
         assert fresh.state == "queued"
 
+    def test_wakeup_is_set_by_every_transition_into_queued(self,
+                                                          tmp_path):
+        clock = FakeClock()
+        queue = JobQueue(str(tmp_path / "q.db"), clock=clock)
+        assert not queue.wakeup.is_set()
+        job = queue.submit(_spec())
+        assert queue.wakeup.is_set()
+        queue.wakeup.clear()
+        queue.lease("w", lease_seconds=60)
+        queue.complete(job.id, owner="w", result_digest="a" * 64)
+        assert queue.submit(_spec()).state == "done"  # born done
+        assert not queue.wakeup.is_set()
+        queue.submit(_spec(seed=1))
+        queue.lease("w", lease_seconds=60)
+        queue.wakeup.clear()
+        clock.advance(61)
+        assert len(queue.requeue_expired()) == 1
+        assert queue.wakeup.is_set()
+        job = queue.lease("w", lease_seconds=60)
+        queue.wakeup.clear()
+        queue.fail(job.id, error="boom", owner="w", retry=True)
+        assert queue.wakeup.is_set()
+
     def test_tenant_counts(self, tmp_path):
         queue = JobQueue(str(tmp_path / "q.db"))
         queue.submit(_spec(seed=1), tenant="alice")
@@ -502,6 +526,31 @@ class TestServiceApi:
                 client.submit({"workload": "pi"}, **kwargs)
             assert err.value.status == 400
             assert err.value.message == message
+        # A body tenant must be a non-empty string (no X-Tenant header:
+        # ServiceClient always sends one).
+        for tenant in (["x"], {"name": "x"}, 7, "", None):
+            status, body = _post_job(
+                api_service, {"workload": "pi", "tenant": tenant})
+            assert status == 400
+            assert body == {"error": "tenant must be a non-empty string"}
+        # ... and may not contradict the header.
+        alice = ServiceClient(api_service.url, tenant="alice")
+        with pytest.raises(ServiceError) as err:
+            alice.submit({"workload": "pi", "tenant": "bob"})
+        assert err.value.status == 400
+        assert err.value.message == ("tenant 'bob' differs from the "
+                                     "X-Tenant header 'alice'")
+        assert ServiceClient(api_service.url).jobs()["jobs"] == []
+
+    def test_submit_tenant_from_header_body_or_both(self, api_service):
+        alice = ServiceClient(api_service.url, tenant="alice")
+        agreed = alice.submit({"workload": "pi", "tenant": "alice"})
+        assert agreed["tenant"] == "alice"
+        status, body = _post_job(api_service,
+                                 {"workload": "pi", "seed": 1,
+                                  "tenant": "bob"})
+        assert status == 201
+        assert body["job"]["tenant"] == "bob"
 
     def test_submit_naming_backend_is_400(self, api_service):
         """``backend`` was dropped from the spec: there is one way to
@@ -933,6 +982,30 @@ class TestDispatcherAndE2E:
         assert dispatcher.poll_once() is False
         assert queue.get(job.id).state == "failed"
 
+    def test_submit_wakes_an_idle_dispatcher(self, tmp_path):
+        """The dispatcher's 60 s poll never comes round: the submit
+        itself wakes it."""
+        service = Service(str(tmp_path / "data"),
+                          poll_seconds=60).start()
+        try:
+            time.sleep(0.2)  # the dispatcher found the queue empty
+            job = ServiceClient(service.url).submit(
+                {"workload": "pi", "scale": "tiny", "experiments": 1})
+            deadline = time.monotonic() + 5.0
+            while service.queue.get(job["id"]).state == "queued":
+                assert time.monotonic() < deadline, "never leased"
+                time.sleep(0.01)
+        finally:
+            service.stop()
+
+    def test_idle_service_stops_promptly(self, tmp_path):
+        service = Service(str(tmp_path / "data"),
+                          poll_seconds=60).start()
+        time.sleep(0.2)  # the dispatcher is waiting out its poll
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 2.0
+
     def test_dispatcher_marks_share_for_status(self, service,
                                                done_job):
         """gemfi status on a service-run share names its job and
@@ -957,6 +1030,18 @@ def _http_conn(service):
     import http.client
     return http.client.HTTPConnection(service.host, service.port,
                                       timeout=10.0)
+
+
+def _post_job(service, body):
+    """POST /v1/jobs without an X-Tenant header: (status, JSON body)."""
+    conn = _http_conn(service)
+    try:
+        conn.request("POST", "/v1/jobs", body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 class TestKeepAliveAndRequestIds:
@@ -1013,6 +1098,22 @@ class TestKeepAliveAndRequestIds:
         finally:
             client.close()
         assert client._conn is None
+
+    def test_stop_with_an_open_keep_alive_connection_is_clean(
+            self, tmp_path, capfd, caplog):
+        """A client still parked on its pooled connection when the
+        service stops is closed quietly: no asyncio traceback on
+        stderr, nothing logged."""
+        service = Service(str(tmp_path / "data")).start_http()
+        client = ServiceClient(service.url)
+        try:
+            client.jobs()
+            service.stop()
+        finally:
+            client.close()
+        assert capfd.readouterr().err == ""
+        assert [record for record in caplog.records
+                if record.levelno >= logging.WARNING] == []
 
     def test_errors_keep_the_connection_alive(self, api_service):
         """A 404 is a valid routed response; only parse errors force

@@ -1,9 +1,15 @@
 """Simulator run-loop, stats, and checkpoint/restore tests."""
 
+import pickle
+
 import pytest
 
+from repro.campaign import CampaignRunner
 from repro.compiler import compile_source
 from repro.core import FaultInjector, parse_fault_file
+from repro.memory import MemoryHierarchy
+from repro.memory import hierarchy as hierarchy_module
+from repro.memory.cache import Cache
 from repro.sim import (
     CheckpointError,
     SimConfig,
@@ -13,6 +19,8 @@ from repro.sim import (
     save_checkpoint,
 )
 from repro.sim import stats as sim_stats
+from repro.sim.checkpoint import rung_state
+from repro.workloads.spec import WorkloadSpec
 
 from conftest import run_asm, run_minic
 
@@ -177,3 +185,84 @@ class TestModelSwitchAfterFI:
         sim.load(compile_source(CHECKPOINTED), "app")
         sim.run(max_instructions=500_000)
         assert sim.cpu.model_name == "o3"
+
+
+class TestModelAwareRestore:
+    """A restore hands the stored cache hierarchy over untouched; the
+    caches are built, and take it, only when something reads them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every Cache the hierarchy constructs from now on."""
+        caches = []
+
+        class CountedCache(Cache):
+            def __init__(self, *args, **kwargs):
+                caches.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy_module, "Cache", CountedCache)
+        return caches
+
+    @staticmethod
+    def _eager(source, **kwargs) -> Simulator:
+        """A restore that builds and fills the caches at once."""
+        sim = restore_checkpoint(source, **kwargs)
+        assert sim.hierarchy.l2 is not None
+        return sim
+
+    def test_atomic_experiments_build_no_cache(self, built):
+        runner = CampaignRunner(WorkloadSpec(
+            name="ckpt", source=CHECKPOINTED,
+            output_arrays=[("A", 4, "int")]))
+        window = runner.golden.profile.committed
+        late, early = parse_fault_file(
+            f"RegisterInjectedFault Inst:{window - 5} Flip:3 Threadid:0 "
+            f"system.cpu0 occ:1 int 9\n"
+            f"RegisterInjectedFault Inst:1 Flip:3 Threadid:0 "
+            f"system.cpu0 occ:1 int 9\n")
+        built.clear()
+        assert runner.run_experiment(late).replay_start > 0
+        assert runner.run_experiment(early).replay_start == 0
+        assert built == []
+        # The same restores, run to the end: the stats dump (which
+        # reads the caches) equals an eager restore's byte for byte.
+        rung = runner._start_rung([late]).state
+        for source in (runner.golden.checkpoint, rung):
+            lazy = restore_checkpoint(source, faults=[late])
+            lazy.run(max_instructions=500_000)
+            assert built == []
+            eager = self._eager(source, faults=[late])
+            eager.run(max_instructions=500_000)
+            assert lazy.stats_dump() == eager.stats_dump()
+            assert lazy.hierarchy.snapshot() == eager.hierarchy.snapshot()
+            built.clear()
+
+    @pytest.mark.parametrize("model", ["timing", "o3"])
+    def test_cache_models_see_the_restored_caches(self, model):
+        sim = Simulator(SimConfig(cpu_model="timing"),
+                        injector=FaultInjector())
+        sim.load(compile_source(CHECKPOINTED), "app")
+        holder = {}
+        sim.on_checkpoint = lambda s: holder.__setitem__(
+            "blob", dumps_checkpoint(s))
+        sim.run(until_checkpoint=True, max_instructions=500_000)
+        sim.on_checkpoint = None
+        sim.run(max_instructions=sim.instructions + 200)
+        rung = rung_state(sim)
+        stored = pickle.loads(rung["hierarchy"])
+        assert any(stored["l1d"]["sets"])       # warm caches
+        for source in (holder["blob"], rung):
+            config = SimConfig(cpu_model=model)
+            eager = self._eager(source, config_override=config)
+            if source is rung:
+                assert eager.hierarchy.snapshot() == stored
+            eager.run(max_instructions=500_000)
+            lazy = restore_checkpoint(source, config_override=config)
+            lazy.run(max_instructions=500_000)
+            # Built by the model's first access into a plain hierarchy,
+            # whose class has no __getattr__ hook on every access.
+            assert type(lazy.hierarchy) is MemoryHierarchy
+            assert not hasattr(MemoryHierarchy, "__getattr__")
+            assert lazy.hierarchy.snapshot() == eager.hierarchy.snapshot()
+            assert lazy.stats_dump() == eager.stats_dump()
