@@ -11,6 +11,11 @@ One *case* is ``<workload>/<model>``.  Per case the suite takes:
 
 The two example workloads deliberately stress different subsystems: pi
 is FP/ALU-bound, dct is memory/loop-bound.
+
+A fresh load spends its first 60k instructions in boot code, so the
+``<workload>/atomic-checkpoint`` cases restore each workload's boot
+checkpoint instead and time the code every experiment runs after it:
+the FI window and the drain.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import time
 from repro.compiler import compile_source
 from repro.core import FaultInjector
 from repro.sim import SimConfig, Simulator
+from repro.sim.checkpoint import dumps_checkpoint, restore_checkpoint
 from repro.telemetry.profiler import Profiler, sim_rates
 from repro.workloads import build
 
@@ -34,8 +40,13 @@ REPEATS = 3
 # the identical instruction stream (asserted in test_perf.py).
 TIMED_INSTRUCTIONS = 60_000
 PROFILED_INSTRUCTIONS = 20_000
+#: Budget of the ``atomic-checkpoint`` cases, counted from the boot
+#: checkpoint.
+CHECKPOINT_INSTRUCTIONS = 30_000
+CHECKPOINT_MODEL = "atomic-checkpoint"
 
 _ASM_CACHE: dict[str, str] = {}
+_CHECKPOINTS: dict[str, bytes] = {}
 
 
 def workload_asm(name: str) -> str:
@@ -44,37 +55,55 @@ def workload_asm(name: str) -> str:
     return _ASM_CACHE[name]
 
 
+def boot_checkpoint(workload: str) -> bytes:
+    """The workload's checkpoint at ``fi_read_init_all`` (cached)."""
+    if workload not in _CHECKPOINTS:
+        sim = _fresh_sim(workload, "atomic")
+        sim.on_checkpoint = lambda s: _CHECKPOINTS.__setitem__(
+            workload, dumps_checkpoint(s))
+        sim.run(until_checkpoint=True)
+    return _CHECKPOINTS[workload]
+
+
 def _fresh_sim(workload: str, model: str) -> Simulator:
+    if model == CHECKPOINT_MODEL:
+        return restore_checkpoint(boot_checkpoint(workload), faults=[])
     sim = Simulator(SimConfig(cpu_model=model),
                     injector=FaultInjector())
     sim.load(workload_asm(workload), workload)
     return sim
 
 
-def timed_run(workload: str, model: str,
-              budget: int = TIMED_INSTRUCTIONS
-              ) -> tuple[float, int, int]:
-    """One unprofiled run; returns (wall, instructions, ticks)."""
+def _budget(model: str, fresh: int) -> int:
+    return CHECKPOINT_INSTRUCTIONS if model == CHECKPOINT_MODEL else fresh
+
+
+def timed_run(workload: str, model: str) -> tuple[float, int, int]:
+    """One unprofiled run; returns (wall, instructions, ticks), both
+    counted from where the run started."""
     sim = _fresh_sim(workload, model)
+    instructions, ticks = sim.instructions, sim.tick
+    budget = _budget(model, TIMED_INSTRUCTIONS)
     start = time.perf_counter()
-    result = sim.run(max_instructions=budget)
+    result = sim.run(max_instructions=instructions + budget)
     wall = time.perf_counter() - start
-    return wall, result.instructions, result.ticks
+    return wall, result.instructions - instructions, result.ticks - ticks
 
 
-def profiled_run(workload: str, model: str,
-                 budget: int = PROFILED_INSTRUCTIONS) -> dict:
+def profiled_run(workload: str, model: str) -> dict:
     """One profiled run; returns attribution shares + coverage."""
     sim = _fresh_sim(workload, model)
+    instructions = sim.instructions
     profiler = Profiler().install(sim)
-    result = sim.run(max_instructions=budget)
+    result = sim.run(max_instructions=instructions
+                     + _budget(model, PROFILED_INSTRUCTIONS))
     wall = profiler.wall_seconds
     attribution = {
         bucket: (seconds / wall if wall > 0 else 0.0)
         for bucket, seconds in sorted(profiler.attribution().items())}
     coverage = profiler.coverage()
     profiler.uninstall()
-    return {"instructions": result.instructions,
+    return {"instructions": result.instructions - instructions,
             "wall_seconds": wall,
             "attribution": attribution,
             "coverage": coverage}

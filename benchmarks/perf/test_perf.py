@@ -7,7 +7,10 @@ the baseline the CI ``perf`` job gates against (>25% KIPS regression
 fails the build; see ``check_regression.py``).
 
 Cases are parametrized by CPU model so CI can run a host-noise-friendly
-subset (``-k "atomic or o3"``); the session-scoped collector writes
+subset (``-k "atomic or o3"``, which also selects the
+``atomic-checkpoint`` cases: atomic runs resumed from the boot
+checkpoint, so the gate covers window and drain code, not only boot
+code); the session-scoped collector writes
 whichever cases actually ran, and the regression gate compares the
 intersection with the baseline.
 """
@@ -16,7 +19,8 @@ from __future__ import annotations
 
 import pytest
 
-from perf_common import MODELS, REPEATS, SCALE, WORKLOADS, measure_case
+from perf_common import (CHECKPOINT_MODEL, MODELS, REPEATS, SCALE,
+                         WORKLOADS, measure_case)
 
 COVERAGE_FLOOR = 0.90   # acceptance: buckets sum to >= 90% of wall
 
@@ -45,7 +49,7 @@ def _write_bench():
     print(f"\n# wrote {path}")
 
 
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model", MODELS + (CHECKPOINT_MODEL,))
 def test_perf_model(model):
     """Measure both workloads on one CPU model; assert the profiler's
     attribution covers >= 90% of the measured wall time."""

@@ -1,7 +1,8 @@
 """Ablation benches for the design choices called out in DESIGN.md.
 
 1. **Decode cache** — memoised word->Decoded mapping.  Disabling it
-   re-decodes every fetched word.
+   re-decodes every fetched word.  Both arms run on the slow path, so
+   the ratio does not also count the cold-path block runner.
 2. **Detailed-until-commit** (Section IV.B.1) — campaigns start in the
    O3 model and drop to AtomicSimple once the injected fault has
    committed; the ablation keeps O3 for the whole run.  Outcomes must be
@@ -9,11 +10,19 @@
 3. **Checkpoint fast-forward granularity** — covered by Fig. 8; here we
    additionally check that a restored run is bit-identical to a straight
    run (no accuracy cost for the speedup).
+4. **PCB pointer** (Section III.C) against a hash lookup per
+   instruction, both on the slow path.
+5. **Cold-path block runner** — the atomic model running poll-bounded
+   blocks of per-word closures while no FI hook can fire, against the
+   five-phase ``Core.serve_instruction`` for every instruction.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
+
+import pytest
 
 from repro.campaign import SEUGenerator
 from repro.compiler import compile_source
@@ -25,7 +34,17 @@ from conftest import SCALE, publish, runner_for, runs_setting
 RUNS = runs_setting(8)
 
 
-def _run_once(asm: str, decode_cache: bool) -> float:
+@contextlib.contextmanager
+def slow_path():
+    """Pin runs to the slow path: the block test always fails, so every
+    instruction goes through ``Core.serve_instruction``, as when an FI
+    hook is hot."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "_cold", lambda self: False)
+        yield
+
+
+def _run_once(asm: str, decode_cache: bool = True) -> float:
     sim = Simulator(SimConfig(decode_cache=decode_cache))
     sim.load(asm, "bench")
     start = time.perf_counter()
@@ -38,9 +57,10 @@ def test_ablation_decode_cache(benchmark):
     asm = compile_source(build("pi", SCALE).source)
 
     def measure():
-        _run_once(asm, True)
-        with_cache = min(_run_once(asm, True) for _ in range(3))
-        without_cache = min(_run_once(asm, False) for _ in range(3))
+        with slow_path():
+            _run_once(asm, True)
+            with_cache = min(_run_once(asm, True) for _ in range(3))
+            without_cache = min(_run_once(asm, False) for _ in range(3))
         return with_cache, without_cache
 
     with_cache, without_cache = benchmark.pedantic(measure, rounds=1,
@@ -147,9 +167,10 @@ def test_ablation_pcb_tracking_vs_hash_lookup(benchmark):
         return _time.perf_counter() - start
 
     def measure():
-        timed(False)
-        pointer = min(timed(False) for _ in range(3))
-        hashed = min(timed(True) for _ in range(3))
+        with slow_path():
+            timed(False)
+            pointer = min(timed(False) for _ in range(3))
+            hashed = min(timed(True) for _ in range(3))
         return pointer, hashed
 
     pointer, hashed = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -162,3 +183,35 @@ def test_ablation_pcb_tracking_vs_hash_lookup(benchmark):
             f"context-switch-maintained pointer: {pointer:.3f}s\n"
             f"hash lookup every instruction:     {hashed:.3f}s\n"
             f"slowdown of the naive design: {slowdown:.2f}x")
+
+
+def test_ablation_block_runner(benchmark):
+    """A fault-free pi run with every instruction on the slow path
+    against the cold-path block runner: same stats, less time."""
+    asm = compile_source(build("pi", SCALE).source)
+
+    def dump() -> str:
+        sim = Simulator(SimConfig())
+        sim.load(asm, "bench")
+        sim.run(max_instructions=50_000_000)
+        return sim.stats_dump()
+
+    def measure():
+        _run_once(asm)
+        blocks = min(_run_once(asm) for _ in range(3))
+        with slow_path():
+            slow = min(_run_once(asm) for _ in range(3))
+            slow_dump = dump()
+        return blocks, slow, slow_dump
+
+    blocks, slow, slow_dump = benchmark.pedantic(measure, rounds=1,
+                                                 iterations=1)
+    assert dump() == slow_dump, "the block runner changed the run"
+    speedup = slow / blocks
+    assert speedup > 1.0, \
+        "the block runner must not be slower than the slow path"
+    publish("ablation_block_runner",
+            "Ablation — cold-path block runner (fault-free pi):\n\n"
+            f"slow path, every instruction:  {slow:.3f}s\n"
+            f"block runner while cold:       {blocks:.3f}s\n"
+            f"speedup from the block runner: {speedup:.2f}x")

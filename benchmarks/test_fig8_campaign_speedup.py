@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import zlib
 
 from repro.campaign import (
     NoWConfig,
@@ -53,7 +54,7 @@ def _measure(name: str):
     plain = CampaignRunner(build(name, SCALE), use_checkpoint=False)
 
     generator = SEUGenerator(checkpointed.golden.profile,
-                             seed=808 + hash(name) % 100)
+                             seed=808 + zlib.crc32(name.encode()) % 100)
     faults = generator.batch(EXPERIMENTS)
 
     plain_results = plain.run_campaign(faults)
@@ -98,13 +99,6 @@ def test_fig8_campaign_time_optimisations(benchmark):
             f"{ladder_speedup:13.2f}x  {makespan:14.2f}  "
             f"{now_extra:16.1f}x")
 
-    # Shape: checkpointing always helps; NoW scheduling approaches the
-    # slot count for paper-sized campaigns (paper: ~108x).
-    assert all(s > 1.0 for s in ckpt_speedups), \
-        "checkpoint fast-forward must speed up every campaign"
-    assert all(90.0 < s <= NOW.total_slots for s in now_speedups), \
-        "NoW speedup should approach the 108-slot count"
-
     average_ckpt = sum(ckpt_speedups) / len(ckpt_speedups)
     average_ladder = sum(ladder_speedups) / len(ladder_speedups)
     average_now = sum(now_speedups) / len(now_speedups)
@@ -123,4 +117,13 @@ def test_fig8_campaign_time_optimisations(benchmark):
               f"average NoW extra speedup: {average_now:.1f}x "
               "(paper: ~108x, 'consistent with the number of "
               "simultaneously executed experiments')")
+    # Published before the shape checks, so a failing check still
+    # leaves the measured table to read.
     publish("fig8_campaign_speedup", text)
+
+    # Shape: checkpointing always helps; NoW scheduling approaches the
+    # slot count for paper-sized campaigns (paper: ~108x).
+    assert all(s > 1.0 for s in ckpt_speedups), \
+        "checkpoint fast-forward must speed up every campaign"
+    assert all(90.0 < s <= NOW.total_slots for s in now_speedups), \
+        "NoW speedup should approach the 108-slot count"

@@ -104,6 +104,24 @@ class FaultInjector:
         self.frontend_hot = (self.hot_fetch or self.hot_decode
                              or self.has_watches)
 
+    def cold(self, core) -> bool:
+        """True when no per-instruction hook can run on *core* until an
+        instruction that ends a cold block (a PAL call, an FI
+        pseudo-instruction, or one naming a watched register; see
+        :meth:`watched`) changes the answer.  ``Simulator.run`` asks
+        once per poll-bounded block; a new per-instruction hook must
+        make this false whenever it can fire.  A core without an FI
+        thread runs no stage hook, and an installed tracer that has not
+        started ignores such a core (:meth:`on_trace`)."""
+        if core.fi_thread is None:
+            return not self.trace_hot or not self.tracer.started
+        return not (self.hot_fetch or self.hot_decode or self.hot_execute
+                    or self.hot_mem or self.hot_regfile or self.trace_hot)
+
+    def watched(self):
+        """The (class, index) keys of the pending propagation watches."""
+        return self._watches.keys()
+
     def reset(self) -> None:
         """Forget all dynamic state and re-arm every configured fault.
 

@@ -90,10 +90,6 @@ class Core:
         # Tested only on rare paths (syscalls, drains), never in the
         # per-instruction flow.
         self.bus = None
-        # Ablation mode (SimConfig.fi_hash_lookup_per_instruction):
-        # consult the PCB hash table every instruction instead of
-        # relying on the context-switch-maintained pointer.
-        self.fi_hash_lookup = False
         self.committed = 0
         self.system = None   # set by System.attach_core
 
@@ -105,9 +101,6 @@ class Core:
         """
         arch = self.arch
         pc = arch.pc
-        if self.fi_hash_lookup and self.injector is not None:
-            self.fi_thread = self.injector.threads.lookup(
-                self.pcb_addr)
         fi_thread = self.fi_thread
         inj = self.injector if fi_thread is not None else None
 
@@ -130,7 +123,8 @@ class Core:
 
         # --- execute / memory / writeback ---
         result = self.execute(decoded, pc, timing=timing)
-        result.ticks = max(result.ticks, fetch_lat)
+        if fetch_lat > result.ticks:
+            result.ticks = fetch_lat
         result.pc = pc
         result.decoded = decoded
 

@@ -18,7 +18,9 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
-_STRUCT_BY_SIZE = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_STRUCT_BY_SIZE = {size: struct.Struct(fmt) for size, fmt
+                   in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+_WORD = _STRUCT_BY_SIZE[4].unpack_from
 
 
 class Region:
@@ -49,6 +51,13 @@ class MainMemory:
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
         self._regions: list[Region] = []
+        # The region the last access check found and the one the last
+        # fetch ran from: most accesses fall in the same region as the
+        # one before, so each is tested first and the region list is
+        # scanned only on a miss.  Mapping, unmapping and restoring
+        # regions forget both.
+        self._last: Region | None = None
+        self._code: Region | None = None
 
     # -- region management ----------------------------------------------------
 
@@ -61,10 +70,12 @@ class MainMemory:
                 raise ValueError(
                     f"region {name} overlaps {existing.name}")
         self._regions.append(region)
+        self._last = self._code = None
         return region
 
     def unmap_region(self, name: str) -> None:
         self._regions = [r for r in self._regions if r.name != name]
+        self._last = self._code = None
 
     def region_of(self, addr: int) -> Region | None:
         for region in self._regions:
@@ -89,8 +100,7 @@ class MainMemory:
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
-        return struct.unpack_from(_STRUCT_BY_SIZE[size], page,
-                                  addr & PAGE_MASK)[0]
+        return _STRUCT_BY_SIZE[size].unpack_from(page, addr & PAGE_MASK)[0]
 
     def write(self, addr: int, size: int, value: int,
               pc: int | None = None) -> None:
@@ -100,13 +110,31 @@ class MainMemory:
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[index] = page
-        struct.pack_into(_STRUCT_BY_SIZE[size], page, addr & PAGE_MASK,
-                         value & ((1 << (8 * size)) - 1))
+        _STRUCT_BY_SIZE[size].pack_into(page, addr & PAGE_MASK,
+                                        value & ((1 << (8 * size)) - 1))
 
     def fetch(self, pc: int) -> int:
         """Instruction fetch: a 4-byte aligned read from an executable
         region.  PC corruption (a GemFI fault location) lands here."""
-        return self.read(pc, 4, pc=pc)
+        region = self._code
+        if pc & 3 or region is None or not region.start <= pc < region.end:
+            region = self._code = self.fetch_region(pc)
+        page = self._pages.get(pc >> PAGE_SHIFT)
+        return _WORD(page, pc & PAGE_MASK)[0] if page is not None else 0
+
+    def fetch_region(self, pc: int) -> Region:
+        """Check a fetch at *pc* as :meth:`fetch` does, raising the same
+        traps, and return the region holding it.  Until a region is
+        mapped, unmapped or grown, any aligned fetch inside that region
+        passes the same check (the atomic model's cold blocks rely on
+        this)."""
+        self._check(pc, 4, write=False, pc=pc)
+        return self._last
+
+    @property
+    def pages(self) -> dict[int, bytearray]:
+        """Page index -> page bytes; a missing page reads as zeros."""
+        return self._pages
 
     # -- bulk helpers (loader / checkpointing / workload I/O) -----------------
 
@@ -142,11 +170,14 @@ class MainMemory:
             raise ValueError(f"unsupported access size {size}")
         if addr % size:
             raise MisalignedAccess(addr, size, pc=pc)
-        if addr < 0 or addr >= 1 << 64:
-            raise UnmappedAccess(addr & ((1 << 64) - 1), pc=pc)
-        region = self.region_of(addr)
-        if region is None:
-            raise UnmappedAccess(addr, pc=pc)
+        region = self._last
+        if region is None or not region.start <= addr < region.end:
+            if addr < 0 or addr >= 1 << 64:
+                raise UnmappedAccess(addr & ((1 << 64) - 1), pc=pc)
+            region = self.region_of(addr)
+            if region is None:
+                raise UnmappedAccess(addr, pc=pc)
+            self._last = region
         if write and not region.writable:
             raise UnmappedAccess(addr, pc=pc)
 
@@ -178,3 +209,4 @@ class MainMemory:
             Region(name, start, end, writable)
             for name, start, end, writable in snap["regions"]
         ]
+        self._last = self._code = None

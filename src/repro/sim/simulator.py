@@ -61,8 +61,8 @@ class Simulator:
             self.config.core_name, self.hierarchy, injector=injector,
             decode_cache=DecodeCache(enabled=self.config.decode_cache))
         self.core.system = self.system
-        self.core.fi_hash_lookup = \
-            self.config.fi_hash_lookup_per_instruction
+        if self.config.fi_hash_lookup_per_instruction:
+            self.core.serve_instruction = _hash_lookup_serve(self.core)
         self.cpu = CPU_MODELS[self.config.cpu_model](self.core)
         self.checkpoint_taken = False
         self.on_checkpoint = None        # callable(sim) -> None
@@ -125,9 +125,21 @@ class Simulator:
                 return self._result("completed")
 
         status = "completed"
+        # Test for a cold block at the next instruction; after a failed
+        # test the slow path serves everything up to the next poll.
+        blocks = True
         while True:
             try:
-                ticks, committed = self.cpu.step()
+                if blocks and self._cold():
+                    # Up to the next poll on the cold path; an
+                    # instruction it stops before takes the slow one.
+                    n = max(next_poll - self.instructions, 1)
+                    ticks = committed = 0
+                    if self._run_block(n) < n:
+                        ticks, committed = self.cpu.step()
+                else:
+                    blocks = False
+                    ticks, committed = self.cpu.step()
             except ProcessExited as exited:
                 self.cpu.drain()
                 if self.bus is not None:
@@ -137,6 +149,7 @@ class Simulator:
                 if not system.any_alive:
                     status = "completed"
                     break
+                blocks = True
                 continue
             except CheckpointRequested as request:
                 # Complete the fi_read_init_all instruction by hand, then
@@ -151,6 +164,7 @@ class Simulator:
                 if until_checkpoint:
                     status = "completed"
                     break
+                blocks = True
                 continue
             except HaltRequest:
                 if self.bus is not None:
@@ -169,6 +183,7 @@ class Simulator:
                 if not system.any_alive:
                     status = "completed"
                     break
+                blocks = True
                 continue
 
             self.tick += ticks
@@ -177,6 +192,7 @@ class Simulator:
 
             if self.instructions >= next_poll:
                 next_poll = self.instructions + poll
+                blocks = True
                 injector = self.injector
                 if injector is not None:
                     if (config.switch_to_atomic_after_fi
@@ -198,6 +214,33 @@ class Simulator:
                     status = "limit"
                     break
         return self._result(status)
+
+    def _cold(self) -> bool:
+        """True when the next block may run on the cold path: the CPU
+        model is atomic, the decode cache is on, the hash-lookup
+        ablation is off, and no fault-injection hook can fire
+        (:meth:`FaultInjector.cold`, next to the hot flags)."""
+        injector = self.injector
+        return (self.cpu.model_name == "atomic"
+                and self.core.decode_cache.enabled
+                and not self.config.fi_hash_lookup_per_instruction
+                and (injector is None or injector.cold(self.core)))
+
+    def _run_block(self, n: int) -> int:
+        """Run up to *n* instructions through the CPU model's cold
+        block, then advance the clock, the instruction count and the
+        quantum counter by the ones that committed (one tick each), also
+        when one of them trapped.  Returns that count."""
+        core = self.core
+        start = core.committed
+        try:
+            self.cpu.run_block(n)
+        finally:
+            done = core.committed - start
+            self.tick += done
+            self.instructions += done
+            self._quantum_counter += done
+        return done
 
     def _result(self, status: str) -> RunResult:
         return RunResult(status=status, instructions=self.instructions,
@@ -252,3 +295,19 @@ class Simulator:
     def stats_dump(self) -> str:
         from . import stats
         return stats.dump(self)
+
+
+def _hash_lookup_serve(core: Core):
+    """The ``fi_hash_lookup_per_instruction`` ablation as a per-instance
+    ``serve_instruction``: look the running thread up in the PCB hash
+    table before every instruction (the design Section III.C avoids),
+    then serve it as usual."""
+    serve = Core.serve_instruction
+
+    def serve_instruction(timing: bool = False):
+        injector = core.injector
+        if injector is not None:
+            core.fi_thread = injector.threads.lookup(core.pcb_addr)
+        return serve(core, timing)
+
+    return serve_instruction

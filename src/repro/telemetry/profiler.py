@@ -41,6 +41,9 @@ bucket                what lands there (self time)
 ``cpu.execute``       Core.execute minus nested memory accesses
 ``cpu.mem``           data-side memory reads/writes
 ``cpu.commit``        commit bookkeeping (serve_instruction / O3 _retire)
+``cpu.block``         the atomic model's cold blocks minus nested memory
+                      accesses and decodes (fetch, execute and commit of
+                      every instruction no FI hook can touch)
 ``cpu.switch``        mid-run CPU model switches (drain + rebuild)
 ``mem.l1i/l1d/l2``    cache tag/LRU modelling per level
 ``kernel.syscall``    the OS-lite syscall path
@@ -108,7 +111,8 @@ class Profiler:
         self.paths: dict[tuple[str, ...], float] = {}
         self.total_seconds = 0.0        # elapsed of outermost scopes
         self._stack: list[list] = []    # frames: [bucket, start, child]
-        self._wrapped: list[tuple] = []  # (obj, attr) instance overrides
+        # (obj, attr, previous instance override or None)
+        self._wrapped: list[tuple] = []
         self._decode_cores: list[tuple] = []  # (core, original_cache)
         self._sim = None
 
@@ -175,8 +179,10 @@ class Profiler:
                 exit_(frame)
 
         timed.__profiled__ = bucket
+        # An instance override already in place (the hash-lookup
+        # ablation's serve_instruction) is put back on uninstall.
+        self._wrapped.append((obj, attr, vars(obj).get(attr)))
         setattr(obj, attr, timed)
-        self._wrapped.append((obj, attr))
 
     # -- platform instrumentation ---------------------------------------------
 
@@ -247,7 +253,7 @@ class Profiler:
 
         switch_model.__profiled__ = "cpu.switch"
         sim.switch_model = switch_model
-        self._wrapped.append((sim, "switch_model"))
+        self._wrapped.append((sim, "switch_model", None))
 
         sim.profiler = self
         return self
@@ -255,6 +261,8 @@ class Profiler:
     def _wrap_cpu(self, cpu) -> None:
         """Per-stage wrappers for the active CPU model."""
         self.wrap(cpu, "step", "cpu.step")
+        if cpu.model_name == "atomic":
+            self.wrap(cpu, "run_block", "cpu.block")
         if cpu.model_name == "o3":
             # Self times: _frontend minus fetch/decode = predict + ROB
             # insert (rename); _commit minus execute/_retire = the
@@ -265,8 +273,12 @@ class Profiler:
 
     def uninstall(self) -> None:
         """Delete every instance override, restoring the original
-        class-level methods (and the original decode cache)."""
-        for obj, attr in reversed(self._wrapped):
+        class-level methods, or the instance override that was there
+        before (and the original decode cache)."""
+        for obj, attr, previous in reversed(self._wrapped):
+            if previous is not None:
+                setattr(obj, attr, previous)
+                continue
             try:
                 delattr(obj, attr)
             except AttributeError:
