@@ -29,7 +29,7 @@ from ..core.injector import FaultInjector
 from ..core.parser import render_fault_file
 from ..sim.checkpoint import (dumps_checkpoint, matches_rung,
                               restore_checkpoint, rung_state)
-from ..sim.config import SimConfig
+from ..sim.config import POLL_INTERVAL, SimConfig
 from ..sim.simulator import RunResult, Simulator
 from ..system.process import Process, ProcessState
 from ..workloads.quality import Outputs, extract_outputs
@@ -290,7 +290,7 @@ class CampaignRunner:
         (*boot* instructions).  A full ladder doubles the stride and
         keeps every other rung."""
         rungs = [Rung(position=0)]
-        stride = RUNG_STRIDE_POLLS * sim.config.poll_interval
+        stride = RUNG_STRIDE_POLLS * POLL_INTERVAL
         state = None
         while True:
             target = boot + rungs[-1].position + stride

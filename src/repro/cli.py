@@ -11,17 +11,18 @@ command line, run, and inspect the postmortem report / statistics.
     gemfi workloads
     gemfi sample-size --confidence 0.99 --margin 0.01
 
-Observability surfaces (repro.telemetry):
+Observability surfaces (repro.telemetry); those of one run are flags of
+`gemfi run`, which also takes a paper workload by name:
 
-    gemfi trace app.mc --fault-file faults.txt --trace-file run.jsonl
-    gemfi trace --follow run.jsonl
-    gemfi trace app.mc --cpu o3 --pipe -o pipe.jsonl
+    gemfi run app.mc -f faults.txt --trace run.jsonl [--ring 64]
+    gemfi run app.mc --cpu o3 --trace pipe.jsonl --pipe
+    gemfi run dct --cpu o3 --profile [--json] [--folded out.folded]
+    gemfi trace run.jsonl                    # tail a live --trace file
     gemfi pipeview pipe.jsonl
     gemfi status /mnt/share/campaign [--json]
     gemfi stats-diff golden.txt faulty.txt [--tolerance 0.02]
     gemfi report /mnt/share/campaign --format html -o report.html
     gemfi coverage /mnt/share/campaign [--json|--format md]
-    gemfi profile dct --cpu o3 [--json] [--folded out.folded] [--sample]
     gemfi campaign -w pi -n 20 --share-dir /mnt/share/pi --trace
     gemfi timeline /mnt/share/pi -o trace.json    # Perfetto-loadable
     gemfi dashboard /mnt/share/pi [--once]        # live view + alerts
@@ -39,6 +40,7 @@ Campaign-as-a-service (repro.service):
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -51,8 +53,14 @@ from .campaign import (
     render_location_table,
     sample_size,
 )
-from .compiler import compile_source
-from .core import FaultInjector, LocationKind, parse_fault_file
+from .compiler import CompileError, compile_source
+from .core import (
+    FaultInjector,
+    FaultParseError,
+    LocationKind,
+    parse_fault_file,
+)
+from .isa import AssemblyError
 from .sim import SimConfig, Simulator
 from .telemetry.campaign import HEARTBEAT_TIMEOUT, STALE_CLAIM_SECONDS
 from .workloads import WORKLOAD_NAMES, build
@@ -105,16 +113,6 @@ def _workload_or_file(text: str) -> str:
     return text if text in WORKLOAD_NAMES else _existing_file(text)
 
 
-def _load_program(path: str) -> str:
-    """Return assembly text for *path* (.mc MiniC is compiled; .s/.asm
-    is passed through)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if path.endswith((".s", ".asm")):
-        return text
-    return compile_source(text)
-
-
 def _emit(text: str, output: str | None, note: str) -> None:
     """Print *text*, or write it to *output* and say *note* there."""
     if output:
@@ -125,44 +123,158 @@ def _emit(text: str, output: str | None, note: str) -> None:
         print(text, end="")
 
 
+def _single_run(args: argparse.Namespace):
+    """The one set-up of a single-program run: parse the faults, build
+    the simulator, load the program (a workload name builds it at
+    ``--scale``) and, for ``--trace``, attach a trace bus with its sink.
+    Returns ``(sim, sink)``; *sink* is None without ``--trace``.  A
+    malformed fault line or program is a usage error (exit 2)."""
+    from .telemetry import JsonlFileSink, RingBufferSink, TraceBus
+    try:
+        faults = []
+        if args.fault_file:
+            with open(args.fault_file, "r", encoding="utf-8") as handle:
+                faults.extend(parse_fault_file(handle.read()))
+        for line in args.fault or ():
+            faults.extend(parse_fault_file(line))
+        if args.program in WORKLOAD_NAMES:
+            asm = compile_source(build(args.program, args.scale).source)
+            name = args.program
+        else:
+            with open(args.program, "r", encoding="utf-8") as handle:
+                asm = handle.read()
+            if not args.program.endswith((".s", ".asm")):
+                asm = compile_source(asm)
+            name = "app"
+        config = SimConfig(cpu_model=args.cpu,
+                           switch_to_atomic_after_fi=args.switch_to_atomic)
+        sim = Simulator(config, injector=FaultInjector(faults))
+        sim.load(asm, name)
+    except (FaultParseError, CompileError, AssemblyError) as exc:
+        where = "" if isinstance(exc, FaultParseError) \
+            else f"{args.program}: "
+        print(f"gemfi run: error: {where}{exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    sink = None
+    if args.trace:
+        sink = RingBufferSink(capacity=args.ring) if args.ring else \
+            JsonlFileSink(sys.stdout if args.trace == "-" else args.trace)
+        sim.attach_bus(TraceBus(sink, pipe_trace=args.pipe))
+        # The injector parsed its faults before the bus existed; report
+        # the armed configuration at the head of the trace.
+        for fault in faults:
+            sim.bus.emit("fault_armed", fault=fault.describe())
+    return sim, sink
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    faults = []
-    if args.fault_file:
-        with open(args.fault_file, "r", encoding="utf-8") as handle:
-            faults.extend(parse_fault_file(handle.read()))
-    for line in args.fault or ():
-        faults.extend(parse_fault_file(line))
-
-    injector = FaultInjector(faults)
-    config = SimConfig(cpu_model=args.cpu,
-                       switch_to_atomic_after_fi=args.switch_to_atomic)
-    sim = Simulator(config, injector=injector)
-    sim.load(_load_program(args.program), "app")
+    """Run one program with any mix of instruments: fault injection,
+    the trace bus (``--trace``), the self-profiler (``--profile``) and
+    a stats dump."""
+    sim, sink = _single_run(args)
+    profiler = sampler = None
+    if (args.profile or args.json or args.folded
+            or args.folded_source or args.sample):
+        from .telemetry.profiler import Profiler, SamplingProfiler
+        profiler = Profiler().install(sim)
+        if args.sample:
+            sampler = SamplingProfiler(hz=args.sample)
+            try:
+                sampler.start()
+            except ValueError as exc:
+                print(f"# sampling unavailable: {exc}", file=sys.stderr)
+                sampler = None
     result = sim.run(max_instructions=args.max_instructions)
+    if sampler is not None:
+        sampler.stop()
 
+    # Machine-readable output (a JSONL trace or the profile's JSON)
+    # keeps stdout to itself; the run summary then goes to stderr.
+    say = functools.partial(
+        print, file=sys.stderr if args.trace == "-" or args.json
+        else sys.stdout)
     process = sim.process(0)
-    print(f"status      : {result.status}")
-    print(f"process     : {process.state.value}"
-          + (f" ({process.crash_reason})" if process.crash_reason
-             else f" exit={process.exit_code}"))
-    print(f"instructions: {result.instructions}  ticks: {result.ticks}")
+    say(f"status      : {result.status}")
+    say(f"process     : {process.state.value}"
+        + (f" ({process.crash_reason})" if process.crash_reason
+           else f" exit={process.exit_code}"))
+    say(f"instructions: {result.instructions}  ticks: {result.ticks}")
     console = process.console_text()
     if console:
-        print("--- console ---")
-        print(console, end="" if console.endswith("\n") else "\n")
-    if injector.records:
-        print("--- injections ---")
-        for record in injector.records:
-            print(f"  {record.fault.describe()}")
-            print(f"    pc={record.pc:#x} window-instr="
-                  f"{record.instruction_count} {record.detail} "
-                  f"{record.before:#x}->{record.after:#x} "
-                  f"propagated={record.propagated}")
+        say("--- console ---")
+        say(console, end="" if console.endswith("\n") else "\n")
+    if sim.injector.records:
+        say("--- injections ---")
+        for record in sim.injector.records:
+            say(f"  {record.fault.describe()}")
+            say(f"    pc={record.pc:#x} window-instr="
+                f"{record.instruction_count} {record.detail} "
+                f"{record.before:#x}->{record.after:#x} "
+                f"propagated={record.propagated}")
+    if profiler is not None:
+        _print_profile(args, sim, result, profiler, sampler, say)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as handle:
             handle.write(sim.stats_dump())
-        print(f"stats written to {args.stats}")
-    return 0 if process.state.value == "exited" else 1
+        say(f"stats written to {args.stats}")
+    if profiler is not None:
+        profiler.uninstall()
+    if sink is not None:
+        sim.bus.close()
+        if args.ring:
+            _emit(sink.dump_jsonl(), None if args.trace == "-"
+                  else args.trace, f"last {len(sink.events)} events")
+            if sink.dropped:
+                print(f"# ring buffer dropped {sink.dropped} older "
+                      f"events", file=sys.stderr)
+        print(f"# status={result.status} process={process.state.value} "
+              f"events={sink.count}", file=sys.stderr)
+    limited = result.status == "limit"
+    return 0 if limited or process.state.value == "exited" else 1
+
+
+def _print_profile(args, sim, result, profiler, sampler, say) -> None:
+    """``--profile``: host-time attribution and sim rate (KIPS), as a
+    table after the run summary or as ``--json`` on stdout."""
+    import json
+
+    from .telemetry.profiler import sim_rates
+    wall = profiler.wall_seconds
+    rates = sim_rates(result.instructions, result.ticks, wall)
+    if args.folded:
+        folded = sampler.folded() if args.folded_source == "sample" \
+            and sampler is not None else profiler.folded()
+        with open(args.folded, "w", encoding="utf-8") as handle:
+            handle.write(folded)
+    if args.json:
+        payload = {
+            "workload": sim.process(0).name,
+            "cpu": args.cpu,
+            "status": result.status,
+            "instructions": result.instructions,
+            "ticks": result.ticks,
+            "wall_seconds": wall,
+            "kips": rates["kips"],
+            "ticks_per_second": rates["ticks_per_second"],
+            "host_seconds_per_instruction":
+                rates["host_seconds_per_instruction"],
+            "attribution": profiler.attribution(),
+            "coverage": profiler.coverage(),
+        }
+        if sampler is not None:
+            payload["samples"] = sampler.samples
+            payload["sample_attribution"] = sampler.attribution()
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    say(f"wall        : {wall:.4f}s  {rates['kips']:.1f} KIPS  "
+        f"{rates['ticks_per_second']:.0f} ticks/s")
+    say("--- host-time attribution ---")
+    say(profiler.render_table())
+    if sampler is not None:
+        say(f"--- sampled ({sampler.samples} samples) ---")
+        say(sampler.render_table())
+    if args.folded:
+        say(f"# folded stacks -> {args.folded} (flamegraph.pl / speedscope)")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -270,69 +382,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one program with the trace bus attached and stream (or ring-
-    buffer) the JSONL lifecycle events; or tail a live trace file."""
-    from .telemetry import JsonlFileSink, RingBufferSink, TraceBus
-
-    if args.follow:
-        from .telemetry import follow_jsonl
-        path = args.program or args.trace_file
-        if not path:
-            print("trace --follow needs the JSONL file to tail",
-                  file=sys.stderr)
-            return 2
-        try:
-            for event in follow_jsonl(path, poll=args.poll,
-                                      idle_timeout=args.idle_timeout):
-                print(event.to_json(), flush=True)
-        except KeyboardInterrupt:
-            pass
-        return 0
-    if not args.program:
-        print("trace needs a program (or --follow FILE)",
-              file=sys.stderr)
+    """Tail a JSONL trace file that a live ``gemfi run --trace FILE``
+    is writing."""
+    from .telemetry import follow_jsonl
+    if not args.file:
+        print("gemfi trace: error: no JSONL file to tail", file=sys.stderr)
         return 2
-
-    faults = []
-    if args.fault_file:
-        with open(args.fault_file, "r", encoding="utf-8") as handle:
-            faults.extend(parse_fault_file(handle.read()))
-    for line in args.fault or ():
-        faults.extend(parse_fault_file(line))
-
-    bus = TraceBus(pipe_trace=args.pipe)
-    ring = None
-    sink = None
-    if args.ring:
-        ring = RingBufferSink(capacity=args.ring)
-        bus.attach(ring)
-    else:
-        sink = JsonlFileSink(args.trace_file if args.trace_file
-                             else sys.stdout)
-        bus.attach(sink)
-
-    injector = FaultInjector(faults)
-    config = SimConfig(cpu_model=args.cpu)
-    sim = Simulator(config, injector=injector, bus=bus)
-    # The injector parsed its faults before the bus existed; report the
-    # armed configuration at the head of the trace.
-    for fault in faults:
-        bus.emit("fault_armed", fault=fault.describe())
-    sim.load(_load_program(args.program), "app")
-    result = sim.run(max_instructions=args.max_instructions)
-    bus.close()
-
-    if ring is not None:
-        print(ring.dump_jsonl(), end="")
-        if ring.dropped:
-            print(f"# ring buffer dropped {ring.dropped} older events",
-                  file=sys.stderr)
-    events = (ring.dropped + len(ring.events)) if ring is not None \
-        else sink.count
-    process = sim.process(0)
-    print(f"# status={result.status} process={process.state.value} "
-          f"events={events}", file=sys.stderr)
-    return 0 if process.state.value == "exited" else 1
+    try:
+        for event in follow_jsonl(args.file, poll=args.poll,
+                                  idle_timeout=args.idle_timeout):
+            print(event.to_json(), flush=True)
+    except KeyboardInterrupt:
+        pass
+    return 0
 
 
 def cmd_status(args: argparse.Namespace) -> int:
@@ -646,96 +708,6 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Self-profile one run: where does host time go, and how fast is
-    the simulator (KIPS / ticks-per-second)?"""
-    import json
-
-    from .telemetry.profiler import (
-        Profiler,
-        SamplingProfiler,
-        sim_rates,
-    )
-
-    if args.workload in WORKLOAD_NAMES:
-        spec = build(args.workload, args.scale)
-        asm = compile_source(spec.source)
-        name = args.workload
-    else:
-        asm = _load_program(args.workload)
-        name = "app"
-
-    faults = []
-    if args.fault_file:
-        with open(args.fault_file, "r", encoding="utf-8") as handle:
-            faults.extend(parse_fault_file(handle.read()))
-    for line in args.fault or ():
-        faults.extend(parse_fault_file(line))
-
-    injector = FaultInjector(faults)
-    config = SimConfig(cpu_model=args.cpu)
-    sim = Simulator(config, injector=injector)
-    sim.load(asm, name)
-    profiler = Profiler().install(sim)
-    sampler = None
-    if args.sample:
-        sampler = SamplingProfiler(hz=args.sample)
-        try:
-            sampler.start()
-        except ValueError as exc:
-            print(f"# sampling unavailable: {exc}", file=sys.stderr)
-            sampler = None
-    result = sim.run(max_instructions=args.max_instructions)
-    if sampler is not None:
-        sampler.stop()
-
-    wall = profiler.wall_seconds
-    rates = sim_rates(result.instructions, result.ticks, wall)
-    if args.folded:
-        folded = sampler.folded() if args.folded_source == "sample" \
-            and sampler is not None else profiler.folded()
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(folded)
-    if args.json:
-        payload = {
-            "workload": name,
-            "cpu": args.cpu,
-            "status": result.status,
-            "instructions": result.instructions,
-            "ticks": result.ticks,
-            "wall_seconds": wall,
-            "kips": rates["kips"],
-            "ticks_per_second": rates["ticks_per_second"],
-            "host_seconds_per_instruction":
-                rates["host_seconds_per_instruction"],
-            "attribution": profiler.attribution(),
-            "coverage": profiler.coverage(),
-        }
-        if sampler is not None:
-            payload["samples"] = sampler.samples
-            payload["sample_attribution"] = sampler.attribution()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"workload    : {name} ({args.cpu})  status={result.status}")
-        print(f"instructions: {result.instructions}  "
-              f"ticks: {result.ticks}")
-        print(f"wall        : {wall:.4f}s  {rates['kips']:.1f} KIPS  "
-              f"{rates['ticks_per_second']:.0f} ticks/s")
-        print("--- host-time attribution ---")
-        print(profiler.render_table())
-        if sampler is not None:
-            print(f"--- sampled ({sampler.samples} samples) ---")
-            print(sampler.render_table())
-        if args.folded:
-            print(f"# folded stacks -> {args.folded} "
-                  f"(flamegraph.pl / speedscope)")
-    if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as handle:
-            handle.write(sim.stats_dump())
-    profiler.uninstall()
-    return 0
-
-
 def cmd_workloads(_args: argparse.Namespace) -> int:
     for name in WORKLOAD_NAMES:
         spec = build(name, "small")
@@ -932,20 +904,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser(
-        "run", help="simulate one program, optionally injecting faults")
-    run_p.add_argument("program", type=_existing_file,
-                       help="MiniC source (.mc/.py) or assembly (.s)")
+        "run", help="simulate one program with optional faults, trace "
+                    "and self-profile",
+        description="Simulate one program from power-on.  Exit status: "
+                    "0 when the program exited or the run stopped at "
+                    "--max-instructions, 1 when it crashed or halted, "
+                    "2 on bad input.")
+    run_p.add_argument("program", type=_workload_or_file,
+                       help="paper workload name (built at --scale), "
+                            "MiniC source (.mc/.py) or assembly (.s)")
+    run_p.add_argument("--scale", default="tiny",
+                       choices=("tiny", "small", "medium", "paper"),
+                       help="workload scale (workload names only)")
     run_p.add_argument("--fault-file", "-f", type=_existing_file,
                        help="Listing-1 style fault input file")
     run_p.add_argument("--fault", action="append",
                        help="inline fault description (repeatable)")
     run_p.add_argument("--cpu", default="atomic",
                        choices=("atomic", "timing", "inorder", "o3"))
-    run_p.add_argument("--max-instructions", type=int,
-                       default=50_000_000)
-    run_p.add_argument("--stats", help="write a stats dump to this file")
+    run_p.add_argument("--max-instructions", type=_positive_int,
+                       default=50_000_000, metavar="N",
+                       help="stop after N committed instructions "
+                            "(status limit)")
+    run_p.add_argument("--stats", help="write a stats dump to this file "
+                                       "(with host.* gauges under "
+                                       "--profile)")
     run_p.add_argument("--switch-to-atomic", action="store_true",
                        help="drop to AtomicSimple once the fault commits")
+    run_p.add_argument("--trace", metavar="FILE",
+                       help="write the trace bus's JSONL events here "
+                            "('-' = stdout; the run summary then goes "
+                            "to stderr)")
+    run_p.add_argument("--ring", type=_non_negative_int, default=0,
+                       metavar="N",
+                       help="with --trace, keep only the last N events "
+                            "(crash post-mortem mode)")
+    run_p.add_argument("--pipe", action="store_true",
+                       help="with --trace, also capture per-instruction "
+                            "O3 pipeline events (for gemfi pipeview)")
+    run_p.add_argument("--profile", action="store_true",
+                       help="self-profile the simulator: host-time "
+                            "attribution and sim rate (KIPS)")
+    run_p.add_argument("--json", action="store_true",
+                       help="print the profile as JSON on stdout "
+                            "(implies --profile)")
+    run_p.add_argument("--folded", metavar="FILE",
+                       help="write folded flame-graph stacks here "
+                            "(implies --profile)")
+    run_p.add_argument("--folded-source", default=None,
+                       choices=("timers", "sample"),
+                       help="which profile feeds --folded (default "
+                            "timers; implies --profile)")
+    run_p.add_argument("--sample", type=_positive_int, nargs="?",
+                       const=97, default=None, metavar="HZ",
+                       help="also run the SIGPROF sampling profiler "
+                            "(default 97 Hz; implies --profile)")
     run_p.set_defaults(func=cmd_run)
 
     camp_p = sub.add_parser(
@@ -1004,34 +1017,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser(
         "trace",
-        help="run one program with the structured trace bus attached")
-    trace_p.add_argument("program", nargs="?", default=None,
-                         help="MiniC source (.mc/.py) or assembly (.s); "
-                              "with --follow, the JSONL file to tail")
-    trace_p.add_argument("--fault-file", "-f", type=_existing_file,
-                         help="Listing-1 style fault input file")
-    trace_p.add_argument("--fault", action="append",
-                         help="inline fault description (repeatable)")
-    trace_p.add_argument("--cpu", default="atomic",
-                         choices=("atomic", "timing", "inorder", "o3"))
-    trace_p.add_argument("--max-instructions", type=int,
-                         default=50_000_000)
-    trace_p.add_argument("--trace-file", "-o",
-                         help="write JSONL events here instead of stdout")
-    trace_p.add_argument("--ring", type=_non_negative_int, default=0,
-                         help="keep only the last N events (crash "
-                              "post-mortem mode)")
-    trace_p.add_argument("--pipe", action="store_true",
-                         help="also capture per-instruction O3 pipeline "
-                              "events (for gemfi pipeview)")
-    trace_p.add_argument("--follow", action="store_true",
-                         help="tail a JSONL trace file being written by "
-                              "a live run instead of simulating")
-    trace_p.add_argument("--poll", type=float, default=0.2,
-                         help="--follow poll interval in seconds")
+        help="tail a JSONL trace file that gemfi run --trace is writing")
+    trace_p.add_argument("file", nargs="?", default=None, metavar="FILE",
+                         type=_existing_file,
+                         help="the JSONL trace file to tail")
+    trace_p.add_argument("--poll", type=float, default=0.2, metavar="S",
+                         help="poll interval in seconds")
     trace_p.add_argument("--idle-timeout", type=float, default=None,
-                         help="--follow stops after this many seconds "
-                              "without a new event (default: forever)")
+                         metavar="S",
+                         help="stop after this many seconds without a "
+                              "new event (default: forever)")
     trace_p.set_defaults(func=cmd_trace)
 
     pipe_p = sub.add_parser(
@@ -1229,40 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write here instead of stdout")
     cov_p.set_defaults(func=cmd_coverage)
 
-    prof_p = sub.add_parser(
-        "profile",
-        help="self-profile the simulator: host-time attribution and "
-             "sim-rate (KIPS) for one run")
-    prof_p.add_argument("workload", type=_workload_or_file,
-                        help="paper workload name, MiniC source "
-                             "(.mc/.py) or assembly (.s)")
-    prof_p.add_argument("--scale", default="tiny",
-                        choices=("tiny", "small", "medium", "paper"),
-                        help="workload scale (workload names only)")
-    prof_p.add_argument("--cpu", default="atomic",
-                        choices=("atomic", "timing", "inorder", "o3"))
-    prof_p.add_argument("--fault-file", "-f", type=_existing_file,
-                        help="Listing-1 style fault input file")
-    prof_p.add_argument("--fault", action="append",
-                        help="inline fault description (repeatable)")
-    prof_p.add_argument("--max-instructions", type=int,
-                        default=50_000_000)
-    prof_p.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    prof_p.add_argument("--folded", metavar="FILE",
-                        help="write folded flame-graph stacks here")
-    prof_p.add_argument("--folded-source", default="timers",
-                        choices=("timers", "sample"),
-                        help="which profile feeds --folded")
-    prof_p.add_argument("--sample", type=int, nargs="?", const=97,
-                        default=None, metavar="HZ",
-                        help="also run the SIGPROF sampling profiler "
-                             "(default 97 Hz)")
-    prof_p.add_argument("--stats",
-                        help="write a stats dump (incl. host.* gauges) "
-                             "to this file")
-    prof_p.set_defaults(func=cmd_profile)
-
     list_p = sub.add_parser("workloads",
                             help="list the paper's benchmarks")
     list_p.set_defaults(func=cmd_workloads)
@@ -1382,13 +1343,27 @@ def _campaign_flag_error(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _run_flag_error(args: argparse.Namespace) -> str | None:
+    """A ``gemfi run`` flag that needs another: the ring buffer and the
+    pipeline events shape the ``--trace`` output, and a JSONL trace and
+    the profile's JSON cannot share stdout."""
+    if not args.trace:
+        if args.ring:
+            return "--ring needs --trace"
+        return "--pipe needs --trace" if args.pipe else None
+    if args.trace == "-" and args.json:
+        return "--json and --trace - both write to stdout"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_campaign:
-        error = _campaign_flag_error(args)
-        if error:
-            parser.exit(2, f"gemfi campaign: error: {error}\n")
+    check = {cmd_campaign: _campaign_flag_error,
+             cmd_run: _run_flag_error}.get(args.func)
+    error = check(args) if check else None
+    if error:
+        parser.exit(2, f"gemfi {args.command}: error: {error}\n")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 from ..memory.hierarchy import HierarchyConfig
 
 CPU_MODEL_NAMES = ("atomic", "timing", "inorder", "o3")
+# How often (committed instructions) the run loop polls for FI model
+# switching, scheduling, checkpoint requests and the instruction limit.
+POLL_INTERVAL = 64
+# The one core's name, as fault descriptions address it.
+CORE_NAME = "system.cpu0"
 
 
 @dataclass
@@ -22,10 +27,6 @@ class SimConfig:
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     # Scheduler time slice, in committed instructions.
     quantum: int = 20_000
-    # Watchdog: end the run (status "limit") after this many committed
-    # instructions.  Fault campaigns rely on it to reap fault-induced
-    # infinite loops.
-    max_instructions: int | None = None
     # Campaign methodology of Section IV.B.1: once the injected fault has
     # committed (or can never fire again), switch from the detailed CPU
     # model to AtomicSimple for the rest of the run.
@@ -39,10 +40,6 @@ class SimConfig:
     # injection status of the executing thread in the hash table on
     # each simulated clock tick").
     fi_hash_lookup_per_instruction: bool = False
-    # How often (committed instructions) the run loop polls for FI model
-    # switching and checkpoint requests.
-    poll_interval: int = 64
-    core_name: str = "system.cpu0"
 
     def __post_init__(self) -> None:
         if self.cpu_model not in CPU_MODEL_NAMES:

@@ -23,7 +23,7 @@ from ..memory.mainmem import MainMemory
 from ..system.kernel import System
 from ..system.process import Process
 from ..system.syscalls import ProcessExited
-from .config import SimConfig
+from .config import CORE_NAME, POLL_INTERVAL, SimConfig
 
 
 @dataclass
@@ -58,7 +58,7 @@ class Simulator:
         self.system = System(self.memory, clock=lambda: self.tick,
                              quantum=self.config.quantum)
         self.core = Core(
-            self.config.core_name, self.hierarchy, injector=injector,
+            CORE_NAME, self.hierarchy, injector=injector,
             decode_cache=DecodeCache(enabled=self.config.decode_cache))
         self.core.system = self.system
         if self.config.fi_hash_lookup_per_instruction:
@@ -111,12 +111,13 @@ class Simulator:
     def run(self, max_instructions: int | None = None,
             until_checkpoint: bool = False) -> RunResult:
         """Simulate until every process finishes, the watchdog fires, a
-        ``halt`` executes, or (optionally) a checkpoint is taken."""
-        limit = max_instructions or self.config.max_instructions
+        ``halt`` executes, or (optionally) a checkpoint is taken.  The
+        watchdog ends the run (status "limit") at the first poll with
+        *max_instructions* committed; None runs without one."""
         system = self.system
         core = self.core
         config = self.config
-        poll = config.poll_interval
+        poll = POLL_INTERVAL
         next_poll = self.instructions + poll
 
         if system.current_pid is None or \
@@ -210,7 +211,8 @@ class Simulator:
                 # Stop after this poll's scheduling decision, so a run
                 # resumed from here continues exactly as an unbroken one
                 # (the checkpoint ladder stops and resumes runs here).
-                if limit is not None and self.instructions >= limit:
+                if max_instructions is not None and \
+                        self.instructions >= max_instructions:
                     status = "limit"
                     break
         return self._result(status)

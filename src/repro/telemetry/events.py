@@ -11,7 +11,7 @@ the only cost on any path is a pointer test on the *rare* events
 hot path is untouched.
 
 Every event serialises to one JSON line with sorted keys, so traces are
-diffable and stream-parseable (``gemfi trace``).
+diffable and stream-parseable (``gemfi run --trace``, ``gemfi trace``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ instruction is in flight.
 
 Rendering consumes only ``pipe_inst`` / ``pipe_squash`` events captured
 on a :class:`~repro.telemetry.events.TraceBus` with ``pipe_trace`` set
-(``gemfi trace --pipe``); nothing is re-instrumented at render time.
+(``gemfi run --trace FILE --pipe``); nothing is re-instrumented at
+render time.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def render_pipeview(insts: list[PipeInst]) -> str:
     """Render instruction lanes, Konata-style, one row per fetch."""
     if not insts:
         return "(no pipe_inst/pipe_squash events -- capture with " \
-               "`gemfi trace --pipe` on the o3 model)"
+               "`gemfi run --cpu o3 --trace FILE --pipe`)"
     base = min(inst.fetch for inst in insts)
     last = max(inst.end for inst in insts)
     span = last - base + 1

@@ -330,7 +330,7 @@ class Profiler:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def render_table(self, wall_seconds: float | None = None) -> str:
-        """The ``gemfi profile`` attribution table."""
+        """The ``gemfi run --profile`` attribution table."""
         wall = self.total_seconds if wall_seconds is None \
             else wall_seconds
         rows = sorted(self.buckets.items(),
@@ -396,7 +396,7 @@ class SamplingProfiler:
     population to stabilise.  ``ITIMER_PROF`` counts *CPU* time, so a
     sleeping simulator is never sampled.  Main-thread only (a CPython
     signal-handler restriction); :meth:`start` raises ``ValueError``
-    elsewhere, which ``gemfi profile --sample`` reports cleanly.
+    elsewhere, which ``gemfi run --sample`` reports cleanly.
     """
 
     def __init__(self, hz: int = 97, max_depth: int = 64) -> None:

@@ -9,7 +9,7 @@ Two sinks cover the observability shapes of the issue:
   experiments that behave.
 * :class:`JsonlFileSink` — full structured trace, one JSON object per
   line, streamable while the simulation is still running
-  (``gemfi trace``).
+  (``gemfi run --trace FILE``).
 
 :class:`ListSink` is the trivial collect-everything sink used by tests
 and in-process analysis.
@@ -55,6 +55,11 @@ class RingBufferSink:
     @property
     def events(self) -> list[TraceEvent]:
         return list(self._ring)
+
+    @property
+    def count(self) -> int:
+        """Events accepted, dropped ones included."""
+        return self.dropped + len(self._ring)
 
     def dump_jsonl(self) -> str:
         return "".join(event.to_json() + "\n" for event in self._ring)
@@ -109,7 +114,7 @@ def read_jsonl(source) -> list[TraceEvent]:
 def follow_jsonl(path: str, poll: float = 0.2,
                  idle_timeout: float | None = None,
                  sleep=time.sleep, clock=time.monotonic):
-    """Tail a JSONL trace file (``gemfi trace --follow``).
+    """Tail a JSONL trace file (``gemfi trace``).
 
     Yields :class:`TraceEvent` objects as lines are appended by a live
     writer, polling every *poll* seconds.  Partial lines (a writer

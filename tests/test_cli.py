@@ -76,6 +76,32 @@ class TestRunCommand:
                      "--switch-to-atomic"]) == 0
         assert "435" in capsys.readouterr().out
 
+    def test_limit_exits_0(self, minic_file, capsys):
+        """Stopping at --max-instructions is no failure: only a crash or
+        a halt exits 1."""
+        assert main(["run", minic_file, "--max-instructions", "64"]) == 0
+        assert "status      : limit" in capsys.readouterr().out
+
+    def test_instruments_combine(self, minic_file, tmp_path, capsys):
+        """Trace, pipeline events, profile and stats in one O3 run that
+        drops to atomic once its fault has fired."""
+        trace = tmp_path / "run.jsonl"
+        stats = tmp_path / "stats.txt"
+        assert main(["run", minic_file, "--cpu", "o3", "--switch-to-atomic",
+                     "--fault", "RegisterInjectedFault Inst:5 Flip:3 "
+                     "Threadid:0 system.cpu0 occ:1 int 1",
+                     "--trace", str(trace), "--pipe", "--profile",
+                     "--stats", str(stats)]) == 0
+        captured = capsys.readouterr()
+        assert "--- injections ---" in captured.out
+        assert "--- host-time attribution ---" in captured.out
+        assert "# status=completed process=exited" in captured.err
+        kinds = [json.loads(line)["kind"]
+                 for line in trace.read_text().splitlines()]
+        assert kinds[0] == "fault_armed"
+        assert "pipe_inst" in kinds and "model_switch" in kinds
+        assert "host.kips" in stats.read_text()
+
 
 class TestOtherCommands:
     def test_workloads_listing(self, capsys):
@@ -191,7 +217,7 @@ class TestArgumentErrors:
         ["coverage", "{tmp}", "--dimension", "nope"],
         ["run", "{tmp}/missing.mc"],
         ["run", "{prog}", "--fault-file", "{tmp}/missing.txt"],
-        ["profile", "{tmp}/missing.mc"],
+        ["run", "{tmp}/missing.mc", "--profile"],
         ["stats-diff", "{tmp}/a.txt", "{tmp}/b.txt"],
         ["pipeview", "{tmp}/missing.jsonl"],
         ["campaign", "-n", "0"],
@@ -204,14 +230,30 @@ class TestArgumentErrors:
         ["campaign", "--trace"],
         ["analyze", "-n", "0"],
         ["dashboard", "{tmp}", "--interval", "-1"],
-        ["trace", "{prog}", "--ring", "-5"],
+        ["run", "{prog}", "--trace", "-", "--ring", "-5"],
         ["timeline", "{tmp}", "--slots", "0"],
         ["timeline", "{tmp}", "--slots", "-2"],
         ["compare", "{tmp}", "{tmp}", "--confidence", "2"],
         ["compare", "{tmp}", "{tmp}", "--margin", "-1"],
+        ["run", "{prog}", "--fault", "garbage"],
+        ["run", "{prog}", "--fault-file", "{tmp}/bad_inst.txt"],
+        ["run", "{tmp}/syntax.mc"],
+        ["run", "{tmp}/mnemonic.s"],
+        ["run", "pi", "--max-instructions", "-5"],
+        ["run", "{prog}", "--max-instructions", "0"],
+        ["run", "{prog}", "--ring", "3"],
+        ["run", "{prog}", "--pipe"],
+        ["run", "{prog}", "--trace", "-", "--json"],
+        ["run", "{prog}", "--sample", "0"],
+        ["trace", "{tmp}/missing.jsonl"],
     ])
     def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
                                   capsys):
+        (tmp_path / "bad_inst.txt").write_text(
+            "RegisterInjectedFault Inst:abc Flip:3 Threadid:0 "
+            "system.cpu0 occ:1 int 1\n")
+        (tmp_path / "syntax.mc").write_text("def main(:\n    exit(0)\n")
+        (tmp_path / "mnemonic.s").write_text("main:\n    frob a0\n")
         argv = [arg.format(tmp=tmp_path, prog=minic_file)
                 for arg in argv]
         with pytest.raises(SystemExit) as caught:
@@ -225,13 +267,13 @@ class TestArgumentErrors:
     def test_stdin_and_workload_names_still_parse(self):
         parser = build_parser()
         assert parser.parse_args(["pipeview", "-"]).trace == "-"
-        assert parser.parse_args(["profile", "pi"]).workload == "pi"
+        assert parser.parse_args(["run", "pi"]).program == "pi"
 
     def test_range_edges_still_parse(self):
         """``--ring 0`` still means "no ring buffer" and a compare
         margin of 0 stays valid."""
         parser = build_parser()
-        assert parser.parse_args(["trace", "--ring", "0"]).ring == 0
+        assert parser.parse_args(["run", "pi", "--ring", "0"]).ring == 0
         assert parser.parse_args(
             ["compare", "a", "b", "--margin", "0"]).margin == 0.0
         assert parser.parse_args(

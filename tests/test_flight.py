@@ -497,14 +497,15 @@ class TestPipeview:
         assert insts[1].squash_reason == "flush"
 
     def test_empty_capture_renders_hint(self):
-        assert "gemfi trace --pipe" in render_from_events([])
+        assert "gemfi run --cpu o3 --trace FILE --pipe" \
+            in render_from_events([])
 
     def test_cli_trace_pipe_then_pipeview(self, tmp_path, capsys):
         program = tmp_path / "pipe.s"
         program.write_text(PIPE_ASM)
         trace = tmp_path / "pipe.jsonl"
-        assert main(["trace", str(program), "--cpu", "o3", "--pipe",
-                     "-o", str(trace)]) == 0
+        assert main(["run", str(program), "--cpu", "o3",
+                     "--trace", str(trace), "--pipe"]) == 0
         capsys.readouterr()
         assert main(["pipeview", str(trace)]) == 0
         out = capsys.readouterr().out

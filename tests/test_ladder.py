@@ -23,6 +23,7 @@ from repro.core import parse_fault_line as fault
 from repro.core.fault import InjectionRecord
 from repro.sim import SimConfig, Simulator
 from repro.sim.checkpoint import dumps_checkpoint, restore_checkpoint
+from repro.sim.config import POLL_INTERVAL
 from repro.telemetry import ListSink, TraceBus
 from repro.workloads import WORKLOAD_NAMES, build
 from repro.workloads.quality import extract_outputs
@@ -217,7 +218,7 @@ def test_full_ladder_doubles_its_stride(monkeypatch):
     assert 2 < len(rungs) <= 4
     assert rungs[0].position == 0 and rungs[0].state is None
     gaps = {b.position - a.position for a, b in zip(rungs, rungs[1:])}
-    stride = RUNG_STRIDE_POLLS * runner.config.poll_interval
+    stride = RUNG_STRIDE_POLLS * POLL_INTERVAL
     assert len(gaps) == 1
     multiple, remainder = divmod(gaps.pop(), stride)
     assert remainder == 0

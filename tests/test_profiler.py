@@ -497,7 +497,7 @@ class TestProfileCli:
         program = tmp_path / "app.mc"
         program.write_text(MIXED_PROGRAM)
         folded_path = tmp_path / "out.folded"
-        code = main(["profile", str(program), "--json",
+        code = main(["run", str(program), "--json",
                      "--folded", str(folded_path),
                      "--max-instructions", "50000"])
         assert code == 0
@@ -510,7 +510,7 @@ class TestProfileCli:
 
     def test_profile_table_for_workload(self, capsys):
         from repro.cli import main
-        code = main(["profile", "pi", "--cpu", "o3",
+        code = main(["run", "pi", "--cpu", "o3", "--profile",
                      "--max-instructions", "5000"])
         assert code == 0
         out = capsys.readouterr().out

@@ -599,7 +599,8 @@ def minic_file(tmp_path):
 
 class TestCliSurfaces:
     def test_trace_streams_jsonl(self, minic_file, capsys):
-        assert main(["trace", minic_file, "--fault", REG_FAULT]) == 0
+        assert main(["run", minic_file, "--fault", REG_FAULT,
+                     "--trace", "-"]) == 0
         out = capsys.readouterr().out
         events = list(events_from_jsonl(out))
         kinds = [e.kind for e in events]
@@ -609,10 +610,12 @@ class TestCliSurfaces:
 
     def test_trace_to_file_and_ring(self, minic_file, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
-        assert main(["trace", minic_file, "--trace-file",
+        assert main(["run", minic_file, "--trace",
                      str(trace_path)]) == 0
         assert list(events_from_jsonl(trace_path.read_text()))
-        assert main(["trace", minic_file, "--ring", "2"]) == 0
+        capsys.readouterr()  # the run summary of the file-traced run
+        assert main(["run", minic_file, "--trace", "-",
+                     "--ring", "2"]) == 0
         ring_out = capsys.readouterr().out
         assert len(list(events_from_jsonl(ring_out))) <= 2
 
@@ -674,7 +677,7 @@ class TestStatsDiffTolerance:
         assert "0 differences" in capsys.readouterr().out
 
 
-# -- live tailing: trace --follow and status --watch --------------------------
+# -- live tailing: gemfi trace ------------------------------------------------
 
 
 def _append_events_slowly(path: str, events, delay: float = 0.02):
@@ -738,7 +741,7 @@ class TestFollowTrace:
             args=(str(path), self.EVENTS))
         writer.start()
         try:
-            code = main(["trace", str(path), "--follow",
+            code = main(["trace", str(path),
                          "--poll", "0.01", "--idle-timeout", "0.4"])
         finally:
             writer.join()
@@ -748,7 +751,7 @@ class TestFollowTrace:
         assert tailed == self.EVENTS
 
     def test_cli_trace_follow_requires_path(self, capsys):
-        assert main(["trace", "--follow"]) == 2
+        assert main(["trace"]) == 2
         assert "tail" in capsys.readouterr().err
 
 
