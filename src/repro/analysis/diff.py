@@ -10,7 +10,7 @@ that layer for the reproduction:
   per-dimension coverage heatmap rollups (reusing
   :meth:`~repro.analysis.coverage.FaultSpaceMap.as_dict`), the
   divergence-latency histogram and a host-time/KIPS rollup.  Buildable
-  from a share directory, a result list, or an archived payload; the
+  from a share directory, a result list, or a serialised payload; the
   same inputs always produce the same bytes (sorted keys, rounded
   floats, no timestamps or absolute paths).
 * :class:`CampaignDiff` — significance-tested deltas between two
@@ -244,10 +244,10 @@ class CampaignSummary:
 
     @classmethod
     def from_payload(cls, payload) -> "CampaignSummary":
-        """Re-hydrate a summary from its JSON payload (an archived
-        row, a ``gemfi compare --json`` operand, or the ``summary``
-        wrapper a service endpoint returns).  A bare result list is
-        summarised on the spot."""
+        """Re-hydrate a summary from its JSON payload (a saved
+        summary file, a ``gemfi compare --json`` operand, or the
+        ``summary`` wrapper a service endpoint returns).  A bare result
+        list is summarised on the spot."""
         if isinstance(payload, list):
             return cls.from_results(payload)
         if not isinstance(payload, dict):

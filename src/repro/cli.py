@@ -123,26 +123,46 @@ def _emit(text: str, output: str | None, note: str) -> None:
         print(text, end="")
 
 
+def _usage_error(command: str, message: str):
+    """One ``gemfi COMMAND: error:`` line on stderr, then exit 2."""
+    print(f"gemfi {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_text(path: str) -> str:
+    """A ``gemfi run`` input file; one that is not UTF-8 is a usage
+    error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        _usage_error("run", f"{path}: not UTF-8 text (byte "
+                            f"{exc.object[exc.start]:#04x} at offset "
+                            f"{exc.start})")
+
+
 def _single_run(args: argparse.Namespace):
     """The one set-up of a single-program run: parse the faults, build
     the simulator, load the program (a workload name builds it at
-    ``--scale``) and, for ``--trace``, attach a trace bus with its sink.
-    Returns ``(sim, sink)``; *sink* is None without ``--trace``.  A
-    malformed fault line or program is a usage error (exit 2)."""
+    ``--scale``), open the output files and, for ``--trace``, attach a
+    trace bus with its sink.  Returns ``(sim, sink, outputs)``; *sink*
+    is None without ``--trace``, and *outputs* maps ``trace``,
+    ``stats`` and ``folded`` to the open file of each one given
+    (``--trace -`` is stdout).  A malformed fault line or program, an
+    input that is not UTF-8 and an output that cannot be opened are
+    usage errors (exit 2), reported before anything runs."""
     from .telemetry import JsonlFileSink, RingBufferSink, TraceBus
     try:
         faults = []
         if args.fault_file:
-            with open(args.fault_file, "r", encoding="utf-8") as handle:
-                faults.extend(parse_fault_file(handle.read()))
+            faults.extend(parse_fault_file(_read_text(args.fault_file)))
         for line in args.fault or ():
             faults.extend(parse_fault_file(line))
         if args.program in WORKLOAD_NAMES:
             asm = compile_source(build(args.program, args.scale).source)
             name = args.program
         else:
-            with open(args.program, "r", encoding="utf-8") as handle:
-                asm = handle.read()
+            asm = _read_text(args.program)
             if not args.program.endswith((".s", ".asm")):
                 asm = compile_source(asm)
             name = "app"
@@ -153,25 +173,33 @@ def _single_run(args: argparse.Namespace):
     except (FaultParseError, CompileError, AssemblyError) as exc:
         where = "" if isinstance(exc, FaultParseError) \
             else f"{args.program}: "
-        print(f"gemfi run: error: {where}{exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error("run", f"{where}{exc}")
+    outputs = {}
+    for key, path in (("trace", args.trace), ("stats", args.stats),
+                      ("folded", args.folded)):
+        if path and (key, path) != ("trace", "-"):
+            try:
+                outputs[key] = open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                _usage_error("run", f"cannot write {path}: "
+                                    f"{exc.strerror}")
     sink = None
     if args.trace:
         sink = RingBufferSink(capacity=args.ring) if args.ring else \
-            JsonlFileSink(sys.stdout if args.trace == "-" else args.trace)
+            JsonlFileSink(outputs.get("trace", sys.stdout))
         sim.attach_bus(TraceBus(sink, pipe_trace=args.pipe))
         # The injector parsed its faults before the bus existed; report
         # the armed configuration at the head of the trace.
         for fault in faults:
             sim.bus.emit("fault_armed", fault=fault.describe())
-    return sim, sink
+    return sim, sink, outputs
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one program with any mix of instruments: fault injection,
     the trace bus (``--trace``), the self-profiler (``--profile``) and
     a stats dump."""
-    sim, sink = _single_run(args)
+    sim, sink, outputs = _single_run(args)
     profiler = sampler = None
     if (args.profile or args.json or args.folded
             or args.folded_source or args.sample):
@@ -212,40 +240,45 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"{record.before:#x}->{record.after:#x} "
                 f"propagated={record.propagated}")
     if profiler is not None:
-        _print_profile(args, sim, result, profiler, sampler, say)
+        _print_profile(args, sim, result, profiler, sampler, say,
+                       outputs.get("folded"))
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as handle:
-            handle.write(sim.stats_dump())
+        outputs["stats"].write(sim.stats_dump())
         say(f"stats written to {args.stats}")
     if profiler is not None:
         profiler.uninstall()
     if sink is not None:
         sim.bus.close()
         if args.ring:
-            _emit(sink.dump_jsonl(), None if args.trace == "-"
-                  else args.trace, f"last {len(sink.events)} events")
+            outputs.get("trace", sys.stdout).write(sink.dump_jsonl())
+            if "trace" in outputs:
+                print(f"# last {len(sink.events)} events -> "
+                      f"{args.trace}", file=sys.stderr)
             if sink.dropped:
                 print(f"# ring buffer dropped {sink.dropped} older "
                       f"events", file=sys.stderr)
         print(f"# status={result.status} process={process.state.value} "
               f"events={sink.count}", file=sys.stderr)
+    for handle in outputs.values():
+        handle.close()
     limited = result.status == "limit"
     return 0 if limited or process.state.value == "exited" else 1
 
 
-def _print_profile(args, sim, result, profiler, sampler, say) -> None:
+def _print_profile(args, sim, result, profiler, sampler, say,
+                   folded_file) -> None:
     """``--profile``: host-time attribution and sim rate (KIPS), as a
-    table after the run summary or as ``--json`` on stdout."""
+    table after the run summary or as ``--json`` on stdout; with
+    ``--folded``, the folded stacks go to *folded_file*."""
     import json
 
     from .telemetry.profiler import sim_rates
     wall = profiler.wall_seconds
     rates = sim_rates(result.instructions, result.ticks, wall)
     if args.folded:
-        folded = sampler.folded() if args.folded_source == "sample" \
-            and sampler is not None else profiler.folded()
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(folded)
+        folded_file.write(
+            sampler.folded() if args.folded_source == "sample"
+            and sampler is not None else profiler.folded())
     if args.json:
         payload = {
             "workload": sim.process(0).name,
@@ -394,6 +427,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(event.to_json(), flush=True)
     except KeyboardInterrupt:
         pass
+    except ValueError as exc:
+        _usage_error("trace", f"{args.file}: {exc}")
     return 0
 
 
@@ -551,8 +586,12 @@ def cmd_stats_diff(args: argparse.Namespace) -> int:
 def cmd_pipeview(args: argparse.Namespace) -> int:
     """Render an O3 pipeline timeline from a captured JSONL trace."""
     from .telemetry import read_jsonl, render_from_events
-    events = read_jsonl(sys.stdin) if args.trace == "-" \
-        else read_jsonl(args.trace)
+    try:
+        events = read_jsonl(sys.stdin if args.trace == "-"
+                            else args.trace)
+    except ValueError as exc:
+        name = "<stdin>" if args.trace == "-" else args.trace
+        _usage_error("pipeview", f"{name}: {exc}")
     print(render_from_events(events))
     return 0
 

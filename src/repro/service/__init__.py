@@ -12,7 +12,7 @@ directories and become **jobs** submitted to a long-lived service —
   (SQLite WAL) with per-tenant quotas, priorities and lease-based
   dispatch;
 * :mod:`repro.service.store` — a content-addressed store (SHA-256 of
-  canonical bytes) deduplicating results, reports and checkpoints;
+  canonical bytes) holding each job's canonical result set once;
 * :mod:`repro.service.dispatcher` — leases jobs and runs each as the
   paper's shared-dir NoW protocol, through
   :meth:`~repro.campaign.now.SharedDirCampaign.run_local` as

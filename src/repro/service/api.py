@@ -15,14 +15,13 @@ content store::
     GET    /v1/jobs/{id}/results     canonical result set (JSON)
     GET    /v1/jobs/{id}/dashboard   one rendered watchdog frame (for
                                      ``gemfi dashboard --url``)
-    GET    /v1/jobs/{id}/summary    archived (or rebuilt) campaign
-                                     summary digest
+    GET    /v1/jobs/{id}/summary     campaign summary, derived from
+                                     the share or stored result set
     GET    /v1/blobs/{digest}        any stored artifact by digest
     GET    /v1/store/stats           content-store object/byte counts
     GET    /v1/usage[?tenant=]       persisted per-tenant metering
-    GET    /v1/archive[?tenant=]     archived campaign summaries index
     GET    /v1/baselines             named baselines
-    POST   /v1/baselines             tag an archived job as a baseline
+    POST   /v1/baselines             tag a done job as a baseline
     GET    /v1/compare?base=&head=   significance-tested campaign diff
                                      (operands: job ids or baselines)
     GET    /metrics                  OpenMetrics exposition
@@ -31,6 +30,8 @@ content store::
 Status and event streams are the existing telemetry health plane —
 ``read_status`` and the watchdog rules — evaluated over the job's
 private share directory; the service adds no second source of truth.
+Reports, summaries and compares are derived the same way: from the
+job's share, or from its stored result set when it has no share.
 The same discipline holds for ``/metrics``: every counter is hung off
 one shared :class:`~repro.service.observability.ServiceObserver` by
 the layer that owns the event (HTTP handler, queue, store,
@@ -145,7 +146,6 @@ class ServiceApp:
         add("GET", "/v1/blobs/{digest}", self.blob)
         add("GET", "/v1/store/stats", self.store_stats)
         add("GET", "/v1/usage", self.usage)
-        add("GET", "/v1/archive", self.archive_index)
         add("GET", "/v1/baselines", self.baselines_index)
         add("POST", "/v1/baselines", self.tag_baseline)
         add("GET", "/v1/compare", self.compare)
@@ -305,11 +305,6 @@ class ServiceApp:
             content_type = "text/html; charset=utf-8" \
                 if fmt == "html" else "text/markdown; charset=utf-8"
             return Response.text(text, content_type=content_type)
-        if fmt == "md" and job.report_digest \
-                and self.store.has(job.report_digest):
-            return Response.text(
-                self.store.get(job.report_digest).decode("utf-8"),
-                content_type="text/markdown; charset=utf-8")
         raise HTTPError(404, f"no report for job {job.id} yet")
 
     async def job_results(self, request: Request) -> Response:
@@ -360,22 +355,17 @@ class ServiceApp:
         payload = coverage_from_share(share).as_dict()
         return Response.json({"job": job.id, "coverage": payload})
 
-    # -- campaign archive + differential analytics ----------------------------
+    # -- summaries, baselines and differential analytics ---------------------
 
     def _summary_payload(self, ref: str) -> dict:
         """Resolve *ref* (a job id or baseline name) to a campaign
-        summary payload: the archived row when present, else rebuilt
-        from the job's share or its stored canonical results."""
+        summary payload, derived from the job's share, or from its
+        stored result set when it has no share."""
         job_id = self.queue.resolve_baseline(ref) or ref
-        payload = self.queue.archived_summary(job_id)
-        if payload is not None:
-            return payload
         try:
             job = self.queue.get(job_id)
         except UnknownJobError:
-            raise HTTPError(
-                404, f"no archived campaign, baseline or job: {ref}"
-            ) from None
+            raise HTTPError(404, f"no baseline or job: {ref}") from None
         from ..analysis.diff import CampaignSummary
         share = self._share(job)
         if share is not None:
@@ -397,15 +387,6 @@ class ServiceApp:
         summary = self._summary_payload(ref)
         job_id = self.queue.resolve_baseline(ref) or ref
         return Response.json({"job": job_id, "summary": summary})
-
-    async def archive_index(self, request: Request) -> Response:
-        rows = self.queue.list_archive(
-            tenant=request.query.get("tenant"))
-        limit = _query_int(request, "limit", 0)
-        if limit:
-            rows = rows[-limit:]
-        return Response.json({"archive": rows,
-                              "baselines": self.queue.baselines()})
 
     async def baselines_index(self, request: Request) -> Response:
         return Response.json({"baselines": self.queue.baselines()})

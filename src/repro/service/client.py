@@ -1,8 +1,10 @@
 """Stdlib client for the campaign service.
 
 ``http.client`` against the service API — used by ``gemfi submit`` /
-``gemfi jobs`` / ``gemfi fetch`` and by tests, and importable by any
-script that wants to drive a campaign service programmatically.
+``gemfi jobs`` / ``gemfi fetch``, by ``gemfi compare --url`` and
+``gemfi report --baseline --url`` (which fetch job summaries), and by
+tests; importable by any script that wants to drive a campaign
+service programmatically.
 
 The client keeps **one persistent connection** and reuses it across
 requests (the server speaks HTTP/1.1 keep-alive), reconnecting
@@ -185,15 +187,10 @@ class ServiceClient:
         return self._json("GET", "/v1/usage", query=query)["usage"]
 
     def summary(self, ref: str) -> dict:
-        """A job's archived (or rebuilt) campaign summary payload."""
+        """The campaign summary payload of a job id or baseline name,
+        derived from the job's share or stored result set."""
         return self._json("GET",
                           f"/v1/jobs/{ref}/summary")["summary"]
-
-    def archive(self, tenant: str | None = None) -> dict:
-        """``{"archive": [...], "baselines": {...}}`` — the archived
-        campaign index."""
-        query = {"tenant": tenant} if tenant else None
-        return self._json("GET", "/v1/archive", query=query)
 
     def baselines(self) -> dict:
         return self._json("GET", "/v1/baselines")["baselines"]

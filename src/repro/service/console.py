@@ -244,8 +244,7 @@ class Console:
     # -- helpers --------------------------------------------------------------
 
     def _shares(self) -> dict[str, str]:
-        """job id -> existing share directory, newest submissions
-        first capped at a sane feed width."""
+        """job id -> existing share directory, in submission order."""
         shares: dict[str, str] = {}
         for job in self.app.queue.list_jobs():
             share = self.app._share(job)
@@ -372,7 +371,7 @@ class Console:
     async def compare_page(self, request: Request) -> Response:
         """Differential analytics: pick a base and head campaign
         (``?base=&head=`` — job ids or baseline names; default is the
-        two newest comparable jobs), rendered as side-by-side outcome
+        two newest jobs with a share), rendered as side-by-side outcome
         bars and per-dimension delta heatmaps.  The numbers come from
         :meth:`~repro.service.api.ServiceApp.compare_payload` — the
         exact code path behind ``GET /v1/compare``."""
@@ -382,11 +381,7 @@ class Console:
             render_diff_bars,
             render_diff_svg,
         )
-        candidates = [row["job"] for row
-                      in self.app.queue.list_archive()]
-        for job_id in self._shares():
-            if job_id not in candidates:
-                candidates.append(job_id)
+        candidates = list(self._shares())
         baselines = self.app.queue.baselines()
         base = request.query.get("base")
         head = request.query.get("head")
@@ -508,15 +503,10 @@ class Console:
         job = self.app._job(request)
         share = self.app._share(job)
         payload = {"job": job.id}
-        if share is not None:
-            from ..telemetry.report import load_share, render_report
-            text = render_report(load_share(share), fmt="md")
-        elif job.report_digest \
-                and self.app.store.has(job.report_digest):
-            text = self.app.store.get(job.report_digest) \
-                .decode("utf-8")
-        else:
+        if share is None:
             raise HTTPError(404, f"no report for job {job.id} yet")
+        from ..telemetry.report import load_share, render_report
+        text = render_report(load_share(share), fmt="md")
         body = (
             f"<h1>Report <code>{_esc(job.id)}</code></h1>"
             f'<p class="muted">the markdown outcome report, inlined '

@@ -2,16 +2,17 @@
 
 The dispatcher is the service's execution half: it drains the
 persistent queue, runs each job as a campaign on a **private share**
-under the service data directory (``shares/<job-id>``), and lands the
-artifacts in the content store.  Each job is one
+under the service data directory (``shares/<job-id>``), and stores the
+job's canonical result set in the content store.  The share and the
+result set are all a finished job leaves: its report, summary and
+comparisons are derived from them on request.  Each job is one
 :meth:`~repro.campaign.now.SharedDirCampaign.publish` and one
 :meth:`~repro.campaign.now.SharedDirCampaign.run_local` — the paper's
 NoW protocol, exactly as ``gemfi campaign --share-dir`` runs it.  A
 ``workers: 0`` or ``1`` job runs its one worker in the dispatcher
 process with a cached :class:`~repro.campaign.runner.CampaignRunner`
-(identical golden runs are computed once per (workload, scale) and
-their checkpoints deduplicated by the content store); more workers
-are forked and load the published golden run.
+(identical golden runs are computed once per (workload, scale)); more
+workers are forked and load the published golden run.
 
 While a job runs, a :class:`~repro.telemetry.campaign.PeriodicBeat`
 thread keeps extending the lease, so slow campaigns are not stolen;
@@ -20,13 +21,14 @@ if the dispatcher dies instead, the lease expires and
 recovery without a coordinator.
 
 With an observer attached the dispatcher times every job phase
-(golden run, publish, campaign, collect, report) into histograms and
-meters completed work per tenant into the queue's persistent usage
-table.  A job submitted with ``trace: true`` gets its span tree
-rooted at the HTTP request that created it: the dispatcher writes a
-``/request`` span (stamped with the request id recorded at submit
-time) and hands the request's span id down through ``publish``, so
-``run_local`` parents the campaign root under it.
+(golden run, publish, campaign, collect, and ``report``: storing the
+result set) into histograms and meters completed work per tenant into
+the queue's persistent usage table.  A job submitted with
+``trace: true`` gets its span tree rooted at the HTTP request that
+created it: the dispatcher writes a ``/request`` span (stamped with
+the request id recorded at submit time) and hands the request's span
+id down through ``publish``, so ``run_local`` parents the campaign
+root under it.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ class Dispatcher:
         self.observer = observer
         self._clock = clock
         # Golden runs are the expensive part of a job; identical
-        # (workload, scale) pairs share one runner within this
-        # process, and the checkpoint bytes dedupe in the store.
+        # (workload, scale) pairs share one runner within this process.
         self._runners: dict[tuple[str, str], CampaignRunner] = {}
         os.makedirs(self.shares_dir, exist_ok=True)
 
@@ -94,9 +95,9 @@ class Dispatcher:
 
     # -- one job --------------------------------------------------------------
 
-    def run_job(self, job: Job) -> dict:
-        """Execute one leased job end to end; returns the artifact
-        digests for :meth:`JobQueue.complete`."""
+    def run_job(self, job: Job) -> str:
+        """Execute one leased job end to end; returns the digest of its
+        stored result set for :meth:`JobQueue.complete`."""
         spec = job.spec
         share_dir = os.path.join(self.shares_dir, job.id)
         phase_started = time.monotonic()
@@ -107,11 +108,6 @@ class Dispatcher:
         # owning job and tenant.
         write_atomic(os.path.join(share_dir, SERVICE_FILE),
                      json.dumps({"job": job.id, "tenant": job.tenant}))
-
-        checkpoint_digest = None
-        if runner.golden.checkpoint is not None:
-            checkpoint_digest = self.store.put_bytes(
-                runner.golden.checkpoint)
         self._phase_done("golden", phase_started)
 
         location = None
@@ -138,8 +134,8 @@ class Dispatcher:
             campaign.run_local(spec.workers, runner=runner)
         self._phase_done("campaign", phase_started)
         phase_started = time.monotonic()
-        # The job's one read of its results: usage, the stored result
-        # set, the report and the summary all fold these.
+        # The job's one read of its results: usage and the stored
+        # result set both fold these.
         results = read_results(share_dir)
         self._phase_done("collect", phase_started)
         if len(results) != spec.experiments:
@@ -151,12 +147,8 @@ class Dispatcher:
         phase_started = time.monotonic()
         result_digest = self.store.put_bytes(
             canonical_json_bytes(canonical_results(records)))
-        report_digest = self._store_report(share_dir, results)
-        self._archive_summary(job, share_dir, results)
         self._phase_done("report", phase_started)
-        return {"result_digest": result_digest,
-                "report_digest": report_digest,
-                "checkpoint_digest": checkpoint_digest}
+        return result_digest
 
     # -- request-rooted tracing -----------------------------------------------
 
@@ -202,30 +194,6 @@ class Dispatcher:
         except Exception:
             pass  # metering must never fail the job
 
-    def _archive_summary(self, job: Job, share_dir: str,
-                         results) -> None:
-        """Digest the finished campaign into the queue's archive (and
-        the content store), keyed by job id — `gemfi compare` and
-        `/v1/compare` then work long after the share is gone."""
-        try:
-            from ..analysis.diff import CampaignSummary
-            summary = CampaignSummary.from_share(share_dir, name=job.id,
-                                                 results=results)
-            digest = self.store.put_bytes(summary.canonical_bytes())
-            self.queue.archive_summary(job.id, summary.payload,
-                                       digest)
-        except Exception:
-            pass  # archival must never fail the job
-
-    def _store_report(self, share_dir: str, results) -> str | None:
-        from ..telemetry.report import load_share, render_report
-        try:
-            report = render_report(load_share(share_dir, results),
-                                   fmt="md")
-        except Exception:
-            return None  # a report failure must not fail the job
-        return self.store.put_text(report)
-
     # -- the dispatch loop ----------------------------------------------------
 
     def poll_once(self) -> bool:
@@ -237,7 +205,7 @@ class Dispatcher:
         if job is None:
             return False
         try:
-            digests = self.run_job(job)
+            result_digest = self.run_job(job)
         except Exception as exc:
             if self.observer is not None:
                 self.observer.inc("jobs.executed", outcome="failed")
@@ -251,7 +219,8 @@ class Dispatcher:
         if self.observer is not None:
             self.observer.inc("jobs.executed", outcome="done")
         try:
-            self.queue.complete(job.id, owner=self.owner, **digests)
+            self.queue.complete(job.id, owner=self.owner,
+                                result_digest=result_digest)
         except LeaseError:
             pass  # ran past our lease; the re-run's verdict wins
         return True

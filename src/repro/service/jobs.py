@@ -2,16 +2,16 @@
 
 A **job** is one campaign submitted to the service: a workload + fault
 configuration (:class:`JobSpec`) plus queue bookkeeping (tenant,
-priority, lease, digests of the stored artifacts).  Specs are
-validated at the API boundary and hashed canonically, so re-submitting
-the same campaign is detectable (and its stored result reusable)
-before a single instruction is simulated.
+priority, lease, its share and the digest of its stored result set).
+Specs are validated at the API boundary and hashed canonically, so
+re-submitting the same campaign is detectable (and its stored result
+reusable) before a single instruction is simulated.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .store import canonical_json_bytes, digest_bytes
 
@@ -147,13 +147,10 @@ class Job:
     lease_expires: float | None = None
     attempts: int = 0
     result_digest: str | None = None
-    report_digest: str | None = None
-    checkpoint_digest: str | None = None
     error: str | None = None
     share_dir: str | None = None
     reused_from: str | None = None
     request_id: str | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def terminal(self) -> bool:
@@ -171,8 +168,6 @@ class Job:
             "lease_expires": self.lease_expires,
             "attempts": self.attempts,
             "result_digest": self.result_digest,
-            "report_digest": self.report_digest,
-            "checkpoint_digest": self.checkpoint_digest,
             "error": self.error, "share_dir": self.share_dir,
             "reused_from": self.reused_from,
             "request_id": self.request_id,
@@ -198,8 +193,6 @@ class Job:
             lease_expires=row["lease_expires"],
             attempts=row["attempts"],
             result_digest=row["result_digest"],
-            report_digest=row["report_digest"],
-            checkpoint_digest=row["checkpoint_digest"],
             error=row["error"], share_dir=row["share_dir"],
             reused_from=row["reused_from"],
             request_id=row["request_id"]

@@ -100,8 +100,6 @@ HELP_TEXTS = {
                                "is inside the campaign margin.",
     "coverage_margin_reached_at": "Experiment count at which the "
                                   "margin was first reached, by job.",
-    "queue_archived": "Campaign summaries archived on job "
-                      "completion, by tenant.",
     "queue_baselines_tagged": "Baseline tags created or moved.",
     "compare_verdict": "Latest campaign-diff verdict on this service "
                        "(0 unchanged, 1 improved, 2 regressed), by "

@@ -16,7 +16,13 @@ FINJ-style dispatch discipline over a single SQLite database:
   ``queued`` with the attempt recorded, so a crash loses no work;
 * **wake-up** — every transition into ``queued`` sets
   :attr:`JobQueue.wakeup`, so a dispatcher sharing the instance leases
-  the job at once instead of at its next poll.
+  the job at once instead of at its next poll;
+* **baselines** — a name for a ``done`` job, usable wherever a job id
+  is accepted for comparison.
+
+A finished job row records two places: ``result_digest`` (the result
+set in the content store) and ``share_dir`` (the campaign share).
+Every other view of the job is derived from those.
 
 The database lives in WAL mode, so the HTTP API (readers) and the
 dispatcher (writer) share it without blocking each other, and
@@ -50,8 +56,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     lease_expires   REAL,
     attempts        INTEGER NOT NULL DEFAULT 0,
     result_digest   TEXT,
-    report_digest   TEXT,
-    checkpoint_digest TEXT,
     error           TEXT,
     share_dir       TEXT,
     reused_from     TEXT
@@ -70,15 +74,6 @@ CREATE TABLE IF NOT EXISTS usage (
     instructions INTEGER NOT NULL DEFAULT 0,
     wall_seconds REAL NOT NULL DEFAULT 0.0
 );
-CREATE TABLE IF NOT EXISTS archive (
-    job_id          TEXT PRIMARY KEY,
-    tenant          TEXT NOT NULL,
-    spec_digest     TEXT NOT NULL,
-    summary_digest  TEXT NOT NULL,
-    summary         TEXT NOT NULL,
-    archived        REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS archive_tenant ON archive (tenant);
 CREATE TABLE IF NOT EXISTS baselines (
     name    TEXT PRIMARY KEY,
     job_id  TEXT NOT NULL,
@@ -128,7 +123,9 @@ class JobQueue:
     def _migrate(conn: sqlite3.Connection) -> None:
         """Columns added after PR 6: ``CREATE TABLE IF NOT EXISTS``
         leaves pre-existing databases alone, so new columns need an
-        explicit (idempotent) ALTER on open."""
+        explicit (idempotent) ALTER on open.  Columns and tables that
+        only older databases have (the stored report and checkpoint
+        digests, the summary table) stay, unread."""
         columns = {row[1] for row in
                    conn.execute("PRAGMA table_info(jobs)")}
         if "request_id" not in columns:
@@ -150,10 +147,11 @@ class JobQueue:
 
         With *reuse* (the default), a spec whose digest already has a
         stored result — an identical campaign completed earlier —
-        creates a job that is born ``done``, pointing at the existing
-        artifacts (the content store holds exactly one copy).  Raises
-        :class:`QuotaExceeded` when the tenant's active jobs are at
-        quota (reused jobs are never active, so they always succeed).
+        creates a job that is born ``done``, pointing at the donor's
+        result set and share (the content store holds one copy).
+        Raises :class:`QuotaExceeded` when the tenant's active jobs are
+        at quota (reused jobs are never active, so they always
+        succeed).
         *request_id* records the HTTP request that created the job
         (request-to-campaign tracing).
         """
@@ -174,16 +172,13 @@ class JobQueue:
                 conn.execute(
                     "INSERT INTO jobs (id, tenant, priority, state, "
                     "spec, spec_digest, submitted, started, finished, "
-                    "attempts, result_digest, report_digest, "
-                    "checkpoint_digest, share_dir, reused_from, "
+                    "attempts, result_digest, share_dir, reused_from, "
                     "request_id) "
                     "VALUES (?, ?, ?, 'done', ?, ?, ?, ?, ?, 0, "
-                    "?, ?, ?, ?, ?, ?)",
+                    "?, ?, ?, ?)",
                     (job_id, tenant, priority, spec_json, spec_digest,
                      now, now, now, donor["result_digest"],
-                     donor["report_digest"],
-                     donor["checkpoint_digest"], donor["share_dir"],
-                     donor["id"], request_id))
+                     donor["share_dir"], donor["id"], request_id))
                 conn.commit()
                 if self.observer is not None:
                     self.observer.inc("queue.dedup_hits")
@@ -312,14 +307,10 @@ class JobQueue:
     # -- completion -----------------------------------------------------------
 
     def complete(self, job_id: str, owner: str | None = None,
-                 result_digest: str | None = None,
-                 report_digest: str | None = None,
-                 checkpoint_digest: str | None = None) -> Job:
-        """Mark a leased job done, recording its artifact digests."""
+                 result_digest: str | None = None) -> Job:
+        """Mark a leased job done, recording its result set's digest."""
         return self._finish(job_id, owner, "done",
-                            result_digest=result_digest,
-                            report_digest=report_digest,
-                            checkpoint_digest=checkpoint_digest)
+                            result_digest=result_digest)
 
     def fail(self, job_id: str, error: str,
              owner: str | None = None, retry: bool = False) -> Job:
@@ -344,21 +335,16 @@ class JobQueue:
 
     def _finish(self, job_id: str, owner: str | None, state: str,
                 result_digest: str | None = None,
-                report_digest: str | None = None,
-                checkpoint_digest: str | None = None,
                 error: str | None = None) -> Job:
         now = self._clock()
         with closing(self._connect()) as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = ?, finished = ?, "
                 "result_digest = COALESCE(?, result_digest), "
-                "report_digest = COALESCE(?, report_digest), "
-                "checkpoint_digest = COALESCE(?, checkpoint_digest), "
                 "error = ?, lease_owner = NULL, lease_expires = NULL "
                 "WHERE id = ? AND state = 'leased'"
                 + ("" if owner is None else " AND lease_owner = ?"),
-                (state, now, result_digest, report_digest,
-                 checkpoint_digest, error, job_id)
+                (state, now, result_digest, error, job_id)
                 + (() if owner is None else (owner,)))
             conn.commit()
             if cursor.rowcount == 0:
@@ -426,68 +412,16 @@ class JobQueue:
             "wall_seconds": round(row["wall_seconds"], 6),
         } for row in rows}
 
-    # -- campaign archive -----------------------------------------------------
-
-    def archive_summary(self, job_id: str, summary: dict,
-                        summary_digest: str) -> None:
-        """Persist a job's campaign summary (``repro.analysis.diff``
-        payload) next to the jobs it digests, keyed by job id —
-        differential analytics then need neither the share directory
-        nor the stored results.  Idempotent: re-archiving replaces."""
-        job = self.get(job_id)  # raises UnknownJobError
-        with closing(self._connect()) as conn:
-            conn.execute(
-                "INSERT INTO archive (job_id, tenant, spec_digest, "
-                "summary_digest, summary, archived) "
-                "VALUES (?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(job_id) DO UPDATE SET "
-                "summary_digest = excluded.summary_digest, "
-                "summary = excluded.summary, "
-                "archived = excluded.archived",
-                (job_id, job.tenant, job.spec.digest(),
-                 summary_digest,
-                 json.dumps(summary, sort_keys=True),
-                 self._clock()))
-            conn.commit()
-        if self.observer is not None:
-            self.observer.inc("queue.archived", tenant=job.tenant)
-
-    def archived_summary(self, job_id: str) -> dict | None:
-        """The archived summary payload for *job_id*, or None."""
-        with closing(self._connect()) as conn:
-            row = conn.execute(
-                "SELECT summary FROM archive WHERE job_id = ?",
-                (job_id,)).fetchone()
-        return json.loads(row["summary"]) if row is not None else None
-
-    def list_archive(self, tenant: str | None = None) -> list[dict]:
-        """Archived campaigns, oldest first, without the summary
-        bodies (fetch those per job via :meth:`archived_summary`)."""
-        query = ("SELECT job_id, tenant, spec_digest, summary_digest "
-                 "FROM archive")
-        params: tuple = ()
-        if tenant is not None:
-            query += " WHERE tenant = ?"
-            params = (tenant,)
-        query += " ORDER BY archived ASC, job_id ASC"
-        baselines = {job_id: name for name, job_id
-                     in self.baselines().items()}
-        with closing(self._connect()) as conn:
-            rows = conn.execute(query, params).fetchall()
-        return [{"job": row["job_id"], "tenant": row["tenant"],
-                 "spec_digest": row["spec_digest"],
-                 "summary_digest": row["summary_digest"],
-                 "baseline": baselines.get(row["job_id"])}
-                for row in rows]
+    # -- baselines ------------------------------------------------------------
 
     def tag_baseline(self, name: str, job_id: str) -> None:
-        """Name an archived campaign as a comparison baseline.
-        Raises :class:`UnknownJobError` for an unknown job and
-        :class:`ValueError` for a job with no archived summary yet."""
-        self.get(job_id)  # raises UnknownJobError
-        if self.archived_summary(job_id) is None:
-            raise ValueError(
-                f"job {job_id} has no archived summary yet")
+        """Name a ``done`` job as a comparison baseline.  Raises
+        :class:`UnknownJobError` for an unknown job and
+        :class:`ValueError` for a job in any other state."""
+        job = self.get(job_id)  # raises UnknownJobError
+        if job.state != "done":
+            raise ValueError(f"job {job_id} is {job.state}; only done "
+                             f"jobs can be baselines")
         with closing(self._connect()) as conn:
             conn.execute(
                 "INSERT INTO baselines (name, job_id, tagged) "

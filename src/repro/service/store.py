@@ -1,8 +1,8 @@
 """Content-addressed artifact store: SHA-256 over canonical bytes.
 
-Every artifact the service keeps — campaign result sets, reports,
-golden-run checkpoints — is stored once under the SHA-256 digest of
-its bytes, git-object style::
+The one artifact the service keeps per finished job — its canonical
+result set — is stored once under the SHA-256 digest of its bytes,
+git-object style::
 
     store/
       objects/ab/cdef0123...    (62 hex chars after the 2-char fan-out)
@@ -79,9 +79,6 @@ class ContentStore:
     def put_json(self, obj) -> str:
         """Store the canonical encoding of *obj*."""
         return self.put_bytes(canonical_json_bytes(obj))
-
-    def put_text(self, text: str) -> str:
-        return self.put_bytes(text.encode("utf-8"))
 
     # -- reading --------------------------------------------------------------
 

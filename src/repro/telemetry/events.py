@@ -72,10 +72,6 @@ class TraceEvent:
         tick = payload.pop("tick", 0)
         return cls(kind, tick, payload)
 
-    @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        return cls.from_dict(json.loads(line))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, TraceEvent)
                 and self.as_dict() == other.as_dict())
@@ -134,9 +130,24 @@ def events_to_jsonl(events) -> str:
     return "".join(event.to_json() + "\n" for event in events)
 
 
+def event_from_line(line: str, number: int) -> TraceEvent:
+    """Parse line *number* (1-based) of a JSONL trace.  A line that is
+    not a JSON object with a ``kind`` raises ValueError naming the
+    line."""
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {number}: not JSON ({exc.msg})") \
+            from None
+    if not isinstance(payload, dict) or "kind" not in payload:
+        raise ValueError(f"line {number}: not a trace event "
+                         f"(no 'kind')")
+    return TraceEvent.from_dict(payload)
+
+
 def events_from_jsonl(text: str) -> Iterator[TraceEvent]:
     """Parse JSONL text back into events (skips blank lines)."""
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
-            yield TraceEvent.from_json(line)
+            yield event_from_line(line, number)

@@ -3,10 +3,9 @@
 Two sinks cover the observability shapes of the issue:
 
 * :class:`RingBufferSink` — bounded in-memory buffer holding the *last*
-  N events.  Attached by default in campaign workers, it turns a crashed
-  or hung experiment into a post-mortem: the final events before the
-  trap are right there, without paying full-trace I/O on the 99% of
-  experiments that behave.
+  N events (``gemfi run --trace FILE --ring N``).  It turns a crashed
+  or hung run into a post-mortem: the final events before the trap are
+  right there, without paying full-trace I/O for the whole run.
 * :class:`JsonlFileSink` — full structured trace, one JSON object per
   line, streamable while the simulation is still running
   (``gemfi run --trace FILE``).
@@ -21,7 +20,7 @@ import io
 import time
 from collections import deque
 
-from .events import TraceEvent, events_from_jsonl
+from .events import TraceEvent, event_from_line, events_from_jsonl
 
 
 class ListSink:
@@ -121,9 +120,11 @@ def follow_jsonl(path: str, poll: float = 0.2,
     caught mid-``write``) are left in the buffer until their newline
     arrives.  Stops when no complete line has arrived for
     *idle_timeout* seconds (None = follow forever, until the consumer
-    stops iterating or interrupts).
+    stops iterating or interrupts).  A line that is not a trace event
+    raises ValueError naming its line number.
     """
     buffer = ""
+    number = 0
     last_event = clock()
     with open(path, "r", encoding="utf-8") as handle:
         while True:
@@ -133,9 +134,10 @@ def follow_jsonl(path: str, poll: float = 0.2,
                 while "\n" in buffer:
                     line, buffer = buffer.split("\n", 1)
                     line = line.strip()
+                    number += 1
                     if line:
                         last_event = clock()
-                        yield TraceEvent.from_json(line)
+                        yield event_from_line(line, number)
             if idle_timeout is not None and \
                     clock() - last_event > idle_timeout:
                 return

@@ -10,7 +10,7 @@ takes a :func:`snapshot_share` and evaluates four declarative rules —
 * **dead-worker** — a heartbeat aged past ``heartbeat_timeout`` while
   its worker still holds unresulted claims (or reported a current
   experiment);
-* **stalled-experiment** — an open experiment span older than
+* **stalled-experiment** — an in-flight claim older than
   ``stall_factor`` × the p90 wall time of completed experiments;
 * **throughput-collapse** — no new result for ``collapse_factor`` ×
   the expected per-result interval while work remains;
@@ -76,9 +76,9 @@ class Alert:
 class WatchdogConfig:
     heartbeat_timeout: float = HEARTBEAT_TIMEOUT
     stale_claim_seconds: float = STALE_CLAIM_SECONDS
-    # stalled-experiment: open span older than stall_factor x wall_p90,
-    # once at least min_completed experiments have finished (before that
-    # the p90 is noise).
+    # stalled-experiment: claim held longer than stall_factor x
+    # wall_p90, once at least min_completed experiments have finished
+    # (before that the p90 is noise).
     stall_factor: float = 4.0
     min_completed: int = 3
     # throughput-collapse: no result for collapse_factor x the expected
@@ -105,6 +105,7 @@ class ShareSnapshot:
     now: float
     status: CampaignStatus
     # still-open experiment span records, each annotated with "age"
+    # (traced campaigns only; the dashboard's running column)
     open_spans: list[dict] = field(default_factory=list)
     # outcomes of completed experiments in result-mtime order
     outcome_sequence: list[str] = field(default_factory=list)
@@ -187,25 +188,26 @@ def rule_dead_worker(snap: ShareSnapshot,
 
 def rule_stalled_experiment(snap: ShareSnapshot,
                             config: WatchdogConfig) -> list[Alert]:
+    """Claims held longer than ``stall_factor`` x the wall p90.  Every
+    share worker writes its claims, so traced and untraced campaigns
+    are watched alike."""
     status = snap.status
     if status.completed < config.min_completed or not status.wall_p90:
         return []
     limit = config.stall_factor * status.wall_p90
     dead = _dead_workers(snap, config)
     alerts = []
-    for record in snap.open_spans:
-        age = record.get("age")
-        worker = record.get("worker")
-        if age is None or age <= limit:
+    for experiment, claim in sorted(status.in_flight.items()):
+        age = snap.now - claim["time"]
+        worker = claim.get("worker")
+        if age <= limit:
             continue
         if worker in dead:
             continue  # the dead-worker alert already owns this one
-        experiment = record.get("attrs", {}).get("experiment") \
-            or record.get("name")
         alerts.append(Alert(
             rule="stalled-experiment", severity="warning",
             worker=worker, experiment=experiment, time=snap.now,
-            message=f"{experiment} open for {age:.0f}s on {worker} "
+            message=f"{experiment} held for {age:.0f}s by {worker} "
                     f"(p90 is {status.wall_p90:.1f}s)"))
     return alerts
 
@@ -374,11 +376,11 @@ def alerts_feed(shares: dict[str, str],
     *shares* maps a label (the service passes the job id) to a share
     directory.  Journalled alerts are read as-is; with *live* the rules
     are additionally evaluated right now (read-only — nothing is
-    journalled, the dispatcher owns the journals) and un-journalled
-    firings appear with ``"live": true``.  Entries are deduplicated by
-    (label, rule, worker, experiment), sorted newest-first (then by
-    severity), and capped at *limit* when positive.  Missing or
-    alert-free shares contribute nothing."""
+    journalled; ``gemfi dashboard`` is what writes the journals) and
+    un-journalled firings appear with ``"live": true``.  Entries are
+    deduplicated by (label, rule, worker, experiment), sorted
+    newest-first (then by severity), and capped at *limit* when
+    positive.  Missing or alert-free shares contribute nothing."""
     config = config or WatchdogConfig()
     feed: list[dict] = []
     seen: set[tuple] = set()

@@ -246,6 +246,13 @@ class TestArgumentErrors:
         ["run", "{prog}", "--trace", "-", "--json"],
         ["run", "{prog}", "--sample", "0"],
         ["trace", "{tmp}/missing.jsonl"],
+        ["pipeview", "{tmp}/garbage.jsonl"],
+        ["trace", "{tmp}/garbage.jsonl", "--idle-timeout", "0.2"],
+        ["run", "{prog}", "--trace", "{tmp}"],
+        ["run", "{prog}", "--stats", "{tmp}"],
+        ["run", "{prog}", "--folded", "{tmp}"],
+        ["run", "{tmp}/binary.mc"],
+        ["run", "{prog}", "--fault-file", "{tmp}/binary.txt"],
     ])
     def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
                                   capsys):
@@ -254,12 +261,17 @@ class TestArgumentErrors:
             "system.cpu0 occ:1 int 1\n")
         (tmp_path / "syntax.mc").write_text("def main(:\n    exit(0)\n")
         (tmp_path / "mnemonic.s").write_text("main:\n    frob a0\n")
+        (tmp_path / "garbage.jsonl").write_text("garbage\n")
+        (tmp_path / "binary.mc").write_bytes(b"\x89PNG\r\n")
+        (tmp_path / "binary.txt").write_bytes(b"\x89PNG\r\n")
         argv = [arg.format(tmp=tmp_path, prog=minic_file)
                 for arg in argv]
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        err = captured.err
         assert "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert not os.path.exists(tmp_path / "share")

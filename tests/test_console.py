@@ -124,7 +124,7 @@ class TestConsolePages:
         assert 'href="/ui/compare"' in text
 
     def test_compare_page_empty_state(self, ui_service):
-        """No archived or dispatched campaigns yet: the compare page
+        """No dispatched campaigns yet: the compare page
         renders an empty island instead of erroring."""
         status, _, body = _get(ui_service, "/ui/compare")
         assert status == 200
@@ -338,19 +338,6 @@ class TestConsoleEndToEnd:
         kips = self._scrape(service, "usage_kips")
         assert kips[(("tenant", "console"),)] == pytest.approx(
             usage["instructions"] / usage["wall_seconds"] / 1000.0)
-
-    def test_dispatcher_archives_finished_campaign(self, service,
-                                                   done_job):
-        """Completion feeds the campaign archive: the summary row is
-        queryable and its digest names a stored object holding the
-        canonical summary bytes."""
-        rows = {row["job"]: row
-                for row in service.queue.list_archive()}
-        assert done_job["id"] in rows
-        digest = rows[done_job["id"]]["summary_digest"]
-        assert service.store.has(digest)
-        summary = service.queue.archived_summary(done_job["id"])
-        assert summary["experiments"] == 2
 
     def test_compare_page_matches_v1_compare(self, service,
                                              done_job):

@@ -3,7 +3,7 @@
 Two hand-built shares (``head`` and ``base``) with a fixed clock and
 fixed file mtimes feed every view of a campaign — ``gemfi report``,
 ``coverage``, ``compare``, ``status``, one dashboard frame,
-``campaign_metrics`` and the archived campaign summary — and each
+``campaign_metrics`` and the campaign summary — and each
 output is compared byte for byte with a file under
 ``tests/data/renders/``.  The console pages' JSON islands and the
 inlined report page are pinned the same way.
@@ -412,9 +412,12 @@ class TestOneReadPerView:
         job = queue.get(job.id)
         assert job.state == "done"
         self._assert_read_once(job.share_dir, reads)
-        # The stored report is the one `gemfi report` renders.
-        assert store.get(job.report_digest).decode("utf-8") == \
-            _cli("report", job.share_dir)
+        # GET /v1/jobs/{id}/report is the one `gemfi report` renders.
+        app = ServiceApp(queue, store)
+        request = Request(method="GET", path="/", query={},
+                          params={"id": job.id})
+        served = asyncio.run(app.job_report(request)).body
+        assert served.decode("utf-8") == _cli("report", job.share_dir)
 
 
 def _count_claim_reads(monkeypatch, action) -> collections.Counter:

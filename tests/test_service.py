@@ -258,8 +258,7 @@ class TestJobQueue:
         queue = JobQueue(str(tmp_path / "q.db"))
         first = queue.submit(_spec())
         queue.lease("w")
-        queue.complete(first.id, owner="w", result_digest="a" * 64,
-                       report_digest="b" * 64)
+        queue.complete(first.id, owner="w", result_digest="a" * 64)
         again = queue.submit(_spec())
         assert again.id != first.id
         assert again.state == "done"
@@ -361,64 +360,35 @@ class TestConcurrentLeaseExpiry:
 
 
 class TestCampaignArchive:
-    def _summary(self, experiments=8):
-        return {"schema": "gemfi.campaign_summary.v1",
-                "experiments": experiments,
-                "outcomes": {"sdc": {"count": experiments,
-                                     "weight": float(experiments),
-                                     "rate": 1.0}}}
-
-    def test_archive_and_fetch(self, tmp_path):
-        observer = CountingObserver()
-        queue = JobQueue(str(tmp_path / "q.db"), observer=observer)
-        job = queue.submit(_spec(), tenant="alice")
-        assert queue.archived_summary(job.id) is None
-        queue.archive_summary(job.id, self._summary(), "a" * 64)
-        row = queue.archived_summary(job.id)
-        assert row["experiments"] == 8
-        assert observer.counts["queue.archived"] == 1
-        with pytest.raises(UnknownJobError):
-            queue.archive_summary("job-nope", self._summary(),
-                                  "b" * 64)
-
-    def test_archive_upsert_keeps_latest(self, tmp_path):
-        queue = JobQueue(str(tmp_path / "q.db"))
-        job = queue.submit(_spec())
-        queue.archive_summary(job.id, self._summary(8), "a" * 64)
-        queue.archive_summary(job.id, self._summary(12), "b" * 64)
-        assert queue.archived_summary(job.id)["experiments"] == 12
-        listing = queue.list_archive()
-        assert len(listing) == 1
-        assert listing[0]["summary_digest"] == "b" * 64
+    """Baselines name done jobs; the summaries they resolve to are
+    derived from each job's share or stored result set."""
 
     def test_baseline_tagging(self, tmp_path):
-        queue = JobQueue(str(tmp_path / "q.db"))
+        path = str(tmp_path / "q.db")
+        queue = JobQueue(path)
         job = queue.submit(_spec())
         with pytest.raises(ValueError):
-            queue.tag_baseline("release", job.id)  # nothing archived
-        queue.archive_summary(job.id, self._summary(), "a" * 64)
+            queue.tag_baseline("release", job.id)  # not done yet
+        queue.lease("w")
+        queue.complete(job.id, owner="w", result_digest="a" * 64)
         queue.tag_baseline("release", job.id)
         assert queue.baselines() == {"release": job.id}
         assert queue.resolve_baseline("release") == job.id
         assert queue.resolve_baseline("nope") is None
         # Retagging moves the name to the newer job.
         other = queue.submit(_spec(seed=5))
-        queue.archive_summary(other.id, self._summary(), "c" * 64)
+        queue.lease("w")
+        queue.complete(other.id, owner="w", result_digest="c" * 64)
         queue.tag_baseline("release", other.id)
         assert queue.baselines() == {"release": other.id}
-        listing = {row["job"]: row for row in queue.list_archive()}
-        assert listing[other.id]["baseline"] == "release"
-        assert listing[job.id]["baseline"] is None
-
-    def test_archive_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "q.db")
-        queue = JobQueue(path)
-        job = queue.submit(_spec())
-        queue.archive_summary(job.id, self._summary(), "a" * 64)
-        queue.tag_baseline("golden", job.id)
-        reopened = JobQueue(path)
-        assert reopened.archived_summary(job.id)["experiments"] == 8
-        assert reopened.baselines() == {"golden": job.id}
+        with pytest.raises(UnknownJobError):
+            queue.tag_baseline("release", "job-nope")
+        # A dedup twin is born done, so it can be tagged at once.
+        twin = queue.submit(_spec(seed=5))
+        assert twin.reused_from == other.id
+        queue.tag_baseline("twin", twin.id)
+        assert JobQueue(path).baselines() == {"release": other.id,
+                                              "twin": twin.id}
 
 
 # -- periodic beat ------------------------------------------------------------
@@ -671,8 +641,6 @@ class TestServiceApi:
         assert frames[-1]["state"] == "cancelled"
 
     @pytest.mark.parametrize("path", [
-        "/v1/archive?limit=abc",
-        "/v1/archive?limit=2.5",
         "/v1/compare?confidence=nan",
         "/v1/compare?confidence=inf",
         "/v1/compare?margin=soon",
@@ -702,14 +670,15 @@ class TestServiceApi:
             conn.close()
 
 
-# -- campaign archive + compare over the API ----------------------------------
+# -- summaries, baselines + compare over the API ------------------------------
 
 
 class TestArchiveAndCompareApi:
     @pytest.fixture
-    def archived_pair(self, api_service):
-        """Two jobs with archived summaries: base mixed outcomes,
-        head all-SDC (a clear regression)."""
+    def archived_pair(self, api_service, tmp_path):
+        """Two done jobs whose shares hold synthetic results: base
+        mixed outcomes, head all-SDC (a clear regression).  Their
+        summaries are what the service derives from those shares."""
         from repro.analysis.diff import CampaignSummary
         from test_coverage import synthetic_results
         client = ServiceClient(api_service.url, tenant="cmp")
@@ -722,15 +691,21 @@ class TestArchiveAndCompareApi:
         shifted = [dict(entry) for entry in results]
         for entry in shifted:
             entry["outcome"] = "sdc"
-        base_summary = CampaignSummary.from_results(
-            results, name=base["id"])
-        head_summary = CampaignSummary.from_results(
-            shifted, name=head["id"])
-        api_service.queue.archive_summary(
-            base["id"], base_summary.payload, base_summary.digest())
-        api_service.queue.archive_summary(
-            head["id"], head_summary.payload, head_summary.digest())
-        return base["id"], head["id"], base_summary, head_summary
+        queue = api_service.queue
+        summaries = {}
+        for job, records in ((base, results), (head, shifted)):
+            share = tmp_path / "shares" / job["id"]
+            (share / "results").mkdir(parents=True)
+            for index, record in enumerate(records):
+                (share / "results" / f"exp_{index:04d}.json").write_text(
+                    json.dumps(record))
+            queue.record_share(job["id"], str(share))
+            summaries[job["id"]] = CampaignSummary.from_share(
+                str(share), name=job["id"])
+        for _ in range(2):
+            queue.complete(queue.lease("test").id, owner="test")
+        return (base["id"], head["id"], summaries[base["id"]],
+                summaries[head["id"]])
 
     def test_summary_endpoint_serves_archive(self, api_service,
                                              archived_pair):
@@ -748,13 +723,19 @@ class TestArchiveAndCompareApi:
 
     def test_archive_index_and_baselines(self, api_service,
                                          archived_pair):
+        """There is no archive index: baselines name done jobs."""
         base_id, head_id, _, _ = archived_pair
+        conn = _http_conn(api_service)
+        try:
+            conn.request("GET", "/v1/archive")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 404
+        finally:
+            conn.close()
         client = ServiceClient(api_service.url)
         try:
-            listing = client.archive()
-            assert [row["job"] for row in listing["archive"]] == \
-                [base_id, head_id]
-            assert listing["baselines"] == {}
+            assert client.baselines() == {}
             tagged = client.tag_baseline("release", base_id)
             assert tagged == {"name": "release", "job": base_id}
             assert client.baselines() == {"release": base_id}
@@ -767,7 +748,7 @@ class TestArchiveAndCompareApi:
         try:
             job = client.submit({"workload": "pi", "seed": 9})
             with pytest.raises(ServiceError) as err:
-                client.tag_baseline("rel", job["id"])  # not archived
+                client.tag_baseline("rel", job["id"])  # not done
             assert err.value.status == 409
             with pytest.raises(ServiceError) as err:
                 client.tag_baseline("rel", "job-nope")
@@ -847,12 +828,14 @@ class TestDispatcherAndE2E:
                              "experiments": 3, "seed": 11})
         return client.wait(job["id"], timeout=180)
 
-    def test_job_completes_with_digests(self, done_job):
+    def test_job_completes_with_digests(self, service, done_job):
         assert done_job["state"] == "done"
         assert done_job["error"] is None
         assert done_job["result_digest"]
-        assert done_job["report_digest"]
-        assert done_job["checkpoint_digest"]
+        # The result set is the one stored artifact of a job.
+        assert "report_digest" not in done_job
+        assert "checkpoint_digest" not in done_job
+        assert ServiceClient(service.url).store_stats()["objects"] == 1
 
     def test_results_digest_round_trip(self, service, done_job):
         client = ServiceClient(service.url)
@@ -891,6 +874,24 @@ class TestDispatcherAndE2E:
         assert again["reused_from"] == done_job["id"]
         assert again["result_digest"] == done_job["result_digest"]
 
+    def test_dedup_twin_can_be_a_baseline(self, service, done_job):
+        """A twin is born done on its donor's share and result set, so
+        it can be tagged at once, and its summary is the donor's under
+        its own name."""
+        client = ServiceClient(service.url, tenant="e2e")
+        twin = client.submit({"workload": "pi", "scale": "tiny",
+                              "experiments": 3, "seed": 11})
+        assert twin["state"] == "done" and twin["reused_from"]
+        assert client.tag_baseline("twin", twin["id"]) == \
+            {"name": "twin", "job": twin["id"]}
+        donor = client.summary(twin["reused_from"])
+        summary = client.summary("twin")
+        assert summary.pop("name") == twin["id"]
+        assert donor.pop("name") == twin["reused_from"]
+        assert summary == donor
+        verdict = client.compare(done_job["id"], "twin")["verdict"]
+        assert verdict == "unchanged"
+
     def test_same_seed_rerun_lands_on_same_digest(self, service,
                                                   done_job):
         """Digest stability: forcing a full re-run (reuse=False) of
@@ -905,12 +906,8 @@ class TestDispatcherAndE2E:
         final = client.wait(job["id"], timeout=180)
         assert final["state"] == "done"
         assert final["result_digest"] == done_job["result_digest"]
-        # results + checkpoint dedupe; only the report (which names
-        # its per-job share directory) and the archived summary
-        # (whose name is the job id) are new objects
-        assert client.store_stats()["objects"] <= before + 2
-        assert final["checkpoint_digest"] \
-            == done_job["checkpoint_digest"]
+        # The result set is the only stored object, and it dedupes.
+        assert client.store_stats()["objects"] == before
 
     def test_job_status_exposes_campaign_share(self, service,
                                                done_job):
@@ -919,6 +916,16 @@ class TestDispatcherAndE2E:
         assert status["job"]["state"] == "done"
         assert status["campaign"]["completed"] == 3
         assert status["campaign"]["service"]["job"] == done_job["id"]
+
+    def test_summary_is_derived_from_the_share(self, service,
+                                               done_job):
+        """The summary endpoint serves the payload the share folds
+        to, byte for byte what a stored summary of the job held."""
+        from repro.analysis.diff import CampaignSummary
+        client = ServiceClient(service.url)
+        share = client.job(done_job["id"])["share_dir"]
+        assert client.summary(done_job["id"]) == CampaignSummary \
+            .from_share(share, name=done_job["id"]).payload
 
     def test_report_renders(self, service, done_job):
         client = ServiceClient(service.url)
@@ -1021,6 +1028,135 @@ class TestDispatcherAndE2E:
         status = read_status(share)
         assert status.service == {"job": done_job["id"],
                                   "tenant": "e2e"}
+
+
+# -- data directories written before derived views -----------------------------
+
+#: The queue schema of data directories written while finished jobs also
+#: stored a report, a checkpoint and an archived summary.
+OLD_QUEUE_SCHEMA = """
+CREATE TABLE jobs (
+    id              TEXT PRIMARY KEY,
+    tenant          TEXT NOT NULL,
+    priority        INTEGER NOT NULL DEFAULT 0,
+    state           TEXT NOT NULL,
+    spec            TEXT NOT NULL,
+    spec_digest     TEXT NOT NULL,
+    submitted       REAL NOT NULL,
+    started         REAL,
+    finished        REAL,
+    lease_owner     TEXT,
+    lease_expires   REAL,
+    attempts        INTEGER NOT NULL DEFAULT 0,
+    result_digest   TEXT,
+    report_digest   TEXT,
+    checkpoint_digest TEXT,
+    error           TEXT,
+    share_dir       TEXT,
+    reused_from     TEXT,
+    request_id      TEXT
+);
+CREATE INDEX jobs_dispatch ON jobs (state, priority DESC, submitted ASC);
+CREATE INDEX jobs_spec ON jobs (spec_digest);
+CREATE TABLE tenants (tenant TEXT PRIMARY KEY,
+                      max_active INTEGER NOT NULL);
+CREATE TABLE usage (
+    tenant       TEXT PRIMARY KEY,
+    jobs         INTEGER NOT NULL DEFAULT 0,
+    experiments  INTEGER NOT NULL DEFAULT 0,
+    instructions INTEGER NOT NULL DEFAULT 0,
+    wall_seconds REAL NOT NULL DEFAULT 0.0
+);
+CREATE TABLE archive (
+    job_id          TEXT PRIMARY KEY,
+    tenant          TEXT NOT NULL,
+    spec_digest     TEXT NOT NULL,
+    summary_digest  TEXT NOT NULL,
+    summary         TEXT NOT NULL,
+    archived        REAL NOT NULL
+);
+CREATE INDEX archive_tenant ON archive (tenant);
+CREATE TABLE baselines (name TEXT PRIMARY KEY, job_id TEXT NOT NULL,
+                        tagged REAL NOT NULL);
+"""
+
+
+class TestOlderDataDir:
+    def test_old_queue_db_lists_dispatches_and_serves(self, tmp_path):
+        """A queue.db holding archive rows and both digest columns
+        opens, lists and dispatches; its done job's summary, report
+        and compares are derived from its share."""
+        from repro.analysis.diff import CampaignSummary
+        from repro.telemetry.report import load_share, render_report
+        data = tmp_path / "data"
+        old_id = "job-000000000001"
+        share = data / "shares" / old_id
+        spec = JobSpec.from_dict({"workload": "pi", "scale": "tiny",
+                                  "experiments": 2, "seed": 3})
+        runner = CampaignRunner(build("pi", "tiny"))
+        campaign = SharedDirCampaign(str(share), "pi", "tiny")
+        campaign.publish(runner, SEUGenerator(runner.golden.profile,
+                                              seed=3).batch(2), seed=3)
+        campaign.worker_loop("ws0", runner)
+        store = ContentStore(str(data / "store"))
+        report = render_report(load_share(str(share)), fmt="md")
+        summary = CampaignSummary.from_share(str(share), name=old_id)
+        digests = (
+            store.put_json(canonical_results(campaign.collect())),
+            store.put_bytes(report.encode("utf-8")),
+            store.put_bytes(runner.golden.checkpoint))
+        queued = JobSpec.from_dict({"workload": "pi", "scale": "tiny",
+                                    "experiments": 1, "seed": 5})
+        with closing(sqlite3.connect(str(data / "queue.db"))) as conn:
+            conn.executescript(OLD_QUEUE_SCHEMA)
+            conn.execute(
+                "INSERT INTO jobs (id, tenant, priority, state, spec, "
+                "spec_digest, submitted, started, finished, attempts, "
+                "result_digest, report_digest, checkpoint_digest, "
+                "share_dir) VALUES (?, 'old', 0, 'done', ?, ?, 1.0, "
+                "1.0, 2.0, 1, ?, ?, ?, ?)",
+                (old_id, json.dumps(spec.as_dict(), sort_keys=True),
+                 spec.digest(), *digests, str(share)))
+            conn.execute(
+                "INSERT INTO jobs (id, tenant, priority, state, spec, "
+                "spec_digest, submitted) "
+                "VALUES ('job-000000000002', 'old', 0, 'queued', ?, ?, "
+                "3.0)",
+                (json.dumps(queued.as_dict(), sort_keys=True),
+                 queued.digest()))
+            conn.execute(
+                "INSERT INTO archive VALUES (?, 'old', ?, ?, ?, 2.0)",
+                (old_id, spec.digest(), summary.digest(),
+                 json.dumps(summary.payload, sort_keys=True)))
+            conn.execute("INSERT INTO baselines VALUES ('v1', ?, 2.0)",
+                         (old_id,))
+            conn.commit()
+
+        service = Service(str(data)).start_http()
+        client = ServiceClient(service.url)
+        try:
+            listing = client.jobs()["jobs"]
+            assert [job["id"] for job in listing] == \
+                [old_id, "job-000000000002"]
+            assert all("report_digest" not in job for job in listing)
+            assert service.dispatcher.poll_once() is True
+            new = client.job("job-000000000002")
+            assert new["state"] == "done"
+            assert client.summary(old_id) == summary.payload
+            assert client.summary("v1") == summary.payload
+            assert client.report(old_id) == report
+            assert client.compare("v1", old_id)["verdict"] == "unchanged"
+            assert client.compare(old_id, new["id"])["base"]["name"] \
+                == old_id
+            assert client.tag_baseline("v2", new["id"])["job"] == \
+                new["id"]
+            twin = client.submit(spec.as_dict())
+            assert twin["reused_from"] == old_id
+            assert client.results(twin["id"]) == \
+                json.loads(store.get(digests[0]))
+        finally:
+            client.close()
+            service.stop()
 
 
 # -- observability plane -------------------------------------------------------

@@ -429,20 +429,23 @@ class TestWatchdogRules:
         _snap, alerts = evaluate_alerts(share, clock=lambda: 1050.0)
         assert not [a for a in alerts if a.rule == "dead-worker"]
 
-    def test_stalled_experiment_alert(self, tmp_path):
-        share = str(tmp_path)
+    @staticmethod
+    def _claim_after_three_results(tmp_path):
+        """Three 1-s results, then a worker claims ``exp_0009`` at
+        t=1000 as every share worker does."""
         (tmp_path / "results").mkdir()
         for index in range(3):
             (tmp_path / "results" / f"exp_{index:04d}.json").write_text(
                 json.dumps({"outcome": "masked", "wall_seconds": 1.0,
                             "instructions": 1000}))
-        (tmp_path / "spans").mkdir()
-        (tmp_path / "spans" / "w0.jsonl").write_text(json.dumps(
-            {"ev": "open", "name": "exp_0009", "span": "s9",
-             "parent": None, "trace": "t", "worker": "w0",
-             "t0": 1000.0, "tick0": 0,
-             "attrs": {"kind": "experiment",
-                       "experiment": "exp_0009"}}) + "\n")
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
+                                     clock=lambda: 1000.0)
+        (tmp_path / "todo" / "exp_0009.txt").write_text("x")
+        assert campaign.claim("w0") == "exp_0009"
+
+    def test_stalled_experiment_alert(self, tmp_path):
+        share = str(tmp_path)
+        self._claim_after_three_results(tmp_path)
         write_heartbeat(share, "w0", 3, current_experiment="exp_0009",
                         clock=lambda: 1090.0)
         _snap, alerts = evaluate_alerts(share, clock=lambda: 1100.0)
@@ -455,6 +458,32 @@ class TestWatchdogRules:
         assert not [a for a in alerts
                     if a.rule == "stalled-experiment"]
         assert [a for a in alerts if a.rule == "dead-worker"]
+
+    def test_stalled_experiment_alert_without_spans(self, tmp_path):
+        """An untraced share has no span records: the claim alone
+        raises the alert.  A traced worker's open span of the same
+        experiment adds no second alert."""
+        share = str(tmp_path)
+        self._claim_after_three_results(tmp_path)
+        write_heartbeat(share, "w0", 3, current_experiment="exp_0009",
+                        clock=lambda: 1090.0)
+        assert not (tmp_path / "spans").exists()
+        _snap, alerts = evaluate_alerts(share, clock=lambda: 1100.0)
+        stalled = [a for a in alerts if a.rule == "stalled-experiment"]
+        assert [(a.worker, a.experiment) for a in stalled] == \
+            [("w0", "exp_0009")]
+        assert stalled[0].message == \
+            "exp_0009 held for 100s by w0 (p90 is 1.0s)"
+        (tmp_path / "spans").mkdir()
+        (tmp_path / "spans" / "w0.jsonl").write_text(json.dumps(
+            {"ev": "open", "name": "exp_0009", "span": "s9",
+             "parent": None, "trace": "t", "worker": "w0",
+             "t0": 1000.0, "tick0": 0,
+             "attrs": {"kind": "experiment",
+                       "experiment": "exp_0009"}}) + "\n")
+        _snap, alerts = evaluate_alerts(share, clock=lambda: 1100.0)
+        assert [a.key for a in alerts if a.rule == "stalled-experiment"] \
+            == [stalled[0].key]
 
     def test_throughput_collapse_alert(self, tmp_path):
         share = str(tmp_path)
