@@ -38,25 +38,22 @@ from .coverage import (
     CoverageCell,
     FaultSpaceMap,
     coverage_from_share,
-    coverage_gauges,
     coverage_summary,
     render_coverage_svg,
 )
 from .diff import (
     CampaignDiff,
     CampaignSummary,
-    compare_gauges,
     newcombe_interval,
     proportions_differ,
     render_diff_svg,
 )
 
 __all__ = [
-    "CampaignDiff", "CampaignSummary", "compare_gauges",
-    "newcombe_interval", "proportions_differ",
-    "render_diff_svg",
+    "CampaignDiff", "CampaignSummary", "newcombe_interval",
+    "proportions_differ", "render_diff_svg",
     "ConvergenceTracker", "CoverageCell", "FaultSpaceMap",
-    "coverage_from_share", "coverage_gauges", "coverage_summary",
+    "coverage_from_share", "coverage_summary",
     "render_coverage_svg",
     "DefUseTracer", "LIVE", "LivenessAnalysis", "MASK_REASONS",
     "MASKED_BIT_OUT_OF_RANGE", "MASKED_DEAD_DESTINATION",

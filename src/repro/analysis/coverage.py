@@ -10,12 +10,11 @@ accounts every experiment result into it:
 
 * **space accounting** — how many distinct fault sites the campaign has
   actually visited, per location and overall, never exceeding the
-  enumerated space (a record of weight w visits exactly its own site;
-  w enters the *weight*, not the site count);
-* **outcome heatmaps** — per-dimension outcome distributions (fault
-  location, bit position, injection-cycle decile, destination register,
-  PC region), each cell carrying a Wilson score interval computed with
-  the Kish effective sample size of its weighted population;
+  enumerated space (each record visits exactly its own site);
+* **outcome heatmaps** — per-dimension outcome counts (fault location,
+  bit position, injection-cycle decile, destination register, PC
+  region), each cell carrying a Wilson score interval on its count of
+  records;
 * **convergence tracking** — running outcome-rate estimates with CI
   half-widths and a "margin reached at +-X%" indicator, the
   observability groundwork for sequential-stopping campaigns.
@@ -33,6 +32,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..campaign.generator import DEFAULT_LOCATIONS, LOCATION_WIDTHS
+from ..campaign.sampling import proportion_confidence_interval
 from ..core.fault import Fault, LocationKind
 from ..telemetry.campaign import (
     LOCATION_LABELS,
@@ -76,17 +76,6 @@ def _space_terms(locations=None):
     return terms
 
 
-def _wilson(success_weight: float, total_weight: float,
-            effective_n: float, confidence: float
-            ) -> tuple[float, float]:
-    from ..campaign.sampling import (
-        weighted_proportion_confidence_interval,
-    )
-    return weighted_proportion_confidence_interval(
-        success_weight, total_weight, effective_n,
-        confidence=confidence)
-
-
 def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits)
 
@@ -96,40 +85,33 @@ def _round(value: float, digits: int = 6) -> float:
 
 @dataclass
 class CoverageCell:
-    """Weighted outcome tally of one heatmap cell."""
+    """Outcome counts of one heatmap cell."""
 
     n: int = 0
-    sum_w: float = 0.0
-    sum_w2: float = 0.0
-    outcome_weights: dict[str, float] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
 
-    def add(self, outcome: str, weight: float) -> None:
+    def add(self, outcome: str) -> None:
         self.n += 1
-        self.sum_w += weight
-        self.sum_w2 += weight * weight
-        self.outcome_weights[outcome] = \
-            self.outcome_weights.get(outcome, 0.0) + weight
+        self.counts[outcome] = self.counts.get(outcome, 0) + 1
 
-    @property
-    def effective_n(self) -> float:
-        """Kish n_eff = (sum w)^2 / sum(w^2) of the cell's weights."""
-        return self.sum_w * self.sum_w / self.sum_w2 \
-            if self.sum_w2 > 0 else 0.0
+    def interval(self, outcome: str, confidence: float
+                 ) -> tuple[float, float, float]:
+        """(rate, ci_low, ci_high) of *outcome* in this cell."""
+        count = self.counts.get(outcome, 0)
+        low, high = proportion_confidence_interval(
+            count, self.n, confidence=confidence)
+        rate = count / self.n if self.n else 0.0
+        return rate, low, high
 
     def as_dict(self, confidence: float) -> dict:
         outcomes = {}
-        for outcome in outcome_columns(self.outcome_weights):
-            weight = self.outcome_weights[outcome]
-            low, high = _wilson(weight, self.sum_w, self.effective_n,
-                                confidence)
-            rate = weight / self.sum_w if self.sum_w else 0.0
+        for outcome in outcome_columns(self.counts):
+            rate, low, high = self.interval(outcome, confidence)
             outcomes[outcome] = {
-                "weight": _round(weight), "rate": _round(rate),
+                "count": self.counts[outcome], "rate": _round(rate),
                 "ci_low": _round(low), "ci_high": _round(high),
             }
-        return {"n": self.n, "weight": _round(self.sum_w),
-                "effective_n": _round(self.effective_n),
-                "outcomes": outcomes}
+        return {"n": self.n, "outcomes": outcomes}
 
 
 # -- convergence --------------------------------------------------------------
@@ -139,49 +121,35 @@ class ConvergenceTracker:
     """Running outcome-rate estimates with Wilson half-widths.
 
     Feed results in campaign order; after each one the tracker knows
-    the weighted rate of every outcome seen so far, the Kish effective
-    sample size, the widest current CI half-width, and — once every
-    half-width has shrunk to *margin* — the experiment index at which
-    the campaign's target precision was reached (the "2501 experiments
-    for 99% +-1%" criterion of the paper, observed live instead of
-    sized up front)."""
+    the rate of every outcome seen so far, the widest current CI
+    half-width, and — once every half-width has shrunk to *margin* —
+    the experiment index at which the campaign's target precision was
+    reached (the "2501 experiments for 99% +-1%" criterion of the
+    paper, observed live instead of sized up front)."""
 
     def __init__(self, confidence: float = 0.99,
                  margin: float = 0.01) -> None:
         self.confidence = confidence
         self.margin = margin
-        self.experiments = 0
-        self.sum_w = 0.0
-        self.sum_w2 = 0.0
-        self.outcome_weights: dict[str, float] = {}
+        self.tally = CoverageCell()
         self.margin_reached_at: int | None = None
         # (experiment index, max half-width) after every add.
         self.history: list[tuple[int, float]] = []
 
     @property
-    def effective_n(self) -> float:
-        return self.sum_w * self.sum_w / self.sum_w2 \
-            if self.sum_w2 > 0 else 0.0
+    def experiments(self) -> int:
+        return self.tally.n
 
-    def add(self, outcome: str, weight: float = 1.0) -> None:
-        self.experiments += 1
-        weight = max(0.0, float(weight))
-        self.sum_w += weight
-        self.sum_w2 += weight * weight
-        self.outcome_weights[outcome] = \
-            self.outcome_weights.get(outcome, 0.0) + weight
+    def add(self, outcome: str) -> None:
+        self.tally.add(outcome)
         half = self.max_half_width()
-        self.history.append((self.experiments, half))
+        self.history.append((self.tally.n, half))
         if self.margin_reached_at is None and half <= self.margin:
-            self.margin_reached_at = self.experiments
+            self.margin_reached_at = self.tally.n
 
     def interval(self, outcome: str) -> tuple[float, float, float]:
         """(rate, ci_low, ci_high) of *outcome* right now."""
-        weight = self.outcome_weights.get(outcome, 0.0)
-        low, high = _wilson(weight, self.sum_w, self.effective_n,
-                            self.confidence)
-        rate = weight / self.sum_w if self.sum_w else 0.0
-        return rate, low, high
+        return self.tally.interval(outcome, self.confidence)
 
     def half_width(self, outcome: str) -> float:
         rate, low, high = self.interval(outcome)
@@ -191,14 +159,14 @@ class ConvergenceTracker:
     def max_half_width(self) -> float:
         """The widest per-outcome half-width — the campaign has
         converged only when its least certain rate has."""
-        if not self.outcome_weights:
+        if not self.tally.counts:
             return 1.0
         return max(self.half_width(outcome)
-                   for outcome in self.outcome_weights)
+                   for outcome in self.tally.counts)
 
     def as_dict(self, history_points: int = 32) -> dict:
         rates = {}
-        for outcome in outcome_columns(self.outcome_weights):
+        for outcome in outcome_columns(self.tally.counts):
             rate, low, high = self.interval(outcome)
             rates[outcome] = {
                 "rate": _round(rate), "ci_low": _round(low),
@@ -207,7 +175,6 @@ class ConvergenceTracker:
             }
         return {
             "experiments": self.experiments,
-            "effective_n": _round(self.effective_n),
             "confidence": self.confidence,
             "margin": self.margin,
             "max_half_width": _round(self.max_half_width()),
@@ -260,15 +227,14 @@ class FaultSpaceMap:
         self.accounted = 0
         self.executed = 0
         self.predicted = 0
-        self.sampled_weight = 0.0
         self._sites: set[tuple] = set()
         self._sites_by_location: dict[str, set] = {}
         self._cells: dict[str, dict] = {dim: {} for dim in
                                         ("location", "bit",
                                          "time_decile", "register")}
-        # (pc, outcome, weight) samples; PC regions need the global
-        # extent, so their cells are bucketed at render time.
-        self._pc_samples: list[tuple[int, str, float]] = []
+        # (pc, outcome) samples; PC regions need the global extent, so
+        # their cells are bucketed at render time.
+        self._pc_samples: list[tuple[int, str]] = []
 
     # -- the enumerated space --------------------------------------------------
 
@@ -303,14 +269,12 @@ class FaultSpaceMap:
         record carries no parseable fault."""
         entry = self._normalise(result)
         self.accounted += 1
-        weight = entry["weight"]
         outcome = entry["outcome"]
         if entry["predicted"]:
             self.predicted += 1
         else:
             self.executed += 1
-        self.sampled_weight += weight
-        self.tracker.add(outcome, weight)
+        self.tracker.add(outcome)
         fault = entry["fault"]
         if fault is None:
             return False
@@ -319,24 +283,24 @@ class FaultSpaceMap:
         bit = fault.behavior.bits[0] if fault.behavior.bits else None
         register = fault.reg_index if location in (
             LocationKind.INT_REG, LocationKind.FP_REG) else None
-        # One result visits exactly its own site; class members it
-        # stands for stay in the weight, keeping covered <= space.
+        # One result visits exactly its own site, keeping covered <=
+        # space.
         site = (location.name, fault.time, bit, register or 0)
         self._sites.add(site)
         self._sites_by_location.setdefault(label, set()).add(site)
-        self._cell("location", label).add(outcome, weight)
+        self._cell("location", label).add(outcome)
         if bit is not None:
-            self._cell("bit", bit).add(outcome, weight)
+            self._cell("bit", bit).add(outcome)
         fraction = entry["time_fraction"]
         if fraction is not None:
             decile = min(self.time_bins - 1,
                          max(0, int(fraction * self.time_bins)))
-            self._cell("time_decile", decile).add(outcome, weight)
+            self._cell("time_decile", decile).add(outcome)
         if register is not None:
-            self._cell("register", register).add(outcome, weight)
+            self._cell("register", register).add(outcome)
         pc = entry["pc"]
         if pc is not None:
-            self._pc_samples.append((pc, outcome, weight))
+            self._pc_samples.append((pc, outcome))
         return True
 
     def account_all(self, results) -> int:
@@ -361,7 +325,6 @@ class FaultSpaceMap:
             return {
                 "fault": fault,
                 "outcome": result.get("outcome", "unknown"),
-                "weight": max(0.0, float(result.get("weight") or 1.0)),
                 "predicted": bool(result.get("predicted")),
                 "time_fraction": float(fraction)
                 if isinstance(fraction, (int, float)) else None,
@@ -373,7 +336,6 @@ class FaultSpaceMap:
         return {
             "fault": fault if isinstance(fault, Fault) else None,
             "outcome": outcome,
-            "weight": max(0.0, float(getattr(result, "weight", 1.0))),
             "predicted": bool(getattr(result, "predicted", False)),
             "time_fraction": getattr(result, "time_fraction", None),
             "pc": int(pc) if isinstance(pc, int) else None,
@@ -402,14 +364,14 @@ class FaultSpaceMap:
     def _pc_cells(self) -> list[tuple[str, CoverageCell]]:
         if not self._pc_samples:
             return []
-        pcs = [pc for pc, _, _ in self._pc_samples]
+        pcs = [pc for pc, _ in self._pc_samples]
         low, high = min(pcs), max(pcs)
         span = max(1, high - low + 1)
         size = max(1, -(-span // self.pc_regions))  # ceil division
         cells: dict[int, CoverageCell] = {}
-        for pc, outcome, weight in self._pc_samples:
+        for pc, outcome in self._pc_samples:
             index = min(self.pc_regions - 1, (pc - low) // size)
-            cells.setdefault(index, CoverageCell()).add(outcome, weight)
+            cells.setdefault(index, CoverageCell()).add(outcome)
         out = []
         for index in sorted(cells):
             lo = low + index * size
@@ -468,15 +430,12 @@ class FaultSpaceMap:
                 "covered_sites": covered,
                 "covered_fraction":
                     _round(covered / total, 8) if total else None,
-                "sampled_weight": _round(self.sampled_weight),
                 "per_location": space_rows,
             },
             "accounted": {
                 "experiments": self.accounted,
                 "executed": self.executed,
                 "predicted": self.predicted,
-                "weight": _round(self.sampled_weight),
-                "effective_n": _round(self.tracker.effective_n),
             },
             "convergence": self.tracker.as_dict(),
             "heatmaps": heatmaps,
@@ -544,36 +503,6 @@ def coverage_summary(payload: dict) -> dict:
             "convergence": convergence}
 
 
-def coverage_gauges(payload: dict) -> dict[str, float]:
-    """Flatten a coverage payload into ``coverage.*`` gauge values for
-    a :class:`~repro.telemetry.metrics.MetricsRegistry` (None-valued
-    quantities are omitted: gauges are numeric)."""
-    space = payload["space"]
-    convergence = payload["convergence"]
-    gauges: dict[str, float] = {
-        "coverage.covered_sites": space["covered_sites"],
-        "coverage.sampled_weight": space["sampled_weight"],
-        "coverage.accounted": payload["accounted"]["experiments"],
-        "coverage.effective_n": payload["accounted"]["effective_n"],
-        "coverage.max_half_width": convergence["max_half_width"],
-        "coverage.margin_reached":
-            1 if convergence["margin_reached"] else 0,
-    }
-    if space["total"] is not None:
-        gauges["coverage.space_total"] = space["total"]
-    if space["covered_fraction"] is not None:
-        gauges["coverage.covered_fraction"] = \
-            space["covered_fraction"]
-    if convergence["margin_reached_at"] is not None:
-        gauges["coverage.margin_reached_at"] = \
-            convergence["margin_reached_at"]
-    for outcome, row in convergence["rates"].items():
-        gauges[f"coverage.outcome_rate.{outcome}"] = row["rate"]
-        gauges[f"coverage.outcome_half_width.{outcome}"] = \
-            row["half_width"]
-    return gauges
-
-
 # -- rendering ----------------------------------------------------------------
 
 
@@ -606,9 +535,7 @@ def _space_line(payload: dict) -> str:
                f"(space size unknown)"
     return (f"{head}; {accounted['experiments']} experiments "
             f"({accounted['executed']} executed, "
-            f"{accounted['predicted']} predicted) carrying weight "
-            f"{accounted['weight']:g}, effective n "
-            f"{accounted['effective_n']:g}")
+            f"{accounted['predicted']} predicted)")
 
 
 def heatmap_table(payload: dict, dimension: str) -> tuple:
@@ -620,7 +547,7 @@ def heatmap_table(payload: dict, dimension: str) -> tuple:
         {o for cell in cells for o in cell["outcomes"]})
     rows = []
     for cell in cells:
-        row = [cell["label"], cell["n"], f"{cell['weight']:g}"]
+        row = [cell["label"], cell["n"]]
         for outcome in outcomes:
             entry = cell["outcomes"].get(outcome)
             row.append("-" if entry is None else
@@ -629,7 +556,7 @@ def heatmap_table(payload: dict, dimension: str) -> tuple:
                        f"{_fmt_pct(entry['ci_high'])}]")
         rows.append(row)
     return (f"Outcomes by {heatmap['title']}",
-            ["cell", "n", "weight"] + outcomes, rows)
+            ["cell", "n"] + outcomes, rows)
 
 
 def coverage_report_tables(payload: dict
@@ -733,7 +660,7 @@ def render_coverage_svg(payload: dict, dimension: str,
                        f'{_fmt_pct(entry["rate"])} '
                        f'[{_fmt_pct(entry["ci_low"])},'
                        f'{_fmt_pct(entry["ci_high"])}] '
-                       f'n={cell["n"]} w={cell["weight"]:g}')
+                       f'n={cell["n"]}')
             out.append(
                 f'<rect x="{x}" y="{y + 1}" width="{box_w - 2}" '
                 f'height="{box_h - 3}" fill="{fill}" '

@@ -6,7 +6,7 @@ decision support over a persistent result database.  This module is
 that layer for the reproduction:
 
 * :class:`CampaignSummary` — a byte-deterministic digest of a finished
-  campaign: spec fingerprint, Kish-weighted outcome distribution,
+  campaign: spec fingerprint, outcome counts and rates,
   per-dimension coverage heatmap rollups (reusing
   :meth:`~repro.analysis.coverage.FaultSpaceMap.as_dict`), the
   divergence-latency histogram and a host-time/KIPS rollup.  Buildable
@@ -15,8 +15,8 @@ that layer for the reproduction:
   floats, no timestamps or absolute paths).
 * :class:`CampaignDiff` — significance-tested deltas between two
   summaries: a Newcombe score interval on each outcome-rate difference
-  (built from the weighted Wilson intervals over Kish effective sample
-  sizes), per-dimension delta heatmaps, the latency-histogram shift,
+  (built from the two sides' Wilson intervals on their record
+  counts), per-dimension delta heatmaps, the latency-histogram shift,
   and a per-class verdict (``regressed`` / ``improved`` /
   ``unchanged``) plus an overall gate verdict with a configurable
   rate margin — the outcome-distribution analogue of the CI KIPS gate.
@@ -37,6 +37,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from ..campaign.sampling import proportion_confidence_interval
 from ..telemetry.campaign import HostTime, read_results
 from .coverage import (
     DIMENSION_TITLES,
@@ -54,10 +55,8 @@ from .coverage import (
 GOOD_OUTCOMES = frozenset({"correct", "strictly_correct",
                            "non_propagated"})
 
-VERDICT_SCORE = {"unchanged": 0, "improved": 1, "regressed": 2}
-
-SUMMARY_SCHEMA = "gemfi.campaign_summary.v1"
-DIFF_SCHEMA = "gemfi.campaign_diff.v1"
+SUMMARY_SCHEMA = "gemfi.campaign_summary.v2"
+DIFF_SCHEMA = "gemfi.campaign_diff.v2"
 
 
 def canonical_summary_bytes(payload: dict) -> bytes:
@@ -75,14 +74,13 @@ def proportions_differ(successes_a: int, trials_a: int,
                        confidence: float = 0.95
                        ) -> tuple[bool, tuple[float, float],
                                   tuple[float, float]]:
-    """Disjoint-Wilson-intervals significance test on two unweighted
+    """Disjoint-Wilson-intervals significance test on two
     proportions: ``(significant, (low_a, high_a), (low_b, high_b))``.
 
     This is the watchdog ``outcome-drift`` criterion — two Wilson
     score intervals at *confidence* that do not overlap — kept here so
     drift alerts and campaign diffs share one implementation.
     """
-    from ..campaign.sampling import proportion_confidence_interval
     low_a, high_a = proportion_confidence_interval(
         successes_a, trials_a, confidence=confidence)
     low_b, high_b = proportion_confidence_interval(
@@ -91,28 +89,20 @@ def proportions_differ(successes_a: int, trials_a: int,
     return significant, (low_a, high_a), (low_b, high_b)
 
 
-def newcombe_interval(success_base: float, total_base: float,
-                      effective_base: float,
-                      success_head: float, total_head: float,
-                      effective_head: float,
+def newcombe_interval(success_base: int, total_base: int,
+                      success_head: int, total_head: int,
                       confidence: float = 0.95
                       ) -> tuple[float, float, float]:
     """``(delta, low, high)`` for ``p_head - p_base`` by Newcombe's
-    score method: the interval is assembled from the two weighted
-    Wilson intervals, each computed over its side's Kish effective
-    sample size, so weighted records are not overconfident.
+    score method: the interval is assembled from the two sides' Wilson
+    intervals on their counts.
     """
-    from ..campaign.sampling import (
-        weighted_proportion_confidence_interval,
-    )
     p_base = success_base / total_base if total_base > 0 else 0.0
     p_head = success_head / total_head if total_head > 0 else 0.0
-    low_base, high_base = weighted_proportion_confidence_interval(
-        success_base, total_base, effective_base,
-        confidence=confidence)
-    low_head, high_head = weighted_proportion_confidence_interval(
-        success_head, total_head, effective_head,
-        confidence=confidence)
+    low_base, high_base = proportion_confidence_interval(
+        success_base, total_base, confidence=confidence)
+    low_head, high_head = proportion_confidence_interval(
+        success_head, total_head, confidence=confidence)
     delta = p_head - p_base
     low = delta - math.sqrt((p_head - low_head) ** 2
                             + (high_base - p_base) ** 2)
@@ -151,7 +141,6 @@ class CampaignSummary:
         from ..telemetry.report import latency_histogram
         space = FaultSpaceMap(window=window, confidence=confidence)
         counts: dict[str, int] = {}
-        weights: dict[str, float] = {}
         latencies: list[int] = []
         kinds: dict[str, int] = {}
         host = HostTime()
@@ -159,9 +148,7 @@ class CampaignSummary:
             entry = _normalise_entry(raw)
             space.account(entry)
             outcome = str(entry.get("outcome", "unknown"))
-            weight = max(0.0, float(entry.get("weight") or 1.0))
             counts[outcome] = counts.get(outcome, 0) + 1
-            weights[outcome] = weights.get(outcome, 0.0) + weight
             divergence = entry.get("divergence")
             if isinstance(divergence, dict):
                 kind = str(divergence.get("kind", "unknown"))
@@ -170,16 +157,9 @@ class CampaignSummary:
                 if isinstance(latency, int) and latency >= 0:
                     latencies.append(latency)
             host.add(entry)
-        total_weight = sum(weights.values())
-        outcomes = {}
-        for outcome in sorted(counts):
-            weight = weights[outcome]
-            outcomes[outcome] = {
-                "count": counts[outcome],
-                "weight": _round(weight),
-                "rate": _round(weight / total_weight)
-                if total_weight > 0 else 0.0,
-            }
+        outcomes = {outcome: {"count": count,
+                              "rate": _round(count / space.accounted)}
+                    for outcome, count in sorted(counts.items())}
         coverage = space.as_dict()
         host_time = None
         if host.walls:
@@ -194,8 +174,6 @@ class CampaignSummary:
             "spec": spec,
             "confidence": confidence,
             "experiments": space.accounted,
-            "weight": _round(total_weight),
-            "effective_n": _round(space.tracker.effective_n),
             "outcomes": outcomes,
             "coverage": {
                 "space": coverage["space"],
@@ -247,17 +225,19 @@ class CampaignSummary:
         """Re-hydrate a summary from its JSON payload (a saved
         summary file, a ``gemfi compare --json`` operand, or the
         ``summary`` wrapper a service endpoint returns).  A bare result
-        list is summarised on the spot."""
+        list is summarised on the spot.  A payload of any other schema
+        (an older summary, a diff) is refused."""
         if isinstance(payload, list):
             return cls.from_results(payload)
         if not isinstance(payload, dict):
             raise ValueError("not a campaign summary payload")
-        if "outcomes" not in payload and \
+        if "schema" not in payload and \
                 isinstance(payload.get("summary"), dict):
             payload = payload["summary"]
-        if "outcomes" not in payload:
-            raise ValueError("not a campaign summary payload "
-                             "(no outcome distribution)")
+        schema = payload.get("schema")
+        if schema != SUMMARY_SCHEMA:
+            raise ValueError(f"not a {SUMMARY_SCHEMA} payload (schema "
+                             f"{schema!r}); summarise the share again")
         return cls(payload)
 
     # -- views ----------------------------------------------------------------
@@ -317,16 +297,11 @@ class CampaignDiff:
         payload = summary.payload
         return {"name": payload.get("name") or "",
                 "spec": payload.get("spec"),
-                "experiments": payload.get("experiments", 0),
-                "weight": payload.get("weight", 0.0),
-                "effective_n": payload.get("effective_n", 0.0)}
+                "experiments": payload["experiments"]}
 
     def _outcome_rows(self) -> dict[str, dict]:
         base, head = self.base.payload, self.head.payload
-        base_w = base.get("weight", 0.0)
-        head_w = head.get("weight", 0.0)
-        base_n = base.get("effective_n", 0.0)
-        head_n = head.get("effective_n", 0.0)
+        base_n, head_n = base["experiments"], head["experiments"]
         rows = {}
         names = set(base.get("outcomes", {})) \
             | set(head.get("outcomes", {}))
@@ -334,8 +309,7 @@ class CampaignDiff:
             b = base["outcomes"].get(outcome, {})
             h = head["outcomes"].get(outcome, {})
             delta, low, high = newcombe_interval(
-                b.get("weight", 0.0), base_w, base_n,
-                h.get("weight", 0.0), head_w, head_n,
+                b.get("count", 0), base_n, h.get("count", 0), head_n,
                 confidence=self.confidence)
             verdict = _class_verdict(outcome, delta, low, high,
                                      self.margin)
@@ -377,10 +351,8 @@ class CampaignDiff:
                     b = b_cell["outcomes"].get(outcome, {})
                     h = h_cell["outcomes"].get(outcome, {})
                     delta, low, high = newcombe_interval(
-                        b.get("weight", 0.0), b_cell["weight"],
-                        b_cell["effective_n"],
-                        h.get("weight", 0.0), h_cell["weight"],
-                        h_cell["effective_n"],
+                        b.get("count", 0), b_cell["n"],
+                        h.get("count", 0), h_cell["n"],
                         confidence=self.confidence)
                     outcomes[outcome] = {
                         "base_rate": _round(b.get("rate", 0.0)),
@@ -473,27 +445,6 @@ class CampaignDiff:
         return canonical_summary_bytes(self.payload)
 
 
-def compare_gauges(payload: dict) -> dict[str, float]:
-    """Flatten a diff payload into ``compare.*`` gauges for the shared
-    metrics registry, so ``/metrics`` picks differential state up for
-    free."""
-    rows = payload["outcomes"]
-    verdicts = [row["verdict"] for row in rows.values()]
-    gauges: dict[str, float] = {
-        "compare.verdict":
-            VERDICT_SCORE.get(payload["verdict"], 2),
-        "compare.classes_regressed": verdicts.count("regressed"),
-        "compare.classes_improved": verdicts.count("improved"),
-        "compare.classes_unchanged": verdicts.count("unchanged"),
-        "compare.max_abs_delta": max(
-            (abs(row["delta"]) for row in rows.values()),
-            default=0.0),
-    }
-    for outcome, row in rows.items():
-        gauges[f"compare.delta.{outcome}"] = row["delta"]
-    return gauges
-
-
 # -- rendering ----------------------------------------------------------------
 
 
@@ -520,9 +471,8 @@ def _verdict_line(payload: dict) -> str:
 def _sides_line(payload: dict) -> str:
     base, head = payload["base"], payload["head"]
     line = (f"base {base['name'] or '?'} ({base['experiments']} "
-            f"experiments, effective n {base['effective_n']:g}) vs "
-            f"head {head['name'] or '?'} ({head['experiments']} "
-            f"experiments, effective n {head['effective_n']:g})")
+            f"experiments) vs head {head['name'] or '?'} "
+            f"({head['experiments']} experiments)")
     if not payload["spec_match"]:
         line += "; specs differ"
     return line

@@ -30,7 +30,6 @@ from .sampling import (
     mean_confidence_interval,
     proportion_confidence_interval,
     sample_size,
-    weighted_proportion_confidence_interval,
     z_score,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "mean_confidence_interval", "now_speedup", "outcome_counts",
     "proportion_confidence_interval", "render_location_table",
     "render_table", "render_time_table", "sample_size",
-    "simulate_makespan", "summary",
-    "weighted_proportion_confidence_interval", "z_score",
+    "simulate_makespan", "summary", "z_score",
 ]

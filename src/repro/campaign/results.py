@@ -14,32 +14,22 @@ from dataclasses import dataclass, field
 
 from ..core.fault import LocationKind
 from ..isa.instructions import field_of_fetch_bit
+from ..telemetry.campaign import LOCATION_LABELS
 from .classify import OUTCOME_ORDER, Outcome
 from .runner import ExperimentResult
-
-LOCATION_LABELS = {
-    LocationKind.INT_REG: "int regfile",
-    LocationKind.FP_REG: "fp regfile",
-    LocationKind.PC: "pc",
-    LocationKind.FETCH: "fetch",
-    LocationKind.DECODE: "decode",
-    LocationKind.EXECUTE: "execute",
-    LocationKind.MEM: "mem",
-}
 
 
 @dataclass
 class Distribution:
-    """Outcome counts for one group (a location, a time bin...),
-    each result counted with its ``weight``."""
+    """Outcome counts for one group (a location, a time bin...)."""
 
     counts: Counter = field(default_factory=Counter)
 
-    def add(self, outcome: Outcome, weight: float = 1.0) -> None:
-        self.counts[outcome] += weight
+    def add(self, outcome: Outcome) -> None:
+        self.counts[outcome] += 1
 
     @property
-    def total(self) -> float:
+    def total(self) -> int:
         return sum(self.counts.values())
 
     def fraction(self, outcome: Outcome) -> float:
@@ -60,15 +50,14 @@ def by_location(results: list[ExperimentResult]
     """Fig. 5: outcome distribution per fault location (+ a summary)."""
     groups: dict[LocationKind, Distribution] = defaultdict(Distribution)
     for result in results:
-        groups[result.fault.location].add(result.outcome,
-                                          _weight(result))
+        groups[result.fault.location].add(result.outcome)
     return dict(groups)
 
 
 def summary(results: list[ExperimentResult]) -> Distribution:
     dist = Distribution()
     for result in results:
-        dist.add(result.outcome, _weight(result))
+        dist.add(result.outcome)
     return dist
 
 
@@ -78,7 +67,7 @@ def by_time_bins(results: list[ExperimentResult], bins: int = 10
     groups = [Distribution() for _ in range(bins)]
     for result in results:
         index = min(bins - 1, int(result.time_fraction * bins))
-        groups[index].add(result.outcome, _weight(result))
+        groups[index].add(result.outcome)
     return groups
 
 
@@ -98,12 +87,8 @@ def by_fetch_field(results: list[ExperimentResult]
             continue
         field_name = field_of_fetch_bit(result.injection_before,
                                         bits[0]).value
-        groups[field_name].add(result.outcome, _weight(result))
+        groups[field_name].add(result.outcome)
     return dict(groups)
-
-
-def _weight(result: ExperimentResult) -> float:
-    return getattr(result, "weight", 1.0)
 
 
 def render_table(rows: dict[str, Distribution],
@@ -120,10 +105,8 @@ def render_table(rows: dict[str, Distribution],
     widths += [max(6, len(h)) for h in headers[1:]]
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     for key, dist in rows.items():
-        total = dist.total
-        total_text = str(int(total)) if total == int(total) \
-            else f"{total:.1f}"
-        cells = [str(key).ljust(widths[0]), total_text.ljust(widths[1])]
+        cells = [str(key).ljust(widths[0]),
+                 str(dist.total).ljust(widths[1])]
         for outcome, width in zip(OUTCOME_ORDER, widths[2:]):
             cells.append(f"{dist.fraction(outcome):6.1%}".ljust(width))
         cells.append(f"{dist.acceptable_fraction:6.1%}")

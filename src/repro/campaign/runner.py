@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..compiler import compile_source
 from ..core.fault import Fault, TimeMode
@@ -71,10 +72,8 @@ class ExperimentResult:
     # this is the original instruction word, used by the Table I
     # per-field analysis).
     injection_before: int | None = None
-    # Estimator weight (always 1 now; the result readers still weigh by
-    # it, as it is part of the record format) and whether the liveness
-    # analysis predicted this result instead of simulating it.
-    weight: float = 1.0
+    # Whether the liveness analysis predicted this result instead of
+    # simulating it.
     predicted: bool = False
     # Provenance (repro.telemetry): what produced this result, so the
     # campaign result JSON is self-describing and re-runnable — the
@@ -119,7 +118,6 @@ class ExperimentResult:
             "injection_pc": self.injection_pc,
             "injection_asm": self.injection_asm,
             "injection_detail": self.injection_detail,
-            "weight": self.weight,
             "predicted": self.predicted,
             "divergence": self.divergence,
             "propagation": self.propagation,
@@ -210,7 +208,6 @@ class CampaignRunner:
         # Optional repro.telemetry.spans tracer: per-experiment spans
         # with phase children, threaded into checkpoint save/restore.
         self.tracer = None
-        self.asm = compile_source(spec.source)
         self._trace = None
         self._liveness = None
         self._flight = None
@@ -221,6 +218,12 @@ class CampaignRunner:
         # A published golden run (a worker's golden.pkl) is reused as is.
         self.golden = golden if golden is not None else self._golden_run()
         spec.golden_instructions = self.golden.profile.committed
+
+    @cached_property
+    def asm(self) -> str:
+        """The workload's program, compiled on first use: only the
+        golden run and the paths without a checkpoint load it."""
+        return compile_source(self.spec.source)
 
     # -- golden phase ----------------------------------------------------------
 

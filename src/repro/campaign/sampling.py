@@ -82,24 +82,6 @@ def proportion_confidence_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def weighted_proportion_confidence_interval(
-        success_weight: float, total_weight: float,
-        effective_n: float, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Wilson score interval for a weighted outcome proportion, using
-    the (Kish) effective sample size in place of the trial count."""
-    if total_weight <= 0 or effective_n <= 0:
-        return 0.0, 1.0
-    z = z_score(confidence)
-    phat = min(1.0, max(0.0, success_weight / total_weight))
-    n = effective_n
-    denom = 1 + z * z / n
-    centre = (phat + z * z / (2 * n)) / denom
-    half = (z * math.sqrt(phat * (1 - phat) / n
-                          + z * z / (4 * n * n))) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
-
-
 def mean_confidence_interval(values, confidence: float = 0.95
                              ) -> tuple[float, float, float]:
     """(mean, low, high) normal-approximation CI for a sample mean —

@@ -694,8 +694,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         diff = CampaignDiff(base, head, confidence=args.confidence,
                             margin=args.margin)
     except (ServiceError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _usage_error("compare", str(exc))
     payload = diff.payload
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

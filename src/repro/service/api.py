@@ -123,12 +123,6 @@ class ServiceApp:
         self.watchdog_config = watchdog_config or WatchdogConfig()
         self.observer = observer
         self._clock = clock
-        # share-signature cache for the coverage.* gauges: job id ->
-        # ((result count, newest mtime), gauges).
-        self._coverage_cache: dict[str, tuple[tuple, dict]] = {}
-        # compare.* gauges mirror the most recent /v1/compare (or
-        # console compare) computed on this service: (gauges, labels).
-        self._compare_gauges: tuple[dict, dict] | None = None
         self.router = Router()
         add = self.router.add
         add("GET", "/v1/healthz", self.healthz)
@@ -414,10 +408,8 @@ class ServiceApp:
     def compare_payload(self, base: str, head: str,
                         confidence: float, margin: float) -> dict:
         """One code path for `/v1/compare` and the console's compare
-        page, so both always show exactly the same numbers.  Also
-        refreshes the ``compare.*`` gauges with this diff."""
-        from ..analysis.diff import (CampaignDiff, CampaignSummary,
-                                     compare_gauges)
+        page, so both always show exactly the same numbers."""
+        from ..analysis.diff import CampaignDiff, CampaignSummary
         try:
             diff = CampaignDiff(
                 CampaignSummary.from_payload(
@@ -427,8 +419,6 @@ class ServiceApp:
                 confidence=confidence, margin=margin)
         except ValueError as exc:
             raise HTTPError(400, str(exc)) from None
-        self._compare_gauges = (compare_gauges(diff.payload),
-                                {"base": base, "head": head})
         return diff.payload
 
     async def compare(self, request: Request) -> Response:
@@ -451,83 +441,18 @@ class ServiceApp:
 
     # -- metrics --------------------------------------------------------------
 
-    #: coverage.* gauges are computed for at most this many jobs
-    #: (the newest ones with shares) per refresh, so scrape cost stays
-    #: bounded no matter how long the job history grows.
-    COVERAGE_GAUGE_JOBS = 3
-
-    def _coverage_gauge_sets(self) -> list[tuple[str, dict]]:
-        """(job id, coverage gauges) for the newest jobs with shares.
-
-        Re-reading every result on every scrape would dwarf the
-        scrape itself, so each share's gauges are cached against a
-        cheap signature (result-file count + newest mtime) and only
-        recomputed when new results have landed."""
-        from ..analysis.coverage import (
-            coverage_from_share,
-            coverage_gauges,
-        )
-        jobs = [job for job in self.queue.list_jobs()
-                if self._share(job) is not None]
-        out = []
-        for job in jobs[-self.COVERAGE_GAUGE_JOBS:]:
-            share = self._share(job)
-            results_dir = os.path.join(share, "results")
-            count, newest = 0, 0.0
-            try:
-                with os.scandir(results_dir) as entries:
-                    for entry in entries:
-                        if not entry.name.endswith(".json"):
-                            continue
-                        count += 1
-                        try:
-                            newest = max(newest,
-                                         entry.stat().st_mtime)
-                        except OSError:
-                            pass
-            except OSError:
-                pass
-            signature = (count, newest)
-            cached = self._coverage_cache.get(job.id)
-            if cached is not None and cached[0] == signature:
-                out.append((job.id, cached[1]))
-                continue
-            gauges = coverage_gauges(
-                coverage_from_share(share).as_dict())
-            self._coverage_cache[job.id] = (signature, gauges)
-            out.append((job.id, gauges))
-        # Forget shares that fell out of the window.
-        keep = {job_id for job_id, _ in out}
-        for job_id in list(self._coverage_cache):
-            if job_id not in keep:
-                del self._coverage_cache[job_id]
-        return out
-
     def _refresh_gauges(self) -> None:
         """Point-in-time families recomputed at scrape time (counters
         and histograms accumulate where the events happen)."""
         observer = self.observer
         registry = observer.registry
-        coverage_sets = self._coverage_gauge_sets()
-        compare_state = self._compare_gauges
         with observer._lock:
             for prefix in ("queue.depth", "queue.tenant_active",
                            "queue.tenant_quota", "store.objects",
                            "store.bytes", "usage.jobs",
                            "usage.experiments", "usage.instructions",
-                           "usage.wall_seconds", "usage.kips",
-                           "coverage", "compare"):
+                           "usage.wall_seconds", "usage.kips"):
                 registry.prune(prefix)
-        for job_id, gauges in coverage_sets:
-            for name, value in sorted(gauges.items()):
-                observer.set_gauge(name, value, job=job_id)
-        if compare_state is not None:
-            # The most recent diff computed on this service; labelled
-            # with its operands, so a scraper keeps distinct series per
-            # comparison pair.
-            gauges, labels = compare_state
-            for name, value in sorted(gauges.items()):
-                observer.set_gauge(name, value, **labels)
         observer.set_gauge("queue.depth", self.queue.depth())
         for tenant, states in sorted(self.queue.tenant_counts().items()):
             active = states.get("queued", 0) + states.get("leased", 0)

@@ -83,36 +83,7 @@ HELP_TEXTS = {
     "usage_wall_seconds": "Campaign wall seconds, by tenant.",
     "usage_kips": "Aggregate simulation rate (simulated kilo-"
                   "instructions per campaign wall second), by tenant.",
-    "coverage_space_total": "Enumerated fault-space size (sites x "
-                            "cycles x bits), by job.",
-    "coverage_covered_sites": "Distinct fault sites visited, by job.",
-    "coverage_covered_fraction": "Fraction of the fault space "
-                                 "visited, by job.",
-    "coverage_sampled_weight": "Equivalence-weighted experiment "
-                               "mass accounted, by job.",
-    "coverage_accounted": "Experiment results accounted into the "
-                          "coverage map, by job.",
-    "coverage_effective_n": "Kish effective sample size of the "
-                            "weighted results, by job.",
-    "coverage_max_half_width": "Widest Wilson-interval half-width "
-                               "over the outcome rates, by job.",
-    "coverage_margin_reached": "1 once every outcome-rate half-width "
-                               "is inside the campaign margin.",
-    "coverage_margin_reached_at": "Experiment count at which the "
-                                  "margin was first reached, by job.",
     "queue_baselines_tagged": "Baseline tags created or moved.",
-    "compare_verdict": "Latest campaign-diff verdict on this service "
-                       "(0 unchanged, 1 improved, 2 regressed), by "
-                       "base/head.",
-    "compare_classes_regressed": "Outcome classes judged regressed "
-                                 "in the latest diff.",
-    "compare_classes_improved": "Outcome classes judged improved in "
-                                "the latest diff.",
-    "compare_classes_unchanged": "Outcome classes with no "
-                                 "significant shift in the latest "
-                                 "diff.",
-    "compare_max_abs_delta": "Largest absolute outcome-rate delta in "
-                             "the latest diff.",
 }
 
 

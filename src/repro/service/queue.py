@@ -163,9 +163,11 @@ class JobQueue:
         with closing(self._connect()) as conn:
             donor = None
             if reuse:
+                # The donor is a job that ran, never another twin.
                 donor = conn.execute(
                     "SELECT * FROM jobs WHERE spec_digest = ? AND "
                     "state = 'done' AND result_digest IS NOT NULL "
+                    "AND reused_from IS NULL "
                     "ORDER BY finished DESC LIMIT 1",
                     (spec_digest,)).fetchone()
             if donor is not None:

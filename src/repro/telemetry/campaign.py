@@ -563,8 +563,8 @@ class CampaignStatus:
     service: dict | None = None
     # Fault-space coverage frame (opt-in via read_status(coverage=True)
     # / `gemfi status --coverage`): the heatmap-free summary of
-    # repro.analysis.coverage — space visited, effective n, outcome
-    # rates with Wilson intervals, margin convergence.  None unless
+    # repro.analysis.coverage — space visited, outcome rates with
+    # Wilson intervals, margin convergence.  None unless
     # requested, so plain status output stays byte-identical.
     coverage: dict | None = None
 

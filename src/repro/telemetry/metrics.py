@@ -72,7 +72,7 @@ class Distribution:
         self.min = 0.0
         self.max = 0.0
 
-    def record(self, sample: float, weight: int = 1) -> None:
+    def record(self, sample: float) -> None:
         sample = float(sample)
         if self.count == 0:
             self.min = sample
@@ -80,9 +80,9 @@ class Distribution:
         else:
             self.min = min(self.min, sample)
             self.max = max(self.max, sample)
-        self.count += weight
-        self.total += sample * weight
-        self.squares += sample * sample * weight
+        self.count += 1
+        self.total += sample
+        self.squares += sample * sample
 
     @property
     def mean(self) -> float:
@@ -127,14 +127,14 @@ class Histogram:
         # as the histogram family's _sum line.
         self.total = 0.0
 
-    def record(self, sample: float, weight: int = 1) -> None:
-        self.samples += weight
-        self.total += float(sample) * weight
+    def record(self, sample: float) -> None:
+        self.samples += 1
+        self.total += float(sample)
         for index, bound in enumerate(self.bounds):
             if sample <= bound:
-                self.buckets[index] += weight
+                self.buckets[index] += 1
                 return
-        self.overflow += weight
+        self.overflow += 1
 
     def items(self, name: str) -> Iterator[tuple[str, Any]]:
         yield f"{name}.samples", self.samples

@@ -28,9 +28,7 @@ from repro.campaign import (
     Outcome,
     SEUGenerator,
     by_location,
-    proportion_confidence_interval,
     summary,
-    weighted_proportion_confidence_interval,
 )
 from repro.compiler import compile_source
 from repro.core import FaultInjector, render_fault_file
@@ -370,26 +368,6 @@ class TestExpandPruned:
         assert all(r.instructions == 0 for r in predicted)
 
 
-class TestWeightedSampling:
-    def test_weighted_interval_reduces_to_wilson(self):
-        low, high = weighted_proportion_confidence_interval(
-            30.0, 100.0, 100.0)
-        ref_low, ref_high = proportion_confidence_interval(30, 100)
-        assert low == pytest.approx(ref_low)
-        assert high == pytest.approx(ref_high)
-
-    def test_weighted_interval_widens_as_n_eff_drops(self):
-        narrow = weighted_proportion_confidence_interval(30.0, 100.0,
-                                                         100.0)
-        wide = weighted_proportion_confidence_interval(30.0, 100.0, 25.0)
-        assert wide[0] < narrow[0]
-        assert wide[1] > narrow[1]
-
-    def test_weighted_interval_degenerate_inputs(self):
-        assert weighted_proportion_confidence_interval(0, 0, 0) \
-            == (0.0, 1.0)
-
-
 # -- tracer integration (real runs) -----------------------------------------------
 
 
@@ -559,11 +537,10 @@ class TestCampaignPruning:
     def test_pruned_run_keeps_order_and_simulated_records(
             self, seed7_campaigns):
         """One record per fault set, in order; a simulated record is
-        the unpruned run's, and every weight is 1."""
+        the unpruned run's."""
         faults, full, pruned = seed7_campaigns
         assert [r.fault for r in pruned] == faults
         for fast, slow in zip(pruned, full):
-            assert fast.weight == 1.0
             if not fast.predicted:
                 assert _simulated_fields(fast) == _simulated_fields(slow)
 

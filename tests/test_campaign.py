@@ -174,6 +174,27 @@ class TestRunnerAndClassification:
                         Outcome.STRICTLY_CORRECT, Outcome.CORRECT,
                         Outcome.SDC)) - 1.0) < 1e-9
 
+    def test_runner_given_a_golden_run_compiles_nothing(
+            self, pi_runner, monkeypatch):
+        """A runner handed the golden run, as a share worker loads it
+        from golden.pkl, runs checkpointed experiments without
+        compiling, to the compiling runner's records."""
+        faults = SEUGenerator(pi_runner.golden.profile,
+                              seed=5).batch(6)
+        expected = [r.as_dict() for r in pi_runner.run_campaign(faults)]
+
+        def refuse(source):
+            raise AssertionError("the program was compiled")
+
+        monkeypatch.setattr("repro.campaign.runner.compile_source",
+                            refuse)
+        runner = CampaignRunner(build("pi", "tiny"),
+                                golden=pi_runner.golden)
+        records = [r.as_dict() for r in runner.run_campaign(faults)]
+        for record in expected + records:
+            del record["wall_seconds"], record["phases"]
+        assert records == expected
+
     def test_detailed_o3_mode_runs(self):
         runner = CampaignRunner(build("pi", "tiny"),
                                 detailed_model="o3")

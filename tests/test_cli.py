@@ -8,6 +8,8 @@ import pytest
 from repro.campaign import SharedDirCampaign
 from repro.cli import build_parser, main
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
 MINIC = """
 def main():
     fi_read_init_all()
@@ -253,6 +255,11 @@ class TestArgumentErrors:
         ["run", "{prog}", "--folded", "{tmp}"],
         ["run", "{tmp}/binary.mc"],
         ["run", "{prog}", "--fault-file", "{tmp}/binary.txt"],
+        ["compare", "{tmp}/no_schema.json", "{tmp}/no_schema.json"],
+        ["compare", "{tmp}/flat.json", "{tmp}/flat.json"],
+        ["compare", "{data}/v1/summary.json", "{data}/v1/summary.json"],
+        ["compare", "{data}/renders/compare.json",
+         "{data}/renders/compare.json"],
     ])
     def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
                                   capsys):
@@ -264,7 +271,13 @@ class TestArgumentErrors:
         (tmp_path / "garbage.jsonl").write_text("garbage\n")
         (tmp_path / "binary.mc").write_bytes(b"\x89PNG\r\n")
         (tmp_path / "binary.txt").write_bytes(b"\x89PNG\r\n")
-        argv = [arg.format(tmp=tmp_path, prog=minic_file)
+        (tmp_path / "no_schema.json").write_text(json.dumps(
+            {"outcomes": {"sdc": {"count": 1}},
+             "coverage": {"heatmaps": {"bit": {"cells": [
+                 {"label": "bit 0", "outcomes": {"sdc": {}}}]}}}}))
+        (tmp_path / "flat.json").write_text(
+            json.dumps({"outcomes": {"sdc": 3}}))
+        argv = [arg.format(tmp=tmp_path, prog=minic_file, data=DATA)
                 for arg in argv]
         with pytest.raises(SystemExit) as caught:
             main(argv)
@@ -419,7 +432,9 @@ class TestCompareCommand:
 
     def test_unresolvable_operand(self, shares, capsys):
         _, head = shares
-        assert main(["compare", "no-such-ref", head]) == 2
+        with pytest.raises(SystemExit) as caught:
+            main(["compare", "no-such-ref", head])
+        assert caught.value.code == 2
         assert "neither a share directory" in capsys.readouterr().err
 
     def test_report_baseline_section(self, shares, capsys):

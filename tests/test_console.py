@@ -313,12 +313,6 @@ class TestConsoleEndToEnd:
         return {tuple(sorted(labels.items())): value
                 for _, labels, value in families[family]["samples"]}
 
-    def test_coverage_gauges_reach_metrics(self, service, done_job):
-        sites = self._scrape(service, "coverage_covered_sites")
-        assert sites[(("job", done_job["id"]),)] > 0
-        status, _, body = _get(service, "/metrics")
-        assert "# HELP coverage_covered_sites" in body.decode("utf-8")
-
     def test_usage_kips_counts_simulated_instructions(self, service,
                                                       done_job):
         """The metering behind usage.kips counts what was simulated,
@@ -368,13 +362,24 @@ class TestConsoleEndToEnd:
         assert island["head"] in island["jobs"]
         assert island["compare"] is not None
 
-    def test_compare_gauges_reach_metrics(self, service, done_job):
+    def test_metrics_repeat_no_coverage_or_compare_view(self, service,
+                                                        done_job):
+        """/metrics carries no coverage_* or compare_* family, even
+        after a coverage request and a compare: those views are served
+        by their own endpoints."""
+        from repro.telemetry.export import parse_openmetrics
         job_id = done_job["id"]
-        _get(service, f"/v1/compare?base={job_id}&head={job_id}")
+        for path in (f"/v1/jobs/{job_id}/coverage",
+                     f"/v1/compare?base={job_id}&head={job_id}",
+                     f"/ui/coverage?job={job_id}",
+                     f"/ui/compare?base={job_id}&head={job_id}"):
+            assert _get(service, path)[0] == 200
         status, _, body = _get(service, "/metrics")
-        text = body.decode("utf-8")
-        assert "# HELP compare_verdict" in text
-        assert f'base="{job_id}"' in text
+        assert status == 200
+        families = parse_openmetrics(body.decode("utf-8"))
+        assert "usage_kips" in families
+        assert [name for name in families
+                if name.startswith(("coverage_", "compare_"))] == []
 
 
 # -- SVG lane rendering -------------------------------------------------------

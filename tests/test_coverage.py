@@ -19,7 +19,6 @@ from repro.analysis.coverage import (
     ConvergenceTracker,
     FaultSpaceMap,
     coverage_from_share,
-    coverage_gauges,
     coverage_report_tables,
     coverage_summary,
     heatmap_table,
@@ -42,8 +41,9 @@ OUTCOMES = ("sdc", "crashed", "correct", "non_propagated")
 
 
 def synthetic_results(count=40, seed=7, committed=100,
-                      weights=False):
-    """Deterministic share-style result dicts from a real generator."""
+                      predicted=False):
+    """Deterministic share-style result dicts from a real generator;
+    with *predicted*, every fifth one is a predicted record."""
     generator = SEUGenerator(WindowProfile(committed=committed,
                                            ticks=committed * 50),
                              seed=seed)
@@ -53,8 +53,7 @@ def synthetic_results(count=40, seed=7, committed=100,
         results.append({
             "fault_file": fault.describe(),
             "outcome": OUTCOMES[index % len(OUTCOMES)],
-            "weight": 1.0 + (index % 3 if weights else 0),
-            "predicted": weights and index % 5 == 0,
+            "predicted": predicted and index % 5 == 0,
             "time_fraction": fault.time / committed,
             "injection_pc": 0x1000 + (index % 11) * 4,
         })
@@ -112,7 +111,7 @@ class TestSpaceEnumeration:
 
 class TestAccounting:
     def test_accounted_sums_to_experiment_count(self):
-        results = synthetic_results(40, weights=True)
+        results = synthetic_results(40, predicted=True)
         space = populate(FaultSpaceMap(window=PROFILE), results)
         assert space.accounted == len(results)
         assert space.executed + space.predicted == len(results)
@@ -144,15 +143,6 @@ class TestAccounting:
         assert space.covered_sites() == 0
         assert space.as_dict()["accounted"]["experiments"] == 1
 
-    def test_weights_enter_mass_not_sites(self):
-        # A record with weight 3 stands for 3 sites' worth of
-        # estimator mass but visits only its own site.
-        entry = synthetic_results(1)[0]
-        entry["weight"] = 3.0
-        space = populate(FaultSpaceMap(window=PROFILE), [entry])
-        assert space.covered_sites() == 1
-        assert space.sampled_weight == 3.0
-
     def test_register_dimension_only_for_regfiles(self):
         results = synthetic_results(120)
         space = populate(FaultSpaceMap(window=PROFILE), results)
@@ -178,7 +168,7 @@ class TestConvergence:
         tracker = ConvergenceTracker()
         assert tracker.max_half_width() == 1.0
         assert tracker.margin_reached_at is None
-        assert tracker.effective_n == 0.0
+        assert tracker.experiments == 0
 
     def test_half_width_shrinks_and_margin_latches(self):
         tracker = ConvergenceTracker(confidence=0.95, margin=0.2)
@@ -192,18 +182,6 @@ class TestConvergence:
         first = tracker.margin_reached_at
         tracker.add("sdc")
         assert tracker.margin_reached_at == first
-
-    def test_kish_effective_n_equal_weights(self):
-        tracker = ConvergenceTracker()
-        for _ in range(10):
-            tracker.add("sdc", weight=2.0)
-        assert tracker.effective_n == pytest.approx(10.0)
-
-    def test_unequal_weights_shrink_effective_n(self):
-        tracker = ConvergenceTracker()
-        for weight in (1.0, 1.0, 8.0):
-            tracker.add("sdc", weight=weight)
-        assert tracker.effective_n < 3.0
 
     def test_history_downsampled(self):
         tracker = ConvergenceTracker()
@@ -226,7 +204,7 @@ class TestConvergence:
 
 class TestDeterminism:
     def test_payload_byte_identical(self):
-        results = synthetic_results(60, weights=True)
+        results = synthetic_results(60, predicted=True)
         a = populate(FaultSpaceMap(window=PROFILE), results).as_dict()
         b = populate(FaultSpaceMap(window=PROFILE), results).as_dict()
         assert json.dumps(a, sort_keys=True) == \
@@ -247,7 +225,7 @@ class TestRenderers:
     @pytest.fixture(scope="class")
     def payload(self):
         return populate(FaultSpaceMap(window=PROFILE),
-                        synthetic_results(60, weights=True)).as_dict()
+                        synthetic_results(60, predicted=True)).as_dict()
 
     def test_tables_mention_every_dimension(self, payload):
         text = render_text(*coverage_report_tables(payload))
@@ -279,15 +257,6 @@ class TestRenderers:
         payload = FaultSpaceMap(window=PROFILE).as_dict()
         svg = render_coverage_svg(payload, "register")
         assert "no samples" in svg
-
-    def test_gauges_numeric_and_prefixed(self, payload):
-        gauges = coverage_gauges(payload)
-        assert all(name.startswith("coverage.") for name in gauges)
-        assert all(isinstance(value, (int, float))
-                   and value is not None
-                   for value in gauges.values())
-        assert gauges["coverage.accounted"] == 60
-        assert "coverage.outcome_rate.sdc" in gauges
 
     def test_summary_drops_bulk(self, payload):
         summary = coverage_summary(payload)
@@ -324,7 +293,7 @@ class TestShareLoading:
         assert space.window == 80
 
     def test_share_json_byte_identical(self, tmp_path):
-        results = synthetic_results(25, weights=True)
+        results = synthetic_results(25, predicted=True)
         share_a = write_share(tmp_path / "a", results, committed=100)
         share_b = write_share(tmp_path / "b", results, committed=100)
         a = json.dumps(coverage_from_share(share_a).as_dict(),
@@ -389,9 +358,7 @@ class TestGeneratorEdgeCases:
 
     def test_sampling_degenerate_inputs(self):
         from repro.campaign.sampling import (
-            weighted_proportion_confidence_interval,
+            proportion_confidence_interval,
         )
-        assert weighted_proportion_confidence_interval(
-            0.0, 0.0, 0.0) == (0.0, 1.0)
-        assert weighted_proportion_confidence_interval(
-            1.0, 2.0, 0.0) == (0.0, 1.0)
+        assert proportion_confidence_interval(0, 0) == (0.0, 1.0)
+        assert proportion_confidence_interval(1, 0) == (0.0, 1.0)

@@ -93,7 +93,6 @@ def _record(index: int, outcomes: tuple) -> dict:
         "wall_seconds": wall,
         "time_fraction": time / WINDOW,
         "injection_pc": 0x1000 + 4 * ((index * 7) % 23),
-        "weight": 1.0 + index % 3,
         "predicted": index % 5 == 4,
         "divergence": None if index % 3 == 2 else {
             "kind": ("register", "control")[index % 2],
@@ -475,3 +474,112 @@ class TestOneClaimReadPerFrame:
             monkeypatch, lambda: chunks.extend(asyncio.run(one_frame())))
         assert json.loads(chunks[0])["campaign"]["claimed"] == 1
         self._assert_read_once(head, reads)
+
+
+# -- every result counted once ------------------------------------------------
+
+#: ``gemfi coverage --json`` and the campaign summary of the ``head``
+#: share as the v1 format wrote them: every record carried
+#: ``weight: 1.0``, and the payloads carried weight tallies and Kish
+#: effective sample sizes beside the counts.
+V1_DIR = os.path.join(os.path.dirname(__file__), "data", "v1")
+
+
+def _load_v1(name: str) -> dict:
+    with open(os.path.join(V1_DIR, name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _as_v2(node):
+    """A v1 payload as v2 writes it: no ``weight``, ``effective_n`` or
+    ``sampled_weight`` key, a per-outcome ``weight`` read as its
+    ``count``, and the v2 schema name."""
+    if isinstance(node, list):
+        return [_as_v2(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    out = {}
+    for key, value in node.items():
+        if key == "weight" and "rate" in node and "count" not in node:
+            out["count"] = int(value)
+        elif key == "schema":
+            out[key] = value.replace(".v1", ".v2")
+        elif key not in ("weight", "effective_n", "sampled_weight"):
+            out[key] = _as_v2(value)
+    return out
+
+
+def _add_weight_key(share: str) -> None:
+    """Give every result of *share* the ``weight: 1.0`` key v1 records
+    carried."""
+    directory = os.path.join(share, "results")
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["weight"] = 1.0
+        _write_json(path, entry, mtime=os.stat(path).st_mtime)
+
+
+def _markdown_table(text: str, heading: str) -> dict[str, list[str]]:
+    """{first cell: other cells} of the table under the Markdown
+    heading that starts with *heading*."""
+    table = text.split(f"\n{heading}", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1:]
+    return rows
+
+
+class TestCountsNotWeights:
+    """Every reader counts records; a record's old ``weight`` key
+    changes nothing, and v1 data reads to the same numbers."""
+
+    def test_weight_key_changes_nothing(self, tmp_path):
+        outputs = []
+        for root in ("plain", "weighted"):
+            os.makedirs(tmp_path / root)
+            head, base = build_shares(str(tmp_path / root))
+            if root == "weighted":
+                _add_weight_key(head)
+                _add_weight_key(base)
+            outputs.append((
+                _cli("coverage", head, "--json"),
+                CampaignSummary.from_share(head).canonical_bytes(),
+                _cli("compare", base, head, "--json")))
+        assert outputs[0] == outputs[1]
+
+    def test_v1_share_reads_to_the_same_numbers(self, tmp_path):
+        head, _ = build_shares(str(tmp_path))
+        _add_weight_key(head)
+        assert json.loads(_cli("coverage", head, "--json")) == \
+            _as_v2(_load_v1("coverage.json"))
+        assert CampaignSummary.from_share(head).payload == \
+            _as_v2(_load_v1("summary.json"))
+
+    def test_v1_result_set_reads_to_the_same_numbers(self, tmp_path):
+        """A stored result set (host fields stripped) of v1 records:
+        the same outcome rates and heatmap intervals."""
+        from repro.service.jobs import canonical_results
+        head, _ = build_shares(str(tmp_path))
+        _add_weight_key(head)
+        payload = CampaignSummary.from_results(
+            canonical_results(_records(head))).payload
+        expected = _as_v2(_load_v1("summary.json"))
+        assert payload["outcomes"] == expected["outcomes"]
+        assert payload["coverage"]["heatmaps"] == \
+            expected["coverage"]["heatmaps"]
+
+    def test_v1_summary_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="'gemfi.campaign_summary.v1'"):
+            CampaignSummary.from_payload(_load_v1("summary.json"))
+
+    def test_report_totals_equal_outcome_rates(self, rendered):
+        report = rendered["report.md"]
+        totals = _markdown_table(report, "## Outcome totals")
+        del totals["TOTAL"]
+        rates = _markdown_table(report, "### Outcome rates")
+        assert {outcome: row[1] for outcome, row in totals.items()} \
+            == {outcome: row[0] for outcome, row in rates.items()}

@@ -327,7 +327,7 @@ class TestZeroOverheadWhenDisabled:
             "injection_detail", "injection_pc", "instructions",
             "outcome", "phases", "predicted", "propagated",
             "propagation", "replay_start", "seed", "ticks",
-            "time_fraction", "wall_seconds", "weight", "workload"]
+            "time_fraction", "wall_seconds", "workload"]
 
 
 class TestHeartbeatEnrichment:
