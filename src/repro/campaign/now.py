@@ -34,7 +34,8 @@ from ..core.parser import parse_fault_file, render_fault_file
 from ..telemetry.campaign import (HEARTBEAT_DIR, HEARTBEAT_TIMEOUT,
                                   MANIFEST_DIR, STALE_CLAIM_SECONDS,
                                   PeriodicBeat, claim_abandoned,
-                                  git_describe, read_claim, read_claims,
+                                  git_describe, hostname, read_claim,
+                                  read_claims,
                                   read_heartbeats, read_results,
                                   run_manifest, write_atomic,
                                   write_heartbeat)
@@ -187,6 +188,7 @@ class SharedDirCampaign:
                 try:
                     os.write(handle, json.dumps(
                         {"worker": worker_id, "pid": os.getpid(),
+                         "hostname": hostname(),
                          "time": self._clock()}).encode("utf-8"))
                 finally:
                     os.close(handle)

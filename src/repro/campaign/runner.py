@@ -16,6 +16,13 @@ Implements the methodology of Section IV.B.1:
    fault has committed), stop as soon as the faulty run's machine state
    equals a later rung (the rest of the run is the golden run's), and
    classify the outcome.
+
+With a detailed model the golden run (atomic) has no rungs the
+experiments could start at.  Its ladder holds empty slots instead, a
+golden climb's stride apart, and the experiments fill them: until a
+fault strikes, a detailed run *is* the fault-free detailed run, so it
+keeps its state at each empty slot it stops at.  Detailed runs never
+exit early, since their ticks differ from the atomic golden run's.
 """
 
 from __future__ import annotations
@@ -49,6 +56,16 @@ LADDER_RUNGS = 32
 #: doubles, dropping every other rung, whenever the ladder fills, so
 #: short windows get rungs and long ones thin back to a wide spacing.
 RUNG_STRIDE_POLLS = 1
+
+
+def _stride(length: int) -> int:
+    """The stride a golden climb over *length* post-checkpoint
+    instructions ends at: the first doubling that leaves fewer than
+    ``LADDER_RUNGS`` rungs past the boot one."""
+    stride = RUNG_STRIDE_POLLS * POLL_INTERVAL
+    while (length - 1) // stride >= LADDER_RUNGS:
+        stride *= 2
+    return stride
 
 
 @dataclass
@@ -155,14 +172,18 @@ def _experiment_phases(start: float, run_start: float, run_end: float,
 
 @dataclass
 class Rung:
-    """One golden-run snapshot of the checkpoint ladder."""
+    """One snapshot of a fault-free run on the checkpoint ladder."""
 
     position: int               # instructions after the boot checkpoint
-    state: dict | None = None   # rung_state(); None = the boot checkpoint
+    # rung_state(); None = the boot checkpoint (position 0) or a slot
+    # no detailed run has filled yet
+    state: dict | None = None
     # The rung's single active FI thread (None when it has none, or has
-    # had another window) and its window position: committed
-    # instructions since activation.  Only faults of that thread timed
-    # after the position can start here.
+    # had another window) and its window position: the highest
+    # instruction count any stage hook has seen there.  That is the
+    # committed instructions since activation, plus one while an O3
+    # ROB head has executed and waits out its latency.  Only faults of
+    # that thread timed after the position can start here.
     thread_id: int | None = None
     window: int = 0
 
@@ -182,8 +203,10 @@ class GoldenRun:
     stats_dump: str = ""
     exit_code: int | None = 0
     # The checkpoint ladder, by position; rungs[0] is the boot
-    # checkpoint.  Empty without a checkpoint.  Cutting it to rungs[:1]
-    # turns the ladder and the reconvergence exit off.
+    # checkpoint.  Empty without a checkpoint.  With a detailed model
+    # the other rungs start as empty slots that experiments fill
+    # (CampaignRunner._simulate).  Cutting it to rungs[:1] turns the
+    # ladder, the harvest and the reconvergence exit off.
     rungs: list[Rung] = field(default_factory=list)
 
 
@@ -250,7 +273,7 @@ class CampaignRunner:
             # ladder's rungs are states an experiment really passes.
             sim = restore_checkpoint(checkpoint, faults=[])
             rungs = [Rung(position=0)]
-            if self._ladder_enabled():
+            if self.detailed_model is None:
                 rungs = self._climb(sim, boot_instructions)
         result = sim.run(max_instructions=GOLDEN_LIMIT)
         wall = time.perf_counter() - start
@@ -270,6 +293,11 @@ class CampaignRunner:
                 "fi_activate window")
         profile = WindowProfile.from_injector_window(injector.windows[0])
         outputs = extract_outputs(self.spec, sim, process)
+        if rungs and self.detailed_model is not None:
+            length = result.instructions - boot_instructions
+            stride = _stride(length)
+            rungs += [Rung(position=position)
+                      for position in range(stride, length, stride)]
         return GoldenRun(
             outputs=outputs, profile=profile, checkpoint=checkpoint,
             instructions=result.instructions, ticks=result.ticks,
@@ -279,14 +307,6 @@ class CampaignRunner:
 
     # -- checkpoint ladder ---------------------------------------------------
 
-    def _ladder_enabled(self) -> bool:
-        """O3's step-boundary snapshot drops in-flight pipeline state,
-        and a detailed-model experiment does not follow the golden
-        run's timing, so both keep only the boot rung — which also
-        leaves their experiments no later rung to start or exit at."""
-        return self.detailed_model is None \
-            and self.config.cpu_model != "o3"
-
     def _climb(self, sim: Simulator, boot: int) -> list[Rung]:
         """Run the golden simulator towards completion, snapshotting a
         rung at every stride-th poll boundary after the boot checkpoint
@@ -294,37 +314,41 @@ class CampaignRunner:
         keeps every other rung."""
         rungs = [Rung(position=0)]
         stride = RUNG_STRIDE_POLLS * POLL_INTERVAL
-        state = None
         while True:
             target = boot + rungs[-1].position + stride
             if target >= GOLDEN_LIMIT or \
                     sim.run(max_instructions=target).status != "limit":
                 return rungs
-            state = rung_state(sim, state)
-            rungs.append(self._rung(sim, boot, state))
+            rungs.append(self._rung(sim, boot, rungs[-1].state))
             if len(rungs) > LADDER_RUNGS:
                 stride *= 2
                 rungs = rungs[:1] + rungs[2::2]
 
     @staticmethod
-    def _rung(sim: Simulator, boot: int, state: dict) -> Rung:
-        rung = Rung(position=sim.instructions - boot, state=state)
+    def _rung(sim: Simulator, boot: int, previous: dict | None) -> Rung:
+        """A rung at *sim*'s position, its state sharing pages with
+        *previous* (an earlier rung's state or None)."""
+        rung = Rung(position=sim.instructions - boot,
+                    state=rung_state(sim, previous))
         injector = sim.injector
         threads = injector.threads.active_threads()
         if len(threads) == 1 and not injector.windows:
             thread = threads[0]
             rung.thread_id = thread.thread_id
-            rung.window = (
-                thread.effective_committed(sim.core.committed)
-                if sim.core.fi_thread is thread else thread.committed)
+            rung.window = thread.committed
+            if sim.core.fi_thread is thread:
+                rung.window = (
+                    thread.effective_committed(sim.core.committed)
+                    + getattr(sim.cpu, "executed_ahead", 0))
         return rung
 
     def _start_rung(self, faults: list[Fault]) -> Rung | None:
         """The latest rung no fault can fire before: every fault is
         instruction-timed and targets the rung's single active FI
         thread, and the rung's window position is below the earliest
-        fault time.  Otherwise the boot rung (None without a
-        checkpoint)."""
+        fault time.  With the flight recorder on, only rungs its golden
+        log has a mark at qualify.  Otherwise the boot rung (None
+        without a checkpoint)."""
         rungs = self.golden.rungs
         if not rungs:
             return None
@@ -333,10 +357,13 @@ class CampaignRunner:
                              for f in faults):
             return start
         earliest = min(f.time for f in faults)
+        marks = (self._flight_marks if self._flight_interval is not None
+                 else None)
         for rung in rungs[1:]:
             if (rung.thread_id is not None and rung.window < earliest
                     and all(f.thread_id == rung.thread_id
-                            for f in faults)):
+                            for f in faults)
+                    and (marks is None or rung.position in marks)):
                 start = rung
         return start
 
@@ -344,20 +371,28 @@ class CampaignRunner:
                   limit: int, scanner) -> tuple[RunResult, Rung | None]:
         """Run *sim* to completion or to the *limit* watchdog, stopping
         at each rung past *start* (positions count from *base*, the
-        boot checkpoint's instruction count) to test for reconvergence.
-        Returns the run's result and the rung it rejoined the golden
-        run at, if any."""
-        for rung in self.golden.rungs:
+        boot checkpoint's instruction count).  A base-model run tests
+        for reconvergence there.  A detailed run that no fault has
+        struck yet fills each empty slot it stops at; once struck it
+        stops no more.  Returns the run's result and the rung it
+        rejoined the golden run at, if any."""
+        rungs = self.golden.rungs
+        harvest = self.detailed_model is not None
+        for index, rung in enumerate(rungs):
             if rung.position <= start:
                 continue
             target = base + rung.position
-            if target >= limit:
+            if target >= limit or harvest and sim.injector.records:
                 break
             result = sim.run(max_instructions=target)
             if result.status != "limit":
                 return result, None
-            if self._rejoined(sim, rung, scanner):
-                return result, rung
+            if not harvest:
+                if self._rejoined(sim, rung, scanner):
+                    return result, rung
+            elif rung.state is None and not sim.injector.records:
+                rungs[index] = self._rung(sim, base,
+                                          rungs[index - 1].state)
         return sim.run(max_instructions=limit), None
 
     def _rejoined(self, sim: Simulator, rung: Rung, scanner) -> bool:
@@ -608,10 +643,14 @@ class CampaignRunner:
                                   or DEFAULT_INTERVAL)
         sim = self._golden_replay()
         sim.injector.install_tracer(recorder)
-        # Where the recorder stands at each rung, so scans of runs that
-        # start or end at a rung stay aligned with the log.
+        # Where the recorder stands at each golden rung, so scans of
+        # runs that start or end at a rung stay aligned with the log.
+        # Rungs a detailed run fills get no mark, so a detailed run
+        # with the recorder on starts at the boot rung.
         base = sim.instructions
-        for rung in self.golden.rungs[1:]:
+        climbed = self.golden.rungs[1:] if self.detailed_model is None \
+            else []
+        for rung in climbed:
             sim.run(max_instructions=base + rung.position)
             self._flight_marks[rung.position] = (
                 recorder.count, len(recorder.log.stores))

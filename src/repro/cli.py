@@ -773,20 +773,38 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       lease_seconds=args.lease_seconds,
                       watchdog_config=WatchdogConfig(),
                       ui=args.ui)
-    service.start_http()
-    print(f"# gemfi service on {service.url}  data={args.data_dir}",
-          file=sys.stderr)
-    if args.ui:
-        print(f"# web console on {service.url}/ui", file=sys.stderr)
-    print(f"# submit with: gemfi submit --url {service.url} "
-          f"-w dct -n 20", file=sys.stderr)
+    _stop_on_signals()
     try:
+        service.start_http()
+        print(f"# gemfi service on {service.url}  data={args.data_dir}",
+              file=sys.stderr)
+        if args.ui:
+            print(f"# web console on {service.url}/ui", file=sys.stderr)
+        print(f"# submit with: gemfi submit --url {service.url} "
+              f"-w dct -n 20", file=sys.stderr)
         service.dispatch_forever()
     except KeyboardInterrupt:
         pass
     finally:
         service.stop()
     return 0
+
+
+def _stop_on_signals() -> None:
+    """Route SIGINT and SIGTERM to the KeyboardInterrupt that stops
+    ``gemfi serve`` cleanly, also when it was started with SIGINT
+    ignored (``nohup ... &``).  Forked campaign workers get back the
+    handlers they had before."""
+    import signal
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = {signum: signal.signal(signum, interrupt)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
+    os.register_at_fork(after_in_child=lambda: [
+        signal.signal(signum, handler)
+        for signum, handler in previous.items()])
 
 
 def cmd_submit(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ from ..isa import instructions as ins
 from ..isa.disasm import disassemble
 from ..isa.registers import MASK64
 from ..isa.traps import SimTrap
-from .base import Core
+from .base import Core, StepResult
 from .branch_pred import TournamentPredictor
 from .inorder import op_latency
 
@@ -290,9 +290,10 @@ class O3CPU:
     # -- checkpoint -------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        # Speculative state is never checkpointed: a drained pipeline
+        # Checkpoints drop the speculative state: a drained pipeline
         # restarts cleanly from the architectural PC (this mirrors the
         # pipeline-flush caveat of gem5 checkpointing, Section III.D).
+        # Checkpoint-ladder rungs keep it too (:meth:`inflight`).
         return {
             "cycle": self.cycle,
             "squashed": self.squashed_instructions,
@@ -312,3 +313,77 @@ class O3CPU:
         self.fetch_blocked = False
         self.fetch_stall_until = 0
         self.reg_ready.clear()
+
+    # -- checkpoint-ladder rungs (repro.sim.checkpoint.rung_state) ---------------------
+
+    @property
+    def executed_ahead(self) -> int:
+        """1 while the ROB head has executed and waits out its latency:
+        its execute and mem hooks have already fired for the next
+        instruction to commit."""
+        return 1 if self.rob and self.rob[0].result is not None else 0
+
+    def inflight(self) -> tuple:
+        """What :meth:`snapshot` drops, as plain values: the ROB
+        entries, the scoreboard and the fetch state.  A run resumed with
+        them (:meth:`restore_inflight`) continues exactly as an unbroken
+        one, and two pipelines are equal when their values are."""
+        return (tuple(_entry_state(entry) for entry in self.rob),
+                dict(self.reg_ready), self.fetch_pc,
+                self.fetch_stall_until, self.fetch_blocked, self.fetch_seq)
+
+    def restore_inflight(self, state: tuple) -> None:
+        """Install :meth:`inflight` values (after :meth:`restore`); the
+        values themselves are never mutated."""
+        entries, reg_ready, self.fetch_pc, self.fetch_stall_until, \
+            self.fetch_blocked, self.fetch_seq = state
+        decode = self.core.decode_cache.decode
+        self.rob = [_entry(decode, values) for values in entries]
+        self.reg_ready = dict(reg_ready)
+
+
+# An entry's instruction is its word plus the register selections a
+# decode-stage fault may have rewritten; a deferred trap is its class,
+# arguments and attributes; a cached result is its StepResult fields
+# (O3 executes through Core.execute, whose result names no instruction).
+
+def _entry_state(entry: _Entry) -> tuple:
+    decoded, trap, result = entry.decoded, entry.exception, entry.result
+    return (entry.pc,
+            None if decoded is None
+            else (decoded.word, decoded.ra, decoded.rb, decoded.rc),
+            entry.pred_next, entry.fetch_cycle,
+            None if trap is None
+            else (type(trap), trap.args, dict(vars(trap))),
+            entry.serializing,
+            None if result is None
+            else (result.ticks, result.pc, result.next_pc, result.taken,
+                  result.is_branch, result.mem_addr),
+            entry.complete, entry.seq)
+
+
+def _entry(decode, values: tuple) -> _Entry:
+    pc, instruction, pred_next, fetch_cycle, trap, serializing, result, \
+        complete, seq = values
+    decoded = None
+    if instruction is not None:
+        word, ra, rb, rc = instruction
+        decoded = decode(word)
+        if (decoded.ra, decoded.rb, decoded.rc) != (ra, rb, rc):
+            decoded = decoded.copy()
+            decoded.ra, decoded.rb, decoded.rc = ra, rb, rc
+    exception = None
+    if trap is not None:
+        cls, args, attrs = trap
+        exception = cls.__new__(cls, *args)
+        exception.args = args
+        exception.__dict__.update(attrs)
+    entry = _Entry(pc, decoded, pred_next, fetch_cycle,
+                   exception=exception, serializing=serializing, seq=seq)
+    if result is not None:
+        ticks, rpc, next_pc, taken, is_branch, mem_addr = result
+        entry.result = StepResult(ticks, pc=rpc, next_pc=next_pc,
+                                  taken=taken, is_branch=is_branch,
+                                  mem_addr=mem_addr)
+    entry.complete = complete
+    return entry

@@ -12,11 +12,12 @@ configuration and resets it, so one checkpoint fast-forwards *every*
 experiment of a campaign past boot + application initialisation
 (Fig. 3).
 
-Campaigns also snapshot the golden run at later points (the *rungs* of
+Campaigns also snapshot fault-free runs at later points (the *rungs* of
 a checkpoint ladder, :func:`rung_state`): an experiment whose faults
 cannot fire before a rung starts there, and a faulty run whose machine
 state equals a later rung exactly (:func:`matches_rung`) has rejoined
-the golden run.
+the golden run.  Unlike a checkpoint, a rung keeps the O3 model's
+in-flight pipeline, as a DMTCP process snapshot would.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def rung_state(sim: Simulator, previous: dict | None = None) -> dict:
 
     On top of :func:`snapshot_state` a rung carries what a resume past
     the FI activation needs and a boot checkpoint does not: the
-    scheduler's quantum counter and the FI thread table (thread id,
-    PCB, activation tick, committed, base_committed).  Memory pages
+    scheduler's quantum counter, the FI thread table (thread id, PCB,
+    activation tick, committed, base_committed) and, on the O3 model,
+    the in-flight pipeline (``O3CPU.inflight``).  Memory pages
     equal to *previous*'s share its bytes objects, and so does the
     hierarchy on cacheless models, so a ladder costs little more than
     the pages each rung dirtied.  The hierarchy is kept pickled: as
@@ -86,15 +88,24 @@ def rung_state(sim: Simulator, previous: dict | None = None) -> dict:
         (t.thread_id, t.pcb_addr, t.activation_tick, t.committed,
          t.base_committed)
         for t in sim.injector.threads.active_threads()]
+    inflight = _inflight(sim)
+    if inflight is not None:
+        state["inflight"] = inflight
     return state
+
+
+def _inflight(sim: Simulator) -> tuple | None:
+    """The CPU model's in-flight state; None on models without one."""
+    inflight = getattr(sim.cpu, "inflight", None)
+    return inflight() if inflight is not None else None
 
 
 def matches_rung(sim: Simulator, state: dict) -> bool:
     """True when *sim*'s machine state equals the rung *state* exactly:
     clock, instruction count and quantum counter; register files, PC,
     PCB and committed count; memory; the kernel (consoles included);
-    the CPU model; and, on models that read it, the cache hierarchy.
-    Cheap fields are compared first."""
+    the CPU model and its in-flight pipeline; and, on models that read
+    it, the cache hierarchy.  Cheap fields are compared first."""
     if (sim.tick != state["tick"]
             or sim.instructions != state["instructions"]
             or sim._quantum_counter != state["quantum_counter"]
@@ -102,7 +113,8 @@ def matches_rung(sim: Simulator, state: dict) -> bool:
             or not sim.memory.matches(state["memory"])
             or sim.system.snapshot() != state["system"]
             or sim.cpu.model_name != state["cpu_model"]
-            or sim.cpu.snapshot() != state["cpu"]):
+            or sim.cpu.snapshot() != state["cpu"]
+            or _inflight(sim) != state.get("inflight")):
         return False
     return (sim.cpu.model_name in CACHELESS_MODELS
             or _hierarchy_blob(sim) == state["hierarchy"])
@@ -197,6 +209,8 @@ def _restore(source, faults, config_override, bus) -> Simulator:
         sim.cpu = CPU_MODELS[target_model](sim.core)
     if sim.cpu.model_name == state["cpu_model"]:
         sim.cpu.restore(state["cpu"])
+        if "inflight" in state:
+            sim.cpu.restore_inflight(state["inflight"])
 
     # The restored core must point at the (restored) injector state.
     injector.reset()

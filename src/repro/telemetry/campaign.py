@@ -53,7 +53,8 @@ MANIFEST_DIR = "manifests"
 # the share as one job of a campaign service, so `gemfi status` can name
 # the owning job and tenant next to the campaign's own numbers.
 SERVICE_FILE = "service.json"
-#: The two abandonment limits (seconds) of :func:`claim_abandoned`: a
+#: The two abandonment limits (seconds) of :func:`claim_abandoned`
+#: (which needs neither for a claimant of this host that has ended): a
 #: claimant whose heartbeat is older than HEARTBEAT_TIMEOUT is dead; a
 #: claim whose claimant never heartbeated is abandoned once it is older
 #: than STALE_CLAIM_SECONDS.
@@ -63,7 +64,7 @@ STALE_CLAIM_SECONDS = 600.0
 _HOSTNAME: str | None = None
 
 
-def _hostname() -> str:
+def hostname() -> str:
     global _HOSTNAME
     if _HOSTNAME is None:
         try:
@@ -203,7 +204,7 @@ def write_heartbeat(share_dir: str, worker_id: str, completed: int,
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{worker_id}.json")
     payload = {"worker": worker_id, "pid": os.getpid(),
-               "hostname": _hostname(), "time": clock(),
+               "hostname": hostname(), "time": clock(),
                "completed": completed,
                "current_experiment": current_experiment}
     write_atomic(path, json.dumps(payload))
@@ -277,15 +278,33 @@ def read_claims(share_dir: str,
     return claims
 
 
+def _process_exists(pid) -> bool:
+    if not isinstance(pid, int) or pid <= 0:
+        return True  # unknown: leave it to the heartbeat
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        pass  # exists, owned by someone else
+    return True
+
+
 def claim_abandoned(claim: dict, beats: dict[str, dict], now: float,
                     stale_claim_seconds: float,
                     heartbeat_timeout: float) -> bool:
     """Whether a result-less *claim* (from :func:`read_claims`) is
     abandoned, so recovery returns its experiment to the queue: its
+    claimant was a process of this host that has ended, or its
     claimant's heartbeat (from :func:`read_heartbeats`) is older than
     *heartbeat_timeout*, or its claimant never wrote one and the claim
-    is older than *stale_claim_seconds*.  A live claimant is never
-    robbed, however long its experiment runs."""
+    is older than *stale_claim_seconds*.  The first rule matters when a
+    later process beats under the same worker name, as a restarted
+    dispatcher's workers do.  A live claimant is never robbed, however
+    long its experiment runs."""
+    if claim.get("hostname") == hostname() \
+            and not _process_exists(claim.get("pid")):
+        return True
     beat = beats.get(claim.get("worker"))
     if beat is not None:
         return now - beat.get("time", 0.0) > heartbeat_timeout

@@ -3,7 +3,9 @@
 Every experiment result must be byte-identical (minus host times and
 the two ladder fields) to the same experiment started from the boot
 checkpoint and run to completion.  The reference is the same runner
-with its ladder cut to the boot rung — a data change, not a flag.
+with its ladder cut to the boot rung — a data change, not a flag.  A
+detailed-model runner harvests its ladder from its own experiments;
+its cut copy has no slots left to harvest.
 """
 
 from __future__ import annotations
@@ -11,18 +13,21 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 
 from repro.campaign import CampaignRunner, Outcome, SEUGenerator
 from repro.campaign import runner as runner_module
 from repro.campaign.generator import WindowProfile
-from repro.campaign.runner import RUNG_STRIDE_POLLS
+from repro.campaign.runner import RUNG_STRIDE_POLLS, _stride
 from repro.core import FaultInjector
 from repro.core import parse_fault_line as fault
 from repro.core.fault import InjectionRecord
+from repro.cpu.o3 import O3CPU
 from repro.sim import SimConfig, Simulator
-from repro.sim.checkpoint import dumps_checkpoint, restore_checkpoint
+from repro.sim.checkpoint import (dumps_checkpoint, matches_rung,
+                                  restore_checkpoint)
 from repro.sim.config import POLL_INTERVAL
 from repro.telemetry import ListSink, TraceBus
 from repro.workloads import WORKLOAD_NAMES, build
@@ -91,7 +96,9 @@ CASES = [(name, "atomic", None, None) for name in WORKLOAD_NAMES] + [
     for name in ("dct", "jacobi")
     for model, detailed in (("timing", None), ("inorder", None),
                             ("o3", None), ("atomic", "o3"))
-] + [("dct", "atomic", None, 32), ("jacobi", "timing", None, 32)]
+] + [("jacobi", "atomic", "inorder", None),
+     ("dct", "atomic", None, 32), ("jacobi", "timing", None, 32),
+     ("jacobi", "atomic", "o3", 32)]
 
 
 def pinned_results(*case) -> list:
@@ -108,32 +115,44 @@ def test_results_byte_identical_to_boot_rung(workload, model, detailed,
                                              flight):
     runner = runner_for(workload, model, detailed, flight)
     results = pinned_results(workload, model, detailed, flight)
-    if model == "o3" or detailed is not None:
-        # O3's snapshot drops in-flight state: boot rung only, no exit.
-        assert len(runner.golden.rungs) == 1
-        assert all(r.replay_start == 0 and r.early_exit is None
-                   for r in results)
+    # Every window spans several strides, deblocking/tiny's ~2k
+    # instructions included.
+    assert len(runner.golden.rungs) > 1
+    if detailed is not None and flight:
+        # Harvested rungs have no flight mark: these runs start at boot.
+        assert all(r.replay_start == 0 for r in results)
     else:
-        # Every window spans several strides, deblocking/tiny's ~2k
-        # instructions included.
-        assert len(runner.golden.rungs) > 1
         assert any(r.replay_start > 0 for r in results)
+    if detailed is not None:
+        # Their ticks differ from the atomic golden run's.
+        assert all(r.early_exit is None for r in results)
     if flight:
         assert any(r.divergence for r in results)
+
+
+def _exits(case) -> int:
+    exits = 0
+    for result in pinned_results(*case):
+        if result.early_exit is not None:
+            exits += 1
+            assert result.early_exit > result.replay_start
+            assert result.outcome in (Outcome.NON_PROPAGATED,
+                                      Outcome.STRICTLY_CORRECT)
+    return exits
 
 
 def test_ladder_starts_and_exits_across_workloads():
     """The oracle above is not vacuous: later rungs and early exits
     both happen on the pinned seeds."""
-    exits = 0
-    for name in WORKLOAD_NAMES:
-        for result in pinned_results(name, "atomic", None, None):
-            if result.early_exit is not None:
-                exits += 1
-                assert result.early_exit > result.replay_start
-                assert result.outcome in (Outcome.NON_PROPAGATED,
-                                          Outcome.STRICTLY_CORRECT)
-    assert exits > 0
+    assert sum(_exits((name, "atomic", None, None))
+               for name in WORKLOAD_NAMES) > 0
+
+
+@pytest.mark.parametrize("workload", ["dct", "jacobi"])
+def test_o3_runs_exit_at_lossless_rungs(workload):
+    """O3 as the base model rejoins its golden run: the rungs keep the
+    in-flight pipeline and the exit compares it."""
+    assert _exits((workload, "o3", None, None)) > 0
 
 
 MT_SOURCE = """
@@ -209,6 +228,20 @@ def test_golden_artifacts_match_an_unbroken_run(workload):
     assert golden.console == sim.process(0).console_text()
     assert golden.outputs == extract_outputs(spec, sim, sim.process(0))
     assert golden.stats_dump == sim.stats_dump()
+
+
+def test_harvest_slots_follow_the_climb_stride():
+    """A detailed runner's empty slots sit where an atomic climb over
+    the same run puts its rungs."""
+    climbed = runner_for("dct").golden
+    length = climbed.instructions - climbed.boot_instructions
+    stride = _stride(length)
+    assert [r.position for r in climbed.rungs] == \
+        list(range(0, length, stride))
+    slots = CampaignRunner(build("dct", "tiny"),
+                           detailed_model="o3").golden.rungs
+    assert [r.position for r in slots] == list(range(0, length, stride))
+    assert all(r.state is None and r.thread_id is None for r in slots)
 
 
 def test_full_ladder_doubles_its_stride(monkeypatch):
@@ -343,3 +376,171 @@ class TestExitRule:
         assert len(events) == 1
         assert events[0].data["instructions"] == result.early_exit
         assert sink.events[-1].kind == "experiment_end"
+
+
+# -- lossless O3 rungs and the harvested detailed ladder -----------------------
+
+STAGE_FAULTS = {
+    "fetch": "FetchStageInjectedFault Inst:{t} Flip:5 Threadid:0 "
+             "system.cpu0 occ:1",
+    "decode": "DecodeStageInjectedFault Inst:{t} Flip:2 Threadid:0 "
+              "system.cpu0 occ:1 src 0",
+    "execute": "ExecutionStageInjectedFault Inst:{t} Flip:3 Threadid:0 "
+               "system.cpu0 occ:1",
+    "mem": "MemoryInjectedFault Inst:{t} Flip:1 Threadid:0 system.cpu0 "
+           "occ:1",
+    "int_reg": _reg("{t}"),
+    "pc": "PCInjectedFault Inst:{t} Flip:2 Threadid:0 system.cpu0 occ:1",
+}
+
+O3_RUNNERS = [("o3", None), ("atomic", "o3")]
+
+
+def o3_runner(model: str, detailed: str | None) -> CampaignRunner:
+    """A jacobi runner on O3 whose ladder is complete: a detailed one
+    has run a fault that never fires, which fills every slot."""
+    runner = runner_for("jacobi", model, detailed)
+    if any(r.state is None for r in runner.golden.rungs[1:]):
+        end = runner.golden.profile.committed
+        result = runner.run_experiment([fault(_reg(end + 10_000))])
+        assert not result.injected
+    assert all(r.state is not None for r in runner.golden.rungs[1:])
+    return runner
+
+
+def executed_head_rung(runner: CampaignRunner) -> tuple:
+    """The first rung whose ROB head has executed and waits out its
+    latency, and the instructions its FI thread has committed there."""
+    for rung in runner.golden.rungs[1:]:
+        sim = restore_checkpoint(rung.state)
+        if rung.thread_id is not None and sim.cpu.executed_ahead:
+            core = sim.core
+            return rung, core.fi_thread.effective_committed(core.committed)
+    raise AssertionError("no rung with an executed ROB head")
+
+
+class TestO3RungChoice:
+    """At a rung whose ROB head has executed, the execute and mem hooks
+    have already fired for the next instruction, so a fault timed at it
+    must start at an earlier rung; one timed after it may start here."""
+
+    @pytest.mark.parametrize("model,detailed", O3_RUNNERS)
+    @pytest.mark.parametrize("stage", list(STAGE_FAULTS))
+    @pytest.mark.parametrize("ahead", [1, 2])
+    def test_fault_after_an_executed_head(self, model, detailed, stage,
+                                          ahead):
+        runner = o3_runner(model, detailed)
+        rung, committed = executed_head_rung(runner)
+        faults = [fault(STAGE_FAULTS[stage].format(t=committed + ahead))]
+        chosen = runner._start_rung(faults)
+        if ahead == 1:
+            assert chosen.position < rung.position
+        else:
+            assert chosen is rung
+        assert_oracle(runner, [faults])
+
+
+def test_exit_compares_the_in_flight_pipeline():
+    """A state equal to an O3 rung in everything but the pipeline has
+    not rejoined the golden run."""
+    runner = o3_runner("o3", None)
+    rung, _ = executed_head_rung(runner)
+    sim = restore_checkpoint(rung.state)
+    assert matches_rung(sim, rung.state)
+    sim.cpu.rob.pop()
+    assert not matches_rung(sim, rung.state)
+    sim = restore_checkpoint(rung.state)
+    sim.cpu.fetch_stall_until += 1
+    assert not matches_rung(sim, rung.state)
+
+
+def test_detailed_records_do_not_depend_on_order():
+    """Two fresh detailed runners, one fault list in two orders: each
+    fault's record is the same, wherever its run started."""
+    faults = SEUGenerator(runner_for("jacobi", "atomic", "o3")
+                          .golden.profile, seed=11).batch(16)
+    order = list(range(len(faults)))
+    shuffled = order[::2][::-1] + order[1::2]
+    runs = []
+    for indices in (order, shuffled):
+        runner = CampaignRunner(build("jacobi", "tiny"),
+                                detailed_model="o3")
+        results = runner.run_campaign([faults[i] for i in indices])
+        runs.append(dict(zip(indices, results)))
+    forward, backward = runs
+    assert all(record(forward[i]) == record(backward[i]) for i in order)
+    assert any(forward[i].replay_start != backward[i].replay_start
+               for i in order)
+
+
+@pytest.mark.parametrize("model,detailed", O3_RUNNERS)
+def test_restoring_an_o3_rung_leaves_it_intact(model, detailed):
+    runner = o3_runner(model, detailed)
+    rung, _ = executed_head_rung(runner)
+    before = copy.deepcopy(rung)
+    faults = [fault(_reg(rung.window + 5))]
+    first, second = (runner.run_experiment(faults) for _ in range(2))
+    assert first.replay_start == second.replay_start == rung.position
+    assert record(first) == record(second)
+    assert rung == before
+
+
+def test_no_rung_is_harvested_after_an_injection(monkeypatch):
+    """A detailed run stops harvesting at its first injection record,
+    here a fetch-stage one on a wrong-path instruction, so no rung is
+    taken after it or after the switch to atomic."""
+    fired, squashed = [], set()
+    on_fetch = FaultInjector.on_fetch
+    note_squash = O3CPU._note_squash
+
+    def spy_fetch(self, core, thread, pc, word):
+        corrupted = on_fetch(self, core, thread, pc, word)
+        if corrupted != word:
+            fired.append((pc, corrupted, self.clock()))
+        return corrupted
+
+    def spy_squash(self, entries, reason):
+        if reason == "mispredict":
+            squashed.update((e.pc, e.decoded.word) for e in entries
+                            if e.decoded is not None)
+        note_squash(self, entries, reason)
+
+    monkeypatch.setattr(FaultInjector, "on_fetch", spy_fetch)
+    monkeypatch.setattr(O3CPU, "_note_squash", spy_squash)
+    reference = boot_only(runner_for("jacobi", "atomic", "o3"))
+    middle = reference.golden.profile.committed // 2
+    for time in range(middle, middle + 700, 7):
+        fired.clear()
+        squashed.clear()
+        faults = [fault(STAGE_FAULTS["fetch"].format(t=time))]
+        reference.run_experiment(faults)
+        pc, word, tick = fired[0]
+        if (pc, word) in squashed:
+            break
+    else:
+        raise AssertionError("no fetch fault struck a wrong-path word")
+    runner = CampaignRunner(build("jacobi", "tiny"), detailed_model="o3")
+    result = runner.run_experiment(faults)
+    assert result.replay_start == 0 and result.injected
+    assert fired[-1][2] == tick
+    slots = runner.golden.rungs[1:]
+    harvested = [r for r in slots if r.state is not None]
+    assert harvested and len(harvested) < len(slots)
+    assert all(r.state["tick"] < tick and r.state["cpu_model"] == "o3"
+               for r in harvested)
+    assert all(r.state is None for r in slots
+               if r.position > harvested[-1].position)
+
+
+def test_o3_golden_run_survives_a_pickle_round_trip():
+    runner = runner_for("jacobi", "o3")
+    golden = pickle.loads(pickle.dumps(runner.golden))
+    loaded = CampaignRunner(runner.spec, config=runner.config,
+                            golden=golden)
+    faults = SEUGenerator(golden.profile, seed=7).batch(6)
+    for result, expected in zip(loaded.run_campaign(faults),
+                                pinned_results("jacobi", "o3", None,
+                                               None)):
+        assert record(result) == record(expected)
+        assert (result.replay_start, result.early_exit) == \
+            (expected.replay_start, expected.early_exit)
