@@ -31,11 +31,10 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 from ..core.parser import parse_fault_file, render_fault_file
-from ..telemetry.campaign import (HEARTBEAT_DIR, HEARTBEAT_TIMEOUT,
-                                  MANIFEST_DIR, STALE_CLAIM_SECONDS,
-                                  PeriodicBeat, claim_abandoned,
-                                  git_describe, hostname, read_claim,
-                                  read_claims,
+from ..telemetry.campaign import (HEARTBEAT_INTERVAL, MANIFEST_DIR,
+                                  SHARE_DIRS, PeriodicBeat,
+                                  claim_abandoned, git_describe,
+                                  hostname, read_claim, read_claims,
                                   read_heartbeats, read_results,
                                   run_manifest, write_atomic,
                                   write_heartbeat)
@@ -96,30 +95,25 @@ class SharedDirCampaign:
                                   stay for the whole campaign)
           claims/exp_NNNN.txt.claim
                                   the one record of a claim, created
-                                  with O_EXCL: {worker, pid, time}
+                                  with O_EXCL: {worker, pid, hostname,
+                                  time}; a claim without a result is
+                                  the experiment its worker is running
           results/exp_NNNN.json   outcome records written by workers
-          heartbeats/<ws>.json    worker liveness beacons (telemetry)
+          heartbeats/<ws>.json    worker liveness beacons (telemetry),
+                                  refreshed every HEARTBEAT_INTERVAL
           manifests/exp_NNNN.json per-run manifests: who ran what, when
           spans/<ws>.jsonl        span records (only when tracing is on)
           alerts.jsonl            watchdog journal (only when alerts fire)
     """
 
     def __init__(self, share_dir: str, workload_name: str,
-                 scale: str = "small",
-                 stale_claim_seconds: float = STALE_CLAIM_SECONDS,
-                 heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
-                 heartbeat_interval: float = 15.0,
-                 clock=time.time) -> None:
+                 scale: str = "small", clock=time.time) -> None:
         self.share_dir = share_dir
         self.workload_name = workload_name
         self.scale = scale
-        self.stale_claim_seconds = stale_claim_seconds
-        self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_interval = heartbeat_interval
         self._clock = clock
         self._unclaimed: list[str] = []  # see _claim_once
-        for sub in ("todo", "results", "claims", HEARTBEAT_DIR,
-                    MANIFEST_DIR):
+        for sub in SHARE_DIRS:
             os.makedirs(os.path.join(share_dir, sub), exist_ok=True)
 
     # step 1+2: the coordinator publishes experiments and the checkpoint.
@@ -209,9 +203,7 @@ class SharedDirCampaign:
         recovered = False
         for experiment, claim in read_claims(self.share_dir,
                                              skip=finished).items():
-            if not claim_abandoned(claim, beats, self._clock(),
-                                   self.stale_claim_seconds,
-                                   self.heartbeat_timeout):
+            if not claim_abandoned(claim, beats, self._clock()):
                 continue
             if os.path.exists(os.path.join(results, experiment + ".json")):
                 continue  # finished since the listing
@@ -236,20 +228,15 @@ class SharedDirCampaign:
     # steps 4-5: run locally, move results back to the share.
 
     def run_one(self, worker_id: str, runner: CampaignRunner,
-                completed: int = 0, seed: int | None = None,
-                git_rev: str | None = None, tracer=None,
-                status: dict | None = None) -> str | None:
+                seed: int | None = None, git_rev: str | None = None,
+                tracer=None) -> str | None:
         """Claim and run exactly one experiment; returns its name or
-        None when the queue is drained.  *status* (if given) is the
-        worker's mutable ``{"experiment", "completed"}`` view shared
-        with its heartbeater thread."""
+        None when the queue is drained.  It writes the claim, the
+        result and the run manifest, and nothing else: the claim
+        without a result is what names the running experiment."""
         exp_name = self.claim(worker_id)
         if exp_name is None:
             return None
-        if status is not None:
-            status["experiment"] = exp_name
-        write_heartbeat(self.share_dir, worker_id, completed,
-                        current_experiment=exp_name, clock=self._clock)
         with open(os.path.join(self.share_dir, "todo", exp_name + ".txt"),
                   "r", encoding="utf-8") as handle:
             fault_text = handle.read()
@@ -283,9 +270,6 @@ class SharedDirCampaign:
                                      exp_name + ".json")
         write_atomic(manifest_path,
                      json.dumps(manifest, indent=2, sort_keys=True))
-        if status is not None:
-            status["experiment"] = None
-            status["completed"] = completed + 1
         return exp_name
 
     def worker_loop(self, worker_id: str, runner: CampaignRunner,
@@ -293,39 +277,28 @@ class SharedDirCampaign:
         completed = 0
         seed = self.published().get("seed")
         git_rev = git_describe()
-        status = {"experiment": None, "completed": 0}
         write_heartbeat(self.share_dir, worker_id, completed,
                         clock=self._clock)
 
-        # A long experiment must not let this worker's heartbeat age
-        # out (the liveness-based recovery above would then hand its
-        # claim to somebody else), so a daemon thread keeps beating
-        # while the main thread simulates.  interval <= 0 disables it
-        # (deterministic single-threaded tests).  PeriodicBeat joins
-        # the thread on exit, so embedding this loop in a long-lived
-        # process (the service dispatcher runs one per job) never
-        # leaks beat threads across jobs.
+        # A beat at the start and the end, and a daemon thread beating
+        # every HEARTBEAT_INTERVAL in between: a long experiment must
+        # not let this worker's heartbeat age out (the liveness-based
+        # recovery above would then hand its claim to somebody else).
+        # PeriodicBeat joins the thread on exit, so embedding this loop
+        # in a long-lived process (the service dispatcher runs one per
+        # job) never leaks beat threads across jobs.
         def _beat() -> None:
             try:
-                write_heartbeat(self.share_dir, worker_id,
-                                status["completed"],
-                                current_experiment=status["experiment"],
+                write_heartbeat(self.share_dir, worker_id, completed,
                                 clock=self._clock)
             except OSError:
                 pass  # share hiccup; next beat retries
 
-        with PeriodicBeat(self.heartbeat_interval, _beat,
+        with PeriodicBeat(HEARTBEAT_INTERVAL, _beat,
                           name=f"heartbeat-{worker_id}"):
-            while True:
-                ran = self.run_one(worker_id, runner,
-                                   completed=completed, seed=seed,
-                                   git_rev=git_rev, tracer=tracer,
-                                   status=status)
-                if ran is None:
-                    break
+            while self.run_one(worker_id, runner, seed=seed,
+                               git_rev=git_rev, tracer=tracer):
                 completed += 1
-                write_heartbeat(self.share_dir, worker_id, completed,
-                                clock=self._clock)
         write_heartbeat(self.share_dir, worker_id, completed,
                         clock=self._clock)
         return completed
@@ -383,6 +356,7 @@ class SharedDirCampaign:
             if runner is not None and workers == 1:
                 self._drain("ws0", runner, workload)
             else:
+                git_describe()  # once here; forked workers inherit it
                 processes = [multiprocessing.Process(
                     target=_worker_main,
                     args=(self.share_dir, f"ws{index}",

@@ -62,7 +62,7 @@ from .core import (
 )
 from .isa import AssemblyError
 from .sim import SimConfig, Simulator
-from .telemetry.campaign import HEARTBEAT_TIMEOUT, STALE_CLAIM_SECONDS
+from .telemetry.campaign import SHARE_DIRS
 from .workloads import WORKLOAD_NAMES, build
 
 LOCATION_CHOICES = tuple(kind.value for kind in LocationKind)
@@ -111,6 +111,16 @@ def _file_or_stdin(text: str) -> str:
 
 def _workload_or_file(text: str) -> str:
     return text if text in WORKLOAD_NAMES else _existing_file(text)
+
+
+def _share_dir(text: str) -> str:
+    """A directory holding any of a campaign share's subdirectories."""
+    if not any(os.path.isdir(os.path.join(text, sub))
+               for sub in SHARE_DIRS):
+        raise argparse.ArgumentTypeError(
+            f"not a campaign share (none of "
+            f"{', '.join(sub + '/' for sub in SHARE_DIRS)}): {text}")
+    return text
 
 
 def _emit(text: str, output: str | None, note: str) -> None:
@@ -436,10 +446,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     """Live status of a shared-directory campaign."""
     from .telemetry import read_status, render_status
 
-    status = read_status(args.share_dir,
-                         stale_claim_seconds=args.stale_seconds,
-                         heartbeat_timeout=args.heartbeat_timeout,
-                         coverage=args.coverage)
+    status = read_status(args.share_dir, coverage=args.coverage)
     if args.json:
         import json
         print(json.dumps(status.as_dict(), indent=2, sort_keys=True))
@@ -493,64 +500,14 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    """Live campaign dashboard: status, workers x current experiment,
-    and the watchdog alert strip (also journalled to alerts.jsonl).
-
-    With ``--url --job``, frames are rendered server-side by the
-    campaign service (``GET /v1/jobs/{id}/dashboard``) — no filesystem
-    access to the share needed."""
+    """Live campaign dashboard: the status block and the watchdog alert
+    strip (also journalled to alerts.jsonl)."""
     import time as _time
 
-    if args.url:
-        if not args.job:
-            print("error: --url needs --job (which job's dashboard?)",
-                  file=sys.stderr)
-            return 2
-        from .service import ServiceClient, ServiceError
-        client = ServiceClient(args.url)
-        try:
-            while True:
-                try:
-                    frame = client.dashboard(args.job)
-                except ServiceError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                if not args.once:
-                    print("\x1b[H\x1b[2J", end="")
-                job = frame.get("job", {})
-                print(f"# job {job.get('id')}  state={job.get('state')}"
-                      f"  tenant={job.get('tenant')}")
-                if frame.get("text"):
-                    print(frame["text"])
-                else:
-                    print("# no campaign share yet (job still queued)")
-                sys.stdout.flush()
-                if args.once:
-                    return 0
-                if job.get("state") in ("done", "failed", "cancelled"):
-                    return 0
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            print()
-            return 0
-        finally:
-            client.close()
-
-    if not args.share_dir:
-        print("error: give a share directory (or --url --job)",
-              file=sys.stderr)
-        return 2
-    from .telemetry import (
-        WatchdogConfig,
-        append_alerts,
-        render_dashboard,
-    )
-    config = WatchdogConfig(
-        heartbeat_timeout=args.heartbeat_timeout,
-        stale_claim_seconds=args.stale_seconds)
+    from .telemetry import append_alerts, render_dashboard
     try:
         while True:
-            text, alerts = render_dashboard(args.share_dir, config)
+            text, alerts = render_dashboard(args.share_dir)
             if not args.once:
                 print("\x1b[H\x1b[2J", end="")
             print(text)
@@ -767,12 +724,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the campaign service: HTTP API on a background thread,
     job dispatch on this (main) thread so campaign workers can fork."""
     from .service import Service
-    from .telemetry import WatchdogConfig
     service = Service(args.data_dir, host=args.host, port=args.port,
                       default_quota=args.quota,
-                      lease_seconds=args.lease_seconds,
-                      watchdog_config=WatchdogConfig(),
-                      ui=args.ui)
+                      lease_seconds=args.lease_seconds, ui=args.ui)
     _stop_on_signals()
     try:
         service.start_http()
@@ -1095,19 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
     status_p = sub.add_parser(
         "status",
         help="live status of a shared-directory (NoW) campaign")
-    status_p.add_argument("share_dir",
+    status_p.add_argument("share_dir", type=_share_dir,
                           help="the campaign share directory")
-    status_p.add_argument("--stale-seconds", type=float,
-                          default=STALE_CLAIM_SECONDS,
-                          help="claim-age fallback for workers that "
-                               "never heartbeated: their claims older "
-                               "than this with no result count as stale")
-    status_p.add_argument("--heartbeat-timeout", type=float,
-                          default=HEARTBEAT_TIMEOUT,
-                          help="workers silent longer than this are "
-                               "presumed dead: not counted live, and "
-                               "their claims with no result count as "
-                               "stale")
     status_p.add_argument("--json", action="store_true",
                           help="machine-readable output")
     status_p.add_argument("--coverage", action="store_true",
@@ -1120,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline",
         help="merge a traced campaign's span logs into Chrome "
              "trace-event JSON (Perfetto / chrome://tracing)")
-    tl_p.add_argument("share_dir",
+    tl_p.add_argument("share_dir", type=_share_dir,
                       help="the campaign share directory")
     tl_p.add_argument("--output", "-o", default=None,
                       help="write the trace JSON here instead of stdout")
@@ -1143,28 +1086,14 @@ def build_parser() -> argparse.ArgumentParser:
     dash_p = sub.add_parser(
         "dashboard",
         help="live campaign dashboard with watchdog alerts")
-    dash_p.add_argument("share_dir", nargs="?", default=None,
-                        help="the campaign share directory (omit "
-                             "with --url)")
-    dash_p.add_argument("--url", default=None,
-                        help="drive the dashboard from a campaign "
-                             "service instead of a local share")
-    dash_p.add_argument("--job", default=None,
-                        help="job id to watch (with --url)")
+    dash_p.add_argument("share_dir", type=_share_dir,
+                        help="the campaign share directory")
     dash_p.add_argument("--interval", type=_interval, default=2.0,
                         help="refresh interval in seconds")
     dash_p.add_argument("--once", action="store_true",
                         help="print one frame and exit (scripts/CI)")
     dash_p.add_argument("--no-alerts", action="store_true",
                         help="do not journal alerts to alerts.jsonl")
-    dash_p.add_argument("--stale-seconds", type=float,
-                        default=STALE_CLAIM_SECONDS,
-                        help="claim-age fallback for workers that "
-                             "never heartbeated")
-    dash_p.add_argument("--heartbeat-timeout", type=float,
-                        default=HEARTBEAT_TIMEOUT,
-                        help="workers silent longer than this are "
-                             "presumed dead")
     dash_p.set_defaults(func=cmd_dashboard)
 
     diff_p = sub.add_parser(
@@ -1184,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser(
         "report",
         help="aggregate a campaign share into an outcome report")
-    report_p.add_argument("share_dir",
+    report_p.add_argument("share_dir", type=_share_dir,
                          help="the campaign share directory")
     report_p.add_argument("--format", default="md",
                           choices=("md", "html"))
@@ -1258,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage",
         help="fault-space coverage analytics: space visited, outcome "
              "heatmaps with Wilson intervals, margin convergence")
-    cov_p.add_argument("share_dir",
+    cov_p.add_argument("share_dir", type=_share_dir,
                        help="the campaign share directory")
     cov_p.add_argument("--format", default="table",
                        choices=("table", "md", "json"),

@@ -13,8 +13,6 @@ content store::
                                      alerts until the job is terminal
     GET    /v1/jobs/{id}/report      outcome report (md/html)
     GET    /v1/jobs/{id}/results     canonical result set (JSON)
-    GET    /v1/jobs/{id}/dashboard   one rendered watchdog frame (for
-                                     ``gemfi dashboard --url``)
     GET    /v1/jobs/{id}/summary     campaign summary, derived from
                                      the share or stored result set
     GET    /v1/blobs/{digest}        any stored artifact by digest
@@ -55,11 +53,7 @@ from ..telemetry.export import (
     OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
 )
-from ..telemetry.watchdog import (
-    WatchdogConfig,
-    evaluate_alerts,
-    render_dashboard,
-)
+from ..telemetry.watchdog import evaluate_alerts
 from .dispatcher import Dispatcher
 from .http import (
     HTTPError,
@@ -114,13 +108,11 @@ class ServiceApp:
     """Endpoint handlers over a queue + store pair."""
 
     def __init__(self, queue: JobQueue, store: ContentStore,
-                 watchdog_config: WatchdogConfig | None = None,
                  observer: ServiceObserver | None = None,
                  ui: bool = False,
                  clock=time.time) -> None:
         self.queue = queue
         self.store = store
-        self.watchdog_config = watchdog_config or WatchdogConfig()
         self.observer = observer
         self._clock = clock
         self.router = Router()
@@ -134,7 +126,6 @@ class ServiceApp:
         add("GET", "/v1/jobs/{id}/events", self.job_events)
         add("GET", "/v1/jobs/{id}/report", self.job_report)
         add("GET", "/v1/jobs/{id}/results", self.job_results)
-        add("GET", "/v1/jobs/{id}/dashboard", self.job_dashboard)
         add("GET", "/v1/jobs/{id}/coverage", self.job_coverage)
         add("GET", "/v1/jobs/{id}/summary", self.job_summary)
         add("GET", "/v1/blobs/{digest}", self.blob)
@@ -248,7 +239,6 @@ class ServiceApp:
         poll = max(0.05, _query_float(request, "poll", 0.5))
         limit = _query_int(request, "max", 0)
         queue = self.queue
-        config = self.watchdog_config
         clock = self._clock
 
         async def stream():
@@ -262,8 +252,7 @@ class ServiceApp:
                 alerts = []
                 if share is not None:
                     # One snapshot feeds both the status and the rules.
-                    snap, alerts = evaluate_alerts(share, config,
-                                                   clock=clock)
+                    snap, alerts = evaluate_alerts(share, clock=clock)
                     frame["campaign"] = snap.status.as_dict()
                 yield _jsonl(frame)
                 for alert in alerts:
@@ -321,20 +310,6 @@ class ServiceApp:
         content_type = "application/json" \
             if data[:1] in (b"{", b"[") else "application/octet-stream"
         return Response.binary(data, content_type=content_type)
-
-    async def job_dashboard(self, request: Request) -> Response:
-        """One server-rendered watchdog frame for the job's share —
-        ``gemfi dashboard --url`` polls this instead of needing
-        filesystem access to the share."""
-        job = self._job(request)
-        share = self._share(job)
-        payload = {"job": job.as_dict(), "text": None, "alerts": []}
-        if share is not None:
-            text, alerts = render_dashboard(share, self.watchdog_config,
-                                            clock=self._clock)
-            payload["text"] = text
-            payload["alerts"] = [alert.as_dict() for alert in alerts]
-        return Response.json(payload)
 
     async def job_coverage(self, request: Request) -> Response:
         """Fault-space coverage analytics for one job's share: space
@@ -507,7 +482,6 @@ class Service:
                  port: int = 0, default_quota: int = 0,
                  lease_seconds: float = 600.0,
                  poll_seconds: float = 0.5,
-                 watchdog_config: WatchdogConfig | None = None,
                  ui: bool = False,
                  clock=time.time) -> None:
         os.makedirs(data_dir, exist_ok=True)
@@ -527,7 +501,6 @@ class Service:
             lease_seconds=lease_seconds, poll_seconds=poll_seconds,
             observer=self.observer, clock=clock)
         self.app = ServiceApp(self.queue, self.store,
-                              watchdog_config=watchdog_config,
                               observer=self.observer,
                               ui=ui, clock=clock)
         self._stop = threading.Event()

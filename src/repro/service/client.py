@@ -221,11 +221,6 @@ class ServiceClient:
                                data[:200].decode("utf-8", "replace"))
         return data.decode("utf-8")
 
-    def dashboard(self, job_id: str) -> dict:
-        """One server-rendered watchdog frame for the job's share:
-        ``{"job", "text", "alerts"}``."""
-        return self._json("GET", f"/v1/jobs/{job_id}/dashboard")
-
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.5) -> dict:
         """Poll until the job reaches a terminal state."""

@@ -436,9 +436,8 @@ class Console:
 
     async def alerts_page(self, request: Request) -> Response:
         live = request.query.get("live", "1") != "0"
-        feed = alerts_feed(self._shares(),
-                           self.app.watchdog_config, live=live,
-                           limit=200, clock=self.app._clock)
+        feed = alerts_feed(self._shares(), live=live, limit=200,
+                           clock=self.app._clock)
         payload = {"alerts": feed}
         if feed:
             rows = "".join(

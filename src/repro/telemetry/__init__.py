@@ -117,7 +117,6 @@ from .timeline import (
 )
 from .watchdog import (
     Alert,
-    WatchdogConfig,
     alerts_feed,
     append_alerts,
     dashboard_view,
@@ -136,7 +135,7 @@ __all__ = [
     "MetricsRegistry", "OPENMETRICS_CONTENT_TYPE", "PeriodicBeat",
     "Profiler", "RingBufferSink", "SamplingProfiler",
     "Scalar", "Scope", "Span", "TraceBus", "TraceContext", "TraceEvent",
-    "Tracer", "WatchdogConfig", "alerts_feed", "append_alerts",
+    "Tracer", "alerts_feed", "append_alerts",
     "build_timeline",
     "campaign_metrics", "collect_pipeline", "dashboard_view",
     "diff_stats", "evaluate_alerts", "events_from_jsonl",

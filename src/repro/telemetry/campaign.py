@@ -9,14 +9,15 @@ the workers:
 * **run manifests** — one JSON document per experiment recording the
   seed, fault specification, workload, code revision and timings, so a
   result set is self-describing and any single experiment re-runnable;
-* **worker heartbeats** — small JSON files refreshed by each worker next
-  to the claim files; a worker whose heartbeat stops aging is alive,
-  one that stops refreshing is presumed dead (its claims are recovered
-  by the stale-claim protocol);
+* **worker heartbeats** — small JSON files each worker refreshes every
+  :data:`HEARTBEAT_INTERVAL` seconds; one rule, :func:`beat_live`,
+  decides whether a worker is alive, and the claims of one that stops
+  refreshing are recovered by the stale-claim protocol;
 * **claims** — one reader, :func:`read_claims` (one file:
   :func:`read_claim`), and one abandonment rule,
   :func:`claim_abandoned`, shared by the recovery protocol and the
-  stale count;
+  stale count.  A worker's newest claim without a result is the
+  experiment it is running;
 * **status aggregation** — todo/claimed/completed/stale counts, outcome
   mix, throughput and ETA.
 
@@ -34,6 +35,7 @@ function behind ``gemfi stats-diff``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
@@ -49,15 +51,19 @@ from .metrics import MetricsRegistry
 
 HEARTBEAT_DIR = "heartbeats"
 MANIFEST_DIR = "manifests"
+#: The subdirectories of a campaign share; a directory holding none of
+#: them is not a share.
+SHARE_DIRS = ("todo", "claims", "results", HEARTBEAT_DIR, MANIFEST_DIR)
 # Written into a share by the service dispatcher (repro.service): marks
 # the share as one job of a campaign service, so `gemfi status` can name
 # the owning job and tenant next to the campaign's own numbers.
 SERVICE_FILE = "service.json"
-#: The two abandonment limits (seconds) of :func:`claim_abandoned`
-#: (which needs neither for a claimant of this host that has ended): a
-#: claimant whose heartbeat is older than HEARTBEAT_TIMEOUT is dead; a
-#: claim whose claimant never heartbeated is abandoned once it is older
-#: than STALE_CLAIM_SECONDS.
+#: The liveness limits (seconds) of every worker and every reader of a
+#: share.  A worker beats every HEARTBEAT_INTERVAL; a beat older than
+#: HEARTBEAT_TIMEOUT is dead (:func:`beat_live`); a claim whose
+#: claimant never beat is abandoned once it is older than
+#: STALE_CLAIM_SECONDS (:func:`claim_abandoned`).
+HEARTBEAT_INTERVAL = 15.0
 HEARTBEAT_TIMEOUT = 120.0
 STALE_CLAIM_SECONDS = 600.0
 
@@ -77,14 +83,16 @@ def hostname() -> str:
 # -- code revision -----------------------------------------------------------
 
 
-def git_describe(cwd: str | None = None) -> str | None:
+@functools.cache
+def git_describe() -> str | None:
     """``git describe --always --dirty`` of the running tree, or None
     when not in a repository (campaign results stay self-describing
-    even for installed copies)."""
+    even for installed copies).  Asked once per process: forked workers
+    inherit the coordinator's answer."""
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=cwd or os.path.dirname(os.path.abspath(__file__)),
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -102,8 +110,8 @@ def run_manifest(*, experiment: str, workload: str, scale: str,
                  git_rev: str | None = None,
                  extra: dict | None = None) -> dict:
     """Build one experiment's run manifest (FINJ-style workload record).
-    *git_rev* is recorded as given: a worker asks :func:`git_describe`
-    once, and outside a git checkout the answer is None."""
+    *git_rev* is recorded as given: outside a git checkout
+    :func:`git_describe` answers None."""
     manifest = {
         "experiment": experiment,
         "workload": workload,
@@ -149,11 +157,9 @@ class PeriodicBeat:
     Context manager: ``__exit__`` sets the stop event and **joins** the
     thread, so long-lived processes that run many campaigns back to
     back (a campaign worker's heartbeater, the service dispatcher's
-    lease extender) never accumulate beat threads across jobs.  A
-    non-positive *interval* disables the thread entirely
-    (deterministic single-threaded tests).  Exceptions from *fn* stop
-    the beat rather than killing the process; transient errors (a
-    share hiccup) are *fn*'s job to swallow.
+    lease extender) never accumulate beat threads across jobs.
+    Exceptions from *fn* stop the beat rather than killing the process;
+    transient errors (a share hiccup) are *fn*'s job to swallow.
     """
 
     def __init__(self, interval: float, fn, name: str = "beat") -> None:
@@ -164,10 +170,9 @@ class PeriodicBeat:
         self._thread: threading.Thread | None = None
 
     def start(self) -> "PeriodicBeat":
-        if self.interval and self.interval > 0:
-            self._thread = threading.Thread(
-                target=self._run, name=self.name, daemon=True)
-            self._thread.start()
+        self._thread = threading.Thread(
+            target=self._run, name=self.name, daemon=True)
+        self._thread.start()
         return self
 
     def _run(self) -> None:
@@ -192,23 +197,24 @@ class PeriodicBeat:
 
 
 def write_heartbeat(share_dir: str, worker_id: str, completed: int,
-                    current_experiment: str | None = None,
                     clock=time.time) -> str:
     """Atomically refresh *worker_id*'s heartbeat file on the share.
-
-    *current_experiment* names the experiment the worker is holding
-    right now (None between experiments), so the dashboard and the
-    dead-worker rule can pin exactly what a silent worker was running.
-    """
+    What the worker is running is not in it: :func:`read_status` reads
+    that from the worker's claims."""
     directory = os.path.join(share_dir, HEARTBEAT_DIR)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{worker_id}.json")
     payload = {"worker": worker_id, "pid": os.getpid(),
                "hostname": hostname(), "time": clock(),
-               "completed": completed,
-               "current_experiment": current_experiment}
+               "completed": completed}
     write_atomic(path, json.dumps(payload))
     return path
+
+
+def beat_live(beat: dict, now: float) -> bool:
+    """Whether the worker of heartbeat *beat* is alive at *now*: its
+    beat is at most :data:`HEARTBEAT_TIMEOUT` old."""
+    return now - beat.get("time", 0.0) <= HEARTBEAT_TIMEOUT
 
 
 def read_heartbeats(share_dir: str) -> dict[str, dict]:
@@ -290,25 +296,24 @@ def _process_exists(pid) -> bool:
     return True
 
 
-def claim_abandoned(claim: dict, beats: dict[str, dict], now: float,
-                    stale_claim_seconds: float,
-                    heartbeat_timeout: float) -> bool:
+def claim_abandoned(claim: dict, beats: dict[str, dict],
+                    now: float) -> bool:
     """Whether a result-less *claim* (from :func:`read_claims`) is
     abandoned, so recovery returns its experiment to the queue: its
     claimant was a process of this host that has ended, or its
-    claimant's heartbeat (from :func:`read_heartbeats`) is older than
-    *heartbeat_timeout*, or its claimant never wrote one and the claim
-    is older than *stale_claim_seconds*.  The first rule matters when a
-    later process beats under the same worker name, as a restarted
-    dispatcher's workers do.  A live claimant is never robbed, however
-    long its experiment runs."""
+    claimant's heartbeat (from :func:`read_heartbeats`) is not
+    :func:`beat_live`, or its claimant never wrote one and the claim
+    is older than :data:`STALE_CLAIM_SECONDS`.  The first rule matters
+    when a later process beats under the same worker name, as a
+    restarted dispatcher's workers do.  A live claimant is never
+    robbed, however long its experiment runs."""
     if claim.get("hostname") == hostname() \
             and not _process_exists(claim.get("pid")):
         return True
     beat = beats.get(claim.get("worker"))
     if beat is not None:
-        return now - beat.get("time", 0.0) > heartbeat_timeout
-    return now - claim["time"] > stale_claim_seconds
+        return not beat_live(beat, now)
+    return now - claim["time"] > STALE_CLAIM_SECONDS
 
 
 # -- results ----------------------------------------------------------------
@@ -650,10 +655,7 @@ def read_service_context(share_dir: str) -> dict | None:
     return entry if isinstance(entry, dict) else None
 
 
-def read_status(share_dir: str,
-                stale_claim_seconds: float = STALE_CLAIM_SECONDS,
-                heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
-                clock=time.time, coverage: bool = False,
+def read_status(share_dir: str, clock=time.time, coverage: bool = False,
                 results: list[ResultFile] | None = None
                 ) -> CampaignStatus:
     """Aggregate the live state of a share directory.
@@ -661,10 +663,13 @@ def read_status(share_dir: str,
     *todo* counts fault files with neither a claim nor a result,
     *claimed* the claims still awaiting their result, and *stale* those
     of them that are abandoned (:func:`claim_abandoned`): experiments
-    the recovery protocol will return to the queue.  Throughput comes
-    from result-file timestamps; the ETA extrapolates it over the
-    remaining experiments.  *results* are the share's results when the
-    caller already read them (:func:`read_results`).
+    the recovery protocol will return to the queue.  Each worker's
+    heartbeat gains its ``age``, whether it is ``live`` and its
+    ``current_experiment``: the newest claim it holds without a result,
+    or None.  Throughput comes from result-file timestamps; the ETA
+    extrapolates it over the remaining experiments.  *results* are the
+    share's results when the caller already read them
+    (:func:`read_results`).
     """
     status = CampaignStatus()
     now = clock()
@@ -687,15 +692,20 @@ def read_status(share_dir: str,
         status.host.add(result.record, result.name)
     result_times = [result.mtime for result in results]
 
+    # Oldest first, so each worker ends on its newest held claim (a
+    # reused worker name can hold a dead predecessor's claim too).
+    running = {claim.get("worker"): name for name, claim in sorted(
+        status.in_flight.items(), key=lambda item: (item[1]["time"],
+                                                    item[0]))}
     status.workers = read_heartbeats(share_dir)
-    for beat in status.workers.values():
+    for worker, beat in status.workers.items():
         beat["age"] = max(0.0, now - beat.get("time", 0.0))
-        beat["live"] = beat["age"] <= heartbeat_timeout
+        beat["live"] = beat_live(beat, now)
+        beat["current_experiment"] = running.get(worker)
     status.live_workers = sum(
         1 for beat in status.workers.values() if beat["live"])
     status.stale = sum(
-        claim_abandoned(claim, status.workers, now,
-                        stale_claim_seconds, heartbeat_timeout)
+        claim_abandoned(claim, status.workers, now)
         for claim in status.in_flight.values())
 
     started = min((claim["time"] for claim in claims.values()),

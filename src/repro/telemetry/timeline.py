@@ -46,8 +46,7 @@ def _experiment_spans(finished: list[dict]) -> list[dict]:
 def _slot_count(share_dir: str, experiments: list[dict]) -> int:
     """Deterministic slot count: the workers that heartbeated, falling
     back to the distinct workers seen in the span logs."""
-    beats = read_heartbeats(share_dir)
-    workers = {name for name in beats if name != "coordinator"}
+    workers = read_heartbeats(share_dir)
     if workers:
         return len(workers)
     seen = {r.get("worker") for r in experiments if r.get("worker")}

@@ -4,19 +4,20 @@ FINJ-scale campaigns fail in undramatic ways — a workstation dies
 holding a claim, one experiment wedges, throughput quietly collapses, or
 the outcome mix drifts because a node is mis-injecting.  Each of those
 has a signature in the files already on the share (heartbeats, claims,
-results, span logs), so the watchdog needs no agent on the workers: it
-takes a :func:`snapshot_share` and evaluates four declarative rules —
+results), so the watchdog needs no agent on the workers: it takes a
+:func:`snapshot_share` and evaluates four declarative rules, whose
+thresholds are the module constants below —
 
-* **dead-worker** — a heartbeat aged past ``heartbeat_timeout`` while
-  its worker still holds unresulted claims (or reported a current
-  experiment);
+* **dead-worker** — a heartbeat that is no longer live
+  (:func:`~repro.telemetry.campaign.beat_live`), critical for each
+  claim its worker still holds without a result;
 * **stalled-experiment** — an in-flight claim older than
-  ``stall_factor`` × the p90 wall time of completed experiments;
-* **throughput-collapse** — no new result for ``collapse_factor`` ×
+  ``STALL_FACTOR`` × the p90 wall time of completed experiments;
+* **throughput-collapse** — no new result for ``COLLAPSE_FACTOR`` ×
   the expected per-result interval while work remains;
 * **outcome-drift** — the outcome mix of the most recent results
-  diverging from the campaign baseline by more than
-  ``drift_threshold`` (a node gone bad mid-campaign).
+  significantly different from the campaign baseline (a node gone bad
+  mid-campaign).
 
 Alerts surface twice: the ``gemfi dashboard`` live view renders them as
 an alert strip, and :func:`append_alerts` journals each *new* alert to
@@ -33,16 +34,30 @@ import time
 from dataclasses import dataclass, field
 
 from .campaign import (
-    HEARTBEAT_TIMEOUT,
-    STALE_CLAIM_SECONDS,
     CampaignStatus,
     read_results,
     read_status,
     render_status,
 )
-from .spans import load_spans
 
 ALERTS_FILE = "alerts.jsonl"
+
+#: stalled-experiment: a claim held longer than STALL_FACTOR x wall
+#: p90, once MIN_COMPLETED experiments have finished (before that the
+#: p90 is noise); throughput-collapse uses the same minimum.
+STALL_FACTOR = 4.0
+MIN_COMPLETED = 3
+#: throughput-collapse: no result for COLLAPSE_FACTOR x the expected
+#: per-result interval.
+COLLAPSE_FACTOR = 4.0
+#: outcome-drift: the last DRIFT_WINDOW results against the baseline of
+#: every result before them, once that holds DRIFT_MIN_BASELINE.  Both
+#: sides then hold at least 10 samples, enough for Wilson score
+#: intervals at DRIFT_CONFIDENCE; the rule fires only when they are
+#: disjoint, so early-campaign noise cannot fire it.
+DRIFT_WINDOW = 20
+DRIFT_MIN_BASELINE = 10
+DRIFT_CONFIDENCE = 0.95
 
 _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
@@ -73,67 +88,21 @@ class Alert:
 
 
 @dataclass
-class WatchdogConfig:
-    heartbeat_timeout: float = HEARTBEAT_TIMEOUT
-    stale_claim_seconds: float = STALE_CLAIM_SECONDS
-    # stalled-experiment: claim held longer than stall_factor x
-    # wall_p90, once at least min_completed experiments have finished
-    # (before that the p90 is noise).
-    stall_factor: float = 4.0
-    min_completed: int = 3
-    # throughput-collapse: no result for collapse_factor x the expected
-    # per-result interval.
-    collapse_factor: float = 4.0
-    # outcome-drift: the last drift_window results vs the baseline of
-    # everything before them (needs drift_min_baseline of history).
-    # With at least drift_min_samples on each side the rule compares
-    # Wilson score intervals at drift_confidence and fires only when
-    # they do not overlap (early-campaign noise widens the intervals,
-    # so it cannot fire spuriously); below that sample count it falls
-    # back to the raw drift_threshold rate delta.
-    drift_window: int = 20
-    drift_min_baseline: int = 10
-    drift_threshold: float = 0.25
-    drift_confidence: float = 0.95
-    drift_min_samples: int = 10
-
-
-@dataclass
 class ShareSnapshot:
     """Everything the rules need, read from the share exactly once."""
 
     now: float
     status: CampaignStatus
-    # still-open experiment span records, each annotated with "age"
-    # (traced campaigns only; the dashboard's running column)
-    open_spans: list[dict] = field(default_factory=list)
     # outcomes of completed experiments in result-mtime order
     outcome_sequence: list[str] = field(default_factory=list)
     last_result_time: float | None = None
 
 
-def snapshot_share(share_dir: str,
-                   config: WatchdogConfig | None = None,
-                   clock=time.time) -> ShareSnapshot:
-    config = config or WatchdogConfig()
+def snapshot_share(share_dir: str, clock=time.time) -> ShareSnapshot:
     now = clock()
     results = read_results(share_dir)
-    status = read_status(
-        share_dir, stale_claim_seconds=config.stale_claim_seconds,
-        heartbeat_timeout=config.heartbeat_timeout, clock=clock,
-        results=results)
+    status = read_status(share_dir, clock=clock, results=results)
     snap = ShareSnapshot(now=now, status=status)
-
-    _finished, opened = load_spans(share_dir)
-    for record in opened:
-        if record.get("attrs", {}).get("kind") != "experiment":
-            continue
-        t0 = record.get("t0")
-        record = dict(record)
-        record["age"] = (now - t0) if isinstance(t0, (int, float)) \
-            else None
-        snap.open_spans.append(record)
-
     timed = sorted((result.mtime, result.name,
                     result.record.get("outcome", "unknown"))
                    for result in results)
@@ -146,29 +115,19 @@ def snapshot_share(share_dir: str,
 # -- rules --------------------------------------------------------------------
 
 
-def _dead_workers(snap: ShareSnapshot,
-                  config: WatchdogConfig) -> set[str]:
-    dead = set()
-    for worker, beat in snap.status.workers.items():
-        if worker == "coordinator":
-            continue
-        if snap.now - beat.get("time", 0.0) > config.heartbeat_timeout:
-            dead.add(worker)
-    return dead
+def _dead_workers(snap: ShareSnapshot) -> set[str]:
+    return {worker for worker, beat in snap.status.workers.items()
+            if not beat["live"]}
 
 
-def rule_dead_worker(snap: ShareSnapshot,
-                     config: WatchdogConfig) -> list[Alert]:
+def rule_dead_worker(snap: ShareSnapshot) -> list[Alert]:
     alerts = []
-    for worker in sorted(_dead_workers(snap, config)):
-        beat = snap.status.workers.get(worker, {})
+    for worker in sorted(_dead_workers(snap)):
+        beat = snap.status.workers[worker]
         age = snap.now - beat.get("time", 0.0)
         held = [experiment for experiment, claim
                 in snap.status.in_flight.items()
                 if claim.get("worker") == worker]
-        current = beat.get("current_experiment")
-        if current and current not in held:
-            held.append(current)
         if held:
             for experiment in sorted(held):
                 alerts.append(Alert(
@@ -186,16 +145,15 @@ def rule_dead_worker(snap: ShareSnapshot,
     return alerts
 
 
-def rule_stalled_experiment(snap: ShareSnapshot,
-                            config: WatchdogConfig) -> list[Alert]:
-    """Claims held longer than ``stall_factor`` x the wall p90.  Every
+def rule_stalled_experiment(snap: ShareSnapshot) -> list[Alert]:
+    """Claims held longer than ``STALL_FACTOR`` x the wall p90.  Every
     share worker writes its claims, so traced and untraced campaigns
     are watched alike."""
     status = snap.status
-    if status.completed < config.min_completed or not status.wall_p90:
+    if status.completed < MIN_COMPLETED or not status.wall_p90:
         return []
-    limit = config.stall_factor * status.wall_p90
-    dead = _dead_workers(snap, config)
+    limit = STALL_FACTOR * status.wall_p90
+    dead = _dead_workers(snap)
     alerts = []
     for experiment, claim in sorted(status.in_flight.items()):
         age = snap.now - claim["time"]
@@ -212,11 +170,10 @@ def rule_stalled_experiment(snap: ShareSnapshot,
     return alerts
 
 
-def rule_throughput_collapse(snap: ShareSnapshot,
-                             config: WatchdogConfig) -> list[Alert]:
+def rule_throughput_collapse(snap: ShareSnapshot) -> list[Alert]:
     status = snap.status
     remaining = status.todo + status.claimed
-    if not remaining or status.completed < config.min_completed \
+    if not remaining or status.completed < MIN_COMPLETED \
             or snap.last_result_time is None:
         return []
     expected = status.wall_p90 or 0.0
@@ -225,7 +182,7 @@ def rule_throughput_collapse(snap: ShareSnapshot,
     if expected <= 0:
         return []
     gap = snap.now - snap.last_result_time
-    limit = config.collapse_factor * expected
+    limit = COLLAPSE_FACTOR * expected
     if gap <= limit:
         return []
     return [Alert(
@@ -235,60 +192,41 @@ def rule_throughput_collapse(snap: ShareSnapshot,
                 f"{remaining} experiments remain)")]
 
 
-def rule_outcome_drift(snap: ShareSnapshot,
-                       config: WatchdogConfig) -> list[Alert]:
+def rule_outcome_drift(snap: ShareSnapshot) -> list[Alert]:
+    """Outcomes whose rate over the last ``DRIFT_WINDOW`` results and
+    over the baseline before them have disjoint Wilson score
+    intervals: the shared two-proportion test (repro.analysis.diff),
+    also behind ``gemfi compare``, so significance means the same
+    thing everywhere."""
     sequence = snap.outcome_sequence
-    window = config.drift_window
-    if len(sequence) < window + config.drift_min_baseline:
+    if len(sequence) < DRIFT_WINDOW + DRIFT_MIN_BASELINE:
         return []
-    baseline, recent = sequence[:-window], sequence[-window:]
-    outcomes = sorted(set(baseline) | set(recent))
-    # Enough samples on both sides: compare Wilson score intervals and
-    # fire only when they are disjoint — statistically significant
-    # drift, immune to early-campaign noise.  Tiny samples fall back
-    # to the raw rate-delta threshold (the intervals would span almost
-    # everything and the rule would go blind).
-    use_wilson = min(len(baseline), len(recent)) >= \
-        config.drift_min_samples
-    if use_wilson:
-        # The shared two-proportion test (repro.analysis.diff) —
-        # also behind `gemfi compare` — so significance means the
-        # same thing everywhere.
-        from ..analysis.diff import proportions_differ
+    from ..analysis.diff import proportions_differ
+    baseline, recent = sequence[:-DRIFT_WINDOW], sequence[-DRIFT_WINDOW:]
     alerts = []
-    for outcome in outcomes:
+    for outcome in sorted(set(baseline) | set(recent)):
         base_rate = baseline.count(outcome) / len(baseline)
         recent_rate = recent.count(outcome) / len(recent)
         drift = recent_rate - base_rate
-        if use_wilson:
-            significant, (base_low, base_high), \
-                (recent_low, recent_high) = proportions_differ(
-                    baseline.count(outcome), len(baseline),
-                    recent.count(outcome), len(recent),
-                    confidence=config.drift_confidence)
-            if not significant:
-                continue  # intervals overlap: not significant
-            direction = "up" if drift > 0 else "down"
-            alerts.append(Alert(
-                rule="outcome-drift", severity="warning",
-                experiment=outcome, time=snap.now,
-                message=f"outcome {outcome} {direction} "
-                        f"{abs(drift):.0%} vs baseline "
-                        f"({base_rate:.0%} -> {recent_rate:.0%} over "
-                        f"last {window}; "
-                        f"{config.drift_confidence:.0%} Wilson "
-                        f"intervals [{base_low:.0%},{base_high:.0%}] "
-                        f"vs [{recent_low:.0%},{recent_high:.0%}] "
-                        f"disjoint)"))
-        elif abs(drift) > config.drift_threshold:
-            direction = "up" if drift > 0 else "down"
-            alerts.append(Alert(
-                rule="outcome-drift", severity="warning",
-                experiment=outcome, time=snap.now,
-                message=f"outcome {outcome} {direction} "
-                        f"{abs(drift):.0%} vs baseline "
-                        f"({base_rate:.0%} -> {recent_rate:.0%} over "
-                        f"last {window})"))
+        significant, (base_low, base_high), \
+            (recent_low, recent_high) = proportions_differ(
+                baseline.count(outcome), len(baseline),
+                recent.count(outcome), len(recent),
+                confidence=DRIFT_CONFIDENCE)
+        if not significant:
+            continue  # intervals overlap: not significant
+        direction = "up" if drift > 0 else "down"
+        alerts.append(Alert(
+            rule="outcome-drift", severity="warning",
+            experiment=outcome, time=snap.now,
+            message=f"outcome {outcome} {direction} "
+                    f"{abs(drift):.0%} vs baseline "
+                    f"({base_rate:.0%} -> {recent_rate:.0%} over "
+                    f"last {DRIFT_WINDOW}; "
+                    f"{DRIFT_CONFIDENCE:.0%} Wilson "
+                    f"intervals [{base_low:.0%},{base_high:.0%}] "
+                    f"vs [{recent_low:.0%},{recent_high:.0%}] "
+                    f"disjoint)"))
     return alerts
 
 
@@ -297,16 +235,13 @@ RULES = (rule_dead_worker, rule_stalled_experiment,
 
 
 def evaluate_alerts(share_dir: str,
-                    config: WatchdogConfig | None = None,
-                    clock=time.time) -> tuple[ShareSnapshot,
-                                              list[Alert]]:
+                    clock=time.time) -> tuple[ShareSnapshot, list[Alert]]:
     """Snapshot the share and run every rule; alerts come back sorted
     most severe first (then by rule/worker/experiment, deterministic)."""
-    config = config or WatchdogConfig()
-    snap = snapshot_share(share_dir, config, clock=clock)
+    snap = snapshot_share(share_dir, clock=clock)
     alerts: list[Alert] = []
     for rule in RULES:
-        alerts.extend(rule(snap, config))
+        alerts.extend(rule(snap))
     alerts.sort(key=lambda a: (_SEVERITY_RANK.get(a.severity, 9),
                                a.rule, a.worker or "",
                                a.experiment or ""))
@@ -367,10 +302,8 @@ def read_alerts(share_dir: str) -> list[dict]:
     return entries
 
 
-def alerts_feed(shares: dict[str, str],
-                config: WatchdogConfig | None = None,
-                live: bool = False, limit: int = 0,
-                clock=time.time) -> list[dict]:
+def alerts_feed(shares: dict[str, str], live: bool = False,
+                limit: int = 0, clock=time.time) -> list[dict]:
     """Merge the alert journals of many shares into one feed.
 
     *shares* maps a label (the service passes the job id) to a share
@@ -381,7 +314,6 @@ def alerts_feed(shares: dict[str, str],
     deduplicated by (label, rule, worker, experiment), sorted
     newest-first (then by severity), and capped at *limit* when
     positive.  Missing or alert-free shares contribute nothing."""
-    config = config or WatchdogConfig()
     feed: list[dict] = []
     seen: set[tuple] = set()
     for label, share_dir in sorted(shares.items()):
@@ -398,8 +330,7 @@ def alerts_feed(shares: dict[str, str],
             feed.append(entry)
         if live:
             try:
-                _, alerts = evaluate_alerts(share_dir, config,
-                                            clock=clock)
+                _, alerts = evaluate_alerts(share_dir, clock=clock)
             except OSError:
                 continue
             for alert in alerts:
@@ -423,48 +354,10 @@ def alerts_feed(shares: dict[str, str],
 # -- the live dashboard -------------------------------------------------------
 
 
-def _format_age(seconds: float) -> str:
-    if seconds < 120:
-        return f"{seconds:.0f}s"
-    if seconds < 7200:
-        return f"{seconds / 60:.0f}m"
-    return f"{seconds / 3600:.1f}h"
-
-
-def dashboard_view(snap: ShareSnapshot, alerts: list[Alert],
-                   config: WatchdogConfig | None = None) -> str:
-    """The ``gemfi dashboard`` frame: status block, worker table
-    (worker x current experiment x open phase), and the alert strip."""
-    config = config or WatchdogConfig()
+def dashboard_view(snap: ShareSnapshot, alerts: list[Alert]) -> str:
+    """The ``gemfi dashboard`` frame: the status block (with a line per
+    worker) and the alert strip."""
     lines = [render_status(snap.status), ""]
-
-    open_by_worker: dict[str, list[dict]] = {}
-    for record in snap.open_spans:
-        open_by_worker.setdefault(record.get("worker") or "?",
-                                  []).append(record)
-
-    workers = {name: beat for name, beat in snap.status.workers.items()
-               if name != "coordinator"}
-    if workers:
-        lines.append("worker      state   beat  done  running")
-        for name in sorted(workers):
-            beat = workers[name]
-            age = snap.now - beat.get("time", 0.0)
-            state = "live" if age <= config.heartbeat_timeout \
-                else "SILENT"
-            running = beat.get("current_experiment") or "-"
-            spans = open_by_worker.get(name, [])
-            if spans:
-                newest = max(spans, key=lambda r: r.get("t0") or 0.0)
-                span_age = newest.get("age")
-                if span_age is not None:
-                    running += f" ({newest.get('name')} " \
-                               f"{_format_age(span_age)})"
-            lines.append(
-                f"{name:<11} {state:<7} {_format_age(age):>4}  "
-                f"{beat.get('completed', 0):>4}  {running}")
-        lines.append("")
-
     if alerts:
         lines.append(f"alerts ({len(alerts)}):")
         for alert in alerts:
@@ -476,10 +369,8 @@ def dashboard_view(snap: ShareSnapshot, alerts: list[Alert],
 
 
 def render_dashboard(share_dir: str,
-                     config: WatchdogConfig | None = None,
                      clock=time.time) -> tuple[str, list[Alert]]:
     """Evaluate and render one dashboard frame; returns (text, alerts)
     so the CLI can journal the alerts it just showed."""
-    config = config or WatchdogConfig()
-    snap, alerts = evaluate_alerts(share_dir, config, clock=clock)
-    return dashboard_view(snap, alerts, config), alerts
+    snap, alerts = evaluate_alerts(share_dir, clock=clock)
+    return dashboard_view(snap, alerts), alerts

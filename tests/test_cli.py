@@ -260,9 +260,15 @@ class TestArgumentErrors:
         ["compare", "{data}/v1/summary.json", "{data}/v1/summary.json"],
         ["compare", "{data}/renders/compare.json",
          "{data}/renders/compare.json"],
+        ["status", "/nonexistent/share"],
+        ["dashboard", "/nonexistent/share", "--once"],
+        ["report", "/nonexistent/share"],
+        ["coverage", "/nonexistent/share"],
+        ["timeline", "/nonexistent/share"],
     ])
     def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
                                   capsys):
+        (tmp_path / "results").mkdir()  # so {tmp} is an empty share
         (tmp_path / "bad_inst.txt").write_text(
             "RegisterInjectedFault Inst:abc Flip:3 Threadid:0 "
             "system.cpu0 occ:1 int 1\n")
@@ -294,15 +300,17 @@ class TestArgumentErrors:
         assert parser.parse_args(["pipeview", "-"]).trace == "-"
         assert parser.parse_args(["run", "pi"]).program == "pi"
 
-    def test_range_edges_still_parse(self):
+    def test_range_edges_still_parse(self, tmp_path):
         """``--ring 0`` still means "no ring buffer" and a compare
         margin of 0 stays valid."""
         parser = build_parser()
         assert parser.parse_args(["run", "pi", "--ring", "0"]).ring == 0
         assert parser.parse_args(
             ["compare", "a", "b", "--margin", "0"]).margin == 0.0
+        (tmp_path / "results").mkdir()
         assert parser.parse_args(
-            ["dashboard", "--interval", "0"]).interval == 0.0
+            ["dashboard", str(tmp_path), "--interval", "0"]
+        ).interval == 0.0
 
 
 class TestCoverageCommand:

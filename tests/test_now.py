@@ -102,21 +102,54 @@ class TestSharedDirProtocol:
         counts = outcome_counts(results)
         assert sum(counts.values()) == 5
 
+    def test_worker_writes_a_claim_a_result_and_a_manifest_per_run(
+            self, tmp_path, runner, monkeypatch):
+        """Per experiment a worker creates its claim, its result and its
+        run manifest, and nothing else: the claim names the running
+        experiment, so no heartbeat is written around it.  The worker
+        beats once at the start and once at the end (the periodic beat
+        does not come round in a campaign this short)."""
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
+        generator = SEUGenerator(runner.golden.profile, seed=26)
+        campaign.publish(runner, generator.batch(3))
+        written = []
+        real_open, real_replace = os.open, os.replace
+
+        def creating_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                written.append(path)
+            return real_open(path, flags, *args, **kwargs)
+
+        def replace(src, dst, *args, **kwargs):
+            written.append(dst)
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", creating_open)
+        monkeypatch.setattr(os, "replace", replace)
+        assert campaign.worker_loop("w0", runner) == 3
+        monkeypatch.undo()
+        per_run = [f"{directory}/exp_{index:04d}{suffix}"
+                   for index in range(3)
+                   for directory, suffix in (("claims", ".txt.claim"),
+                                             ("results", ".json"),
+                                             ("manifests", ".json"))]
+        assert sorted(os.path.relpath(path, tmp_path)
+                      for path in written) == \
+            sorted(per_run + ["heartbeats/w0.json"] * 2)
+
     def test_worker_ids_with_underscores_run_each_experiment_once(
             self, tmp_path, runner):
         """A worker id with an "_" in it must not garble the names of
         the experiments it runs, or a later worker finds no result,
         steals the claims and runs them all again."""
         share = str(tmp_path)
-        campaign = SharedDirCampaign(share, "pi", "tiny",
-                                     heartbeat_interval=0)
+        campaign = SharedDirCampaign(share, "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=11)
         campaign.publish(runner, generator.batch(3))
         assert campaign.worker_loop("node_1", runner) == 3
         assert sorted(os.listdir(tmp_path / "results")) == [
             f"exp_{i:04d}.json" for i in range(3)]
         late = SharedDirCampaign(share, "pi", "tiny",
-                                 heartbeat_interval=0,
                                  clock=lambda: time.time() + 1000)
         assert late.worker_loop("ws1", runner) == 0
         assert len(campaign.collect()) == 3
@@ -181,7 +214,6 @@ class TestSharedDirProtocol:
     def test_stale_claim_is_recovered_once(self, tmp_path, runner):
         clock = {"now": 1000.0}
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
-                                     stale_claim_seconds=600.0,
                                      clock=lambda: clock["now"])
         generator = SEUGenerator(runner.golden.profile, seed=10)
         campaign.publish(runner, generator.batch(1))
@@ -205,7 +237,6 @@ class TestSharedDirProtocol:
                                                    runner):
         clock = {"now": 1000.0}
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
-                                     stale_claim_seconds=600.0,
                                      clock=lambda: clock["now"])
         generator = SEUGenerator(runner.golden.profile, seed=11)
         campaign.publish(runner, generator.batch(1))
@@ -223,8 +254,7 @@ class TestSharedDirProtocol:
         it leaves an empty claim: it counts as a claim with no worker
         at the file's mtime, so it is recovered once that is older than
         the claim limit instead of blocking the experiment forever."""
-        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
-                                     heartbeat_interval=0)
+        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=12)
         campaign.publish(runner, generator.batch(2))
         empty = tmp_path / "claims" / "exp_0000.txt.claim"
@@ -354,7 +384,6 @@ class TestCrashRecovery:
         # A second worker comes along once w0's heartbeat has aged past
         # the 120 s timeout, and drains the share.
         late = SharedDirCampaign(str(share), "pi", "tiny",
-                                 heartbeat_interval=0,
                                  clock=lambda: time.time() + 300)
         assert late.worker_loop("w1", runner) == 3
         assert sorted(os.listdir(share / "results")) == [

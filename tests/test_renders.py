@@ -37,7 +37,6 @@ from repro.service.jobs import JobSpec
 from repro.service.queue import JobQueue
 from repro.service.store import ContentStore
 from repro.telemetry import (
-    WatchdogConfig,
     campaign_metrics,
     read_status,
     render_dashboard,
@@ -161,14 +160,11 @@ def build_share(root: str, name: str, outcomes: tuple, completed: int,
                                      f"exp_{index:04d}.txt"), "x\n")
     _write_json(os.path.join(share, "heartbeats", "ws0.json"),
                 {"worker": "ws0", "pid": 100, "hostname": "node-a",
-                 "time": NOW - 5, "completed": (completed + 1) // 2,
-                 "current_experiment": None})
+                 "time": NOW - 5, "completed": (completed + 1) // 2})
     _write_json(os.path.join(share, "heartbeats", "ws1.json"),
                 {"worker": "ws1", "pid": 101, "hostname": "node-b",
                  "time": NOW - (500 if queued else 30),
-                 "completed": completed // 2,
-                 "current_experiment":
-                     f"exp_{completed:04d}" if queued else None})
+                 "completed": completed // 2})
     return share
 
 
@@ -267,8 +263,7 @@ def render_all(root: str) -> dict[str, str]:
         "status_coverage.txt": render_status(covered) + "\n",
         "status_coverage.json": json.dumps(covered.as_dict(), indent=2,
                                            sort_keys=True) + "\n",
-        "dashboard.txt": render_dashboard(head, WatchdogConfig(),
-                                          clock=_clock)[0] + "\n",
+        "dashboard.txt": render_dashboard(head, clock=_clock)[0] + "\n",
         "metrics.txt": campaign_metrics(_records(head)).dump(),
         "summary.json": CampaignSummary.from_share(head)
         .canonical_bytes().decode("utf-8") + "\n",

@@ -421,12 +421,6 @@ class TestPeriodicBeat:
         assert ticks  # it beat at least once
         assert threading.active_count() == before  # joined, not leaked
 
-    def test_nonpositive_interval_never_starts_a_thread(self):
-        before = threading.active_count()
-        with PeriodicBeat(0.0, lambda: 1 / 0) as beat:
-            assert not beat.alive
-        assert threading.active_count() == before
-
     def test_no_thread_accumulation_across_many_uses(self):
         before = threading.active_count()
         for _ in range(10):
@@ -1403,16 +1397,6 @@ class TestUsageAndDashboardEndpoints:
         assert job["request_id"] and job["request_id"].startswith(
             "req-")
 
-    def test_dashboard_before_share_exists(self, api_service):
-        client = ServiceClient(api_service.url)
-        try:
-            job = client.submit({"workload": "pi"})
-            frame = client.dashboard(job["id"])
-        finally:
-            client.close()
-        assert frame["job"]["id"] == job["id"]
-        assert frame["text"] is None
-        assert frame["alerts"] == []
 
 
 class TestE2EObservability:
@@ -1477,15 +1461,24 @@ class TestE2EObservability:
                      in families["queue_leases"]["samples"])
         assert leases >= 1
 
-    def test_dashboard_endpoint_renders_share(self, service,
-                                              done_job):
-        client = ServiceClient(service.url)
+    def test_dashboard_route_answers_404(self, service, done_job):
+        """A job's live view is its ``/events`` stream (and the console
+        job page); there is no server-rendered dashboard frame."""
+        conn = _http_conn(service)
         try:
-            frame = client.dashboard(done_job["id"])
+            conn.request("GET", f"/v1/jobs/{done_job['id']}/dashboard")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 404
+            conn.request("GET", f"/v1/jobs/{done_job['id']}/events")
+            response = conn.getresponse()
+            frames = [json.loads(line) for line
+                      in response.read().decode("utf-8").splitlines()]
+            assert response.status == 200
         finally:
-            client.close()
-        assert "experiments" in frame["text"]
-        assert "3/3" in frame["text"]
+            conn.close()
+        assert frames[0]["campaign"]["completed"] == 3
+        assert frames[-1]["type"] == "end"
 
     def test_traced_job_roots_at_the_request(self, service, capsys):
         self._assert_traced_job_roots_at_the_request(service, capsys,
@@ -1544,20 +1537,6 @@ class TestE2EObservability:
         assert lines[1].startswith("  campaign ")
         assert any(line.startswith("    exp_") for line in lines)
 
-    def test_dashboard_cli_drives_from_the_service(self, service,
-                                                   done_job, capsys):
-        from repro.cli import main
-        assert main(["dashboard", "--url", service.url,
-                     "--job", done_job["id"], "--once"]) == 0
-        out = capsys.readouterr().out
-        assert done_job["id"] in out
-        assert "experiments" in out
-
-    def test_dashboard_cli_url_requires_job(self, capsys):
-        from repro.cli import main
-        assert main(["dashboard", "--url",
-                     "http://127.0.0.1:1"]) == 2
-        assert "--job" in capsys.readouterr().err
 
 
 # -- response hygiene: content types, caching, 405 ----------------------------

@@ -20,9 +20,9 @@ from repro.telemetry.spans import (CAMPAIGN_PATH, JsonlSpanSink,
                                    load_spans, span_log_path)
 from repro.telemetry.timeline import (build_timeline, render_timeline,
                                       validate_trace)
-from repro.telemetry.watchdog import (WatchdogConfig, append_alerts,
-                                      dashboard_view, evaluate_alerts,
-                                      read_alerts, render_dashboard)
+from repro.telemetry.watchdog import (append_alerts, dashboard_view,
+                                      evaluate_alerts, read_alerts,
+                                      render_dashboard)
 from repro.workloads import build
 
 CPU_MODELS = ("atomic", "timing", "inorder", "o3")
@@ -36,8 +36,7 @@ def runner():
 def _drain_with_tracer(share_dir, runner, seed, worker="w0",
                        experiments=4):
     """Publish *experiments* and drain them with one traced worker."""
-    campaign = SharedDirCampaign(share_dir, "pi", "tiny",
-                                 heartbeat_interval=0.0)
+    campaign = SharedDirCampaign(share_dir, "pi", "tiny")
     generator = SEUGenerator(runner.golden.profile, seed=seed)
     campaign.publish(runner, generator.batch(experiments), seed=seed,
                      trace=True)
@@ -257,8 +256,7 @@ class TestTimeline:
         _drain_with_tracer(share_a, runner, seed=seed)
 
         share_b = str(tmp_path / "b")
-        campaign = SharedDirCampaign(share_b, "pi", "tiny",
-                                     heartbeat_interval=0.0)
+        campaign = SharedDirCampaign(share_b, "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=seed)
         campaign.publish(runner, generator.batch(4), seed=seed,
                          trace=True)
@@ -300,8 +298,7 @@ class TestTimeline:
 class TestZeroOverheadWhenDisabled:
     def test_untraced_share_layout_is_unchanged(self, tmp_path, runner):
         share = str(tmp_path)
-        campaign = SharedDirCampaign(share, "pi", "tiny",
-                                     heartbeat_interval=0.0)
+        campaign = SharedDirCampaign(share, "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=5)
         campaign.publish(runner, generator.batch(2), seed=5)
         assert runner.tracer is None
@@ -330,21 +327,33 @@ class TestZeroOverheadWhenDisabled:
             "time_fraction", "wall_seconds", "workload"]
 
 
+def _claim(tmp_path, experiment, worker, time):
+    """A claim file of *worker* on *experiment*, claimed at *time*."""
+    (tmp_path / "claims").mkdir(exist_ok=True)
+    (tmp_path / "claims" / f"{experiment}.txt.claim").write_text(
+        json.dumps({"worker": worker, "pid": 1, "time": time}))
+
+
 class TestHeartbeatEnrichment:
     def test_heartbeat_carries_identity_and_experiment(self, tmp_path):
+        """The beat carries the worker's identity; the experiment it
+        runs is its claim without a result, which the status adds."""
         path = write_heartbeat(str(tmp_path), "w0", 3,
-                               current_experiment="exp_0007")
+                               clock=lambda: 1000.0)
         beat = json.loads(open(path).read())
         assert beat["worker"] == "w0"
         assert beat["pid"] == os.getpid()
         assert beat["hostname"]
-        assert beat["current_experiment"] == "exp_0007"
         assert beat["completed"] == 3
+        assert "current_experiment" not in beat
+        _claim(tmp_path, "exp_0007", "w0", 990.0)
+        status = read_status(str(tmp_path), clock=lambda: 1000.0)
+        assert status.workers["w0"]["current_experiment"] == "exp_0007"
 
     def test_status_annotates_and_renders_workers(self, tmp_path):
         clock = {"now": 1000.0}
+        _claim(tmp_path, "exp_0001", "w0", 990.0)
         write_heartbeat(str(tmp_path), "w0", 2,
-                        current_experiment="exp_0001",
                         clock=lambda: clock["now"])
         write_heartbeat(str(tmp_path), "w1", 5,
                         clock=lambda: clock["now"] - 500.0)
@@ -366,8 +375,6 @@ class TestHeartbeatLivenessRecovery:
     def test_live_worker_is_never_robbed(self, tmp_path, runner):
         clock = {"now": 1000.0}
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
-                                     stale_claim_seconds=600.0,
-                                     heartbeat_timeout=120.0,
                                      clock=lambda: clock["now"])
         generator = SEUGenerator(runner.golden.profile, seed=13)
         campaign.publish(runner, generator.batch(1))
@@ -376,7 +383,6 @@ class TestHeartbeatLivenessRecovery:
         # while its heartbeat stays fresh.
         clock["now"] += 601.0
         write_heartbeat(str(tmp_path), "w0", 0,
-                        current_experiment="exp_0000",
                         clock=lambda: clock["now"])
         assert campaign.claim("w1") is None
         entry = json.loads(
@@ -387,8 +393,6 @@ class TestHeartbeatLivenessRecovery:
             self, tmp_path, runner):
         clock = {"now": 1000.0}
         campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
-                                     stale_claim_seconds=600.0,
-                                     heartbeat_timeout=120.0,
                                      clock=lambda: clock["now"])
         generator = SEUGenerator(runner.golden.profile, seed=14)
         campaign.publish(runner, generator.batch(1))
@@ -413,15 +417,32 @@ class TestWatchdogRules:
         (tmp_path / "claims").mkdir()
         (tmp_path / "claims" / "exp_0000.txt.claim").write_text(
             json.dumps({"worker": "w0", "pid": 1, "time": 1000.0}))
-        write_heartbeat(share, "w0", 0,
-                        current_experiment="exp_0000",
-                        clock=lambda: 1000.0)
+        write_heartbeat(share, "w0", 0, clock=lambda: 1000.0)
         _snap, alerts = evaluate_alerts(share, clock=lambda: 1200.0)
         dead = [a for a in alerts if a.rule == "dead-worker"]
         assert len(dead) == 1
         assert dead[0].severity == "critical"
         assert dead[0].worker == "w0"
         assert dead[0].experiment == "exp_0000"
+
+    def test_dead_worker_alert_names_the_claim_not_the_beat(self,
+                                                           tmp_path):
+        """A beat carries no ``current_experiment``: the dead-worker
+        alert and the frame's worker line name the claim the silent
+        worker holds without a result, not one it finished."""
+        share = str(tmp_path)
+        _claim(tmp_path, "exp_0002", "w0", 900.0)
+        _claim(tmp_path, "exp_0004", "w0", 950.0)
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "exp_0002.json").write_text(
+            json.dumps({"outcome": "sdc"}))
+        path = write_heartbeat(share, "w0", 1, clock=lambda: 960.0)
+        assert "current_experiment" not in json.loads(open(path).read())
+        text, alerts = render_dashboard(share, clock=lambda: 1200.0)
+        assert [(a.rule, a.severity, a.experiment) for a in alerts] == \
+            [("dead-worker", "critical", "exp_0004")]
+        assert "  w0: silent 240s ago done=1 running=exp_0004" in text
+        assert "while holding exp_0004" in text
 
     def test_fresh_heartbeat_raises_no_dead_worker(self, tmp_path):
         share = str(tmp_path)
@@ -446,8 +467,7 @@ class TestWatchdogRules:
     def test_stalled_experiment_alert(self, tmp_path):
         share = str(tmp_path)
         self._claim_after_three_results(tmp_path)
-        write_heartbeat(share, "w0", 3, current_experiment="exp_0009",
-                        clock=lambda: 1090.0)
+        write_heartbeat(share, "w0", 3, clock=lambda: 1090.0)
         _snap, alerts = evaluate_alerts(share, clock=lambda: 1100.0)
         stalled = [a for a in alerts if a.rule == "stalled-experiment"]
         assert len(stalled) == 1
@@ -465,8 +485,7 @@ class TestWatchdogRules:
         experiment adds no second alert."""
         share = str(tmp_path)
         self._claim_after_three_results(tmp_path)
-        write_heartbeat(share, "w0", 3, current_experiment="exp_0009",
-                        clock=lambda: 1090.0)
+        write_heartbeat(share, "w0", 3, clock=lambda: 1090.0)
         assert not (tmp_path / "spans").exists()
         _snap, alerts = evaluate_alerts(share, clock=lambda: 1100.0)
         stalled = [a for a in alerts if a.rule == "stalled-experiment"]
@@ -529,8 +548,8 @@ class TestWatchdogRules:
 
     def test_dashboard_view_renders_workers_and_alerts(self, tmp_path):
         share = str(tmp_path)
-        write_heartbeat(share, "w0", 2, current_experiment="exp_0003",
-                        clock=lambda: 1000.0)
+        _claim(tmp_path, "exp_0003", "w0", 1000.0)
+        write_heartbeat(share, "w0", 2, clock=lambda: 1000.0)
         snap, alerts = evaluate_alerts(share, clock=lambda: 1010.0)
         text = dashboard_view(snap, alerts)
         assert "w0" in text
@@ -544,21 +563,16 @@ class TestWatchdogIntegration:
         clock = {"now": 1000.0}
         share = str(tmp_path)
         campaign = SharedDirCampaign(share, "pi", "tiny",
-                                     stale_claim_seconds=600.0,
-                                     heartbeat_timeout=120.0,
-                                     heartbeat_interval=0.0,
                                      clock=lambda: clock["now"])
         generator = SEUGenerator(runner.golden.profile, seed=15)
         campaign.publish(runner, generator.batch(3), seed=15)
         # w0 claims exp_0000, heartbeats once ... and dies.
         claimed = campaign.claim("w0")
         assert claimed == "exp_0000"
-        write_heartbeat(share, "w0", 0, current_experiment="exp_0000",
-                        clock=lambda: clock["now"])
+        write_heartbeat(share, "w0", 0, clock=lambda: clock["now"])
         clock["now"] += 130.0
-        _snap, alerts = evaluate_alerts(
-            share, WatchdogConfig(heartbeat_timeout=120.0),
-            clock=lambda: clock["now"])
+        _snap, alerts = evaluate_alerts(share,
+                                        clock=lambda: clock["now"])
         dead = [a for a in alerts if a.rule == "dead-worker"]
         assert len(dead) == 1
         assert dead[0].worker == "w0"
@@ -685,8 +699,7 @@ class TestZeroOverheadServicePlane:
     def test_untraced_workload_has_no_request_context(self, tmp_path,
                                                       runner):
         share = str(tmp_path)
-        campaign = SharedDirCampaign(share, "pi", "tiny",
-                                     heartbeat_interval=0.0)
+        campaign = SharedDirCampaign(share, "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=9)
         campaign.publish(runner, generator.batch(1), seed=9)
         workload = json.loads((tmp_path / "workload.json").read_text())
@@ -697,8 +710,7 @@ class TestZeroOverheadServicePlane:
     def test_traced_publish_without_request_stays_unrooted(
             self, tmp_path, runner):
         share = str(tmp_path)
-        campaign = SharedDirCampaign(share, "pi", "tiny",
-                                     heartbeat_interval=0.0)
+        campaign = SharedDirCampaign(share, "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=9)
         campaign.publish(runner, generator.batch(1), seed=9,
                          trace=True)
@@ -709,8 +721,7 @@ class TestZeroOverheadServicePlane:
     def test_status_and_dashboard_render_byte_identically(
             self, tmp_path, runner):
         share = str(tmp_path)
-        campaign = SharedDirCampaign(share, "pi", "tiny",
-                                     heartbeat_interval=0.0)
+        campaign = SharedDirCampaign(share, "pi", "tiny")
         generator = SEUGenerator(runner.golden.profile, seed=9)
         campaign.publish(runner, generator.batch(2), seed=9)
         campaign.worker_loop("w0", runner)
@@ -718,9 +729,8 @@ class TestZeroOverheadServicePlane:
         first = render_status(read_status(share, clock=clock))
         second = render_status(read_status(share, clock=clock))
         assert first == second
-        config = WatchdogConfig()
-        dash_a = render_dashboard(share, config, clock=clock)
-        dash_b = render_dashboard(share, config, clock=clock)
+        dash_a = render_dashboard(share, clock=clock)
+        dash_b = render_dashboard(share, clock=clock)
         assert dash_a[0] == dash_b[0]
         # Rendering is read-only: no spans/, no logs/, nothing new.
         assert sorted(os.listdir(share)) == [
@@ -730,9 +740,8 @@ class TestZeroOverheadServicePlane:
 
 
 class TestOutcomeDriftWilson:
-    """The outcome-drift rule compares Wilson score intervals when both
-    sides carry enough samples, falling back to the raw rate delta for
-    tiny windows."""
+    """The outcome-drift rule compares Wilson score intervals; it looks
+    only once both sides carry enough samples for them."""
 
     @staticmethod
     def _snap(outcomes):
@@ -742,38 +751,18 @@ class TestOutcomeDriftWilson:
                              outcome_sequence=list(outcomes))
 
     def test_overlapping_intervals_suppress_raw_threshold_drift(self):
-        # 12/30 sdc baseline vs 14/20 recent: raw drift 30% exceeds
-        # the 25% threshold, but the 95% intervals overlap
-        # ([25%,58%] vs [48%,85%]) — not statistically significant.
+        # 12/30 sdc baseline vs 14/20 recent: a raw drift of 30%, but
+        # the 95% intervals overlap ([25%,58%] vs [48%,85%]) — not
+        # statistically significant.
         from repro.telemetry.watchdog import rule_outcome_drift
         sequence = (["sdc"] * 12 + ["masked"] * 18 +
                     ["sdc"] * 14 + ["masked"] * 6)
-        alerts = rule_outcome_drift(self._snap(sequence),
-                                    WatchdogConfig())
-        assert alerts == []
+        assert rule_outcome_drift(self._snap(sequence)) == []
 
     def test_disjoint_intervals_fire_and_cite_wilson(self):
         from repro.telemetry.watchdog import rule_outcome_drift
         sequence = ["masked"] * 30 + ["sdc"] * 20
-        alerts = rule_outcome_drift(self._snap(sequence),
-                                    WatchdogConfig())
+        alerts = rule_outcome_drift(self._snap(sequence))
         assert {a.experiment for a in alerts} == {"masked", "sdc"}
         assert all("Wilson" in a.message and "disjoint" in a.message
                    for a in alerts)
-
-    def test_tiny_samples_fall_back_to_raw_threshold(self):
-        # Raising drift_min_samples past the window size forces the
-        # legacy branch: same drift fires, message cites no intervals.
-        from repro.telemetry.watchdog import rule_outcome_drift
-        sequence = ["masked"] * 30 + ["sdc"] * 20
-        config = WatchdogConfig(drift_min_samples=50)
-        alerts = rule_outcome_drift(self._snap(sequence), config)
-        assert {a.experiment for a in alerts} == {"masked", "sdc"}
-        assert all("Wilson" not in a.message for a in alerts)
-
-    def test_small_drift_still_quiet_under_fallback(self):
-        from repro.telemetry.watchdog import rule_outcome_drift
-        sequence = (["sdc"] * 6 + ["masked"] * 24 +
-                    ["sdc"] * 5 + ["masked"] * 15)  # 20% -> 25%
-        config = WatchdogConfig(drift_min_samples=50)
-        assert rule_outcome_drift(self._snap(sequence), config) == []

@@ -308,12 +308,11 @@ class TestCampaignObservability:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace_after_a_beat)
-        write_heartbeat(share, "ws0", 2, current_experiment="exp_0003")
+        write_heartbeat(share, "ws0", 2)
         monkeypatch.undo()
         assert interleaved
         beat = read_heartbeats(share)["ws0"]
         assert beat["completed"] == 2
-        assert beat["current_experiment"] == "exp_0003"
         assert [name for name in os.listdir(tmp_path / "heartbeats")
                 if ".tmp." in name] == []
 
@@ -343,9 +342,7 @@ class TestCampaignObservability:
     def test_read_status_counts(self, tmp_path):
         now = 1000.0
         self._make_share(tmp_path, now)
-        status = read_status(str(tmp_path), stale_claim_seconds=600,
-                             heartbeat_timeout=120,
-                             clock=lambda: now)
+        status = read_status(str(tmp_path), clock=lambda: now)
         assert status.todo == 1
         assert status.claimed == 2
         assert status.completed == 2
@@ -377,10 +374,39 @@ class TestCampaignObservability:
         (tmp_path / "claims" / "exp_0000.txt.claim").write_text(
             json.dumps({"worker": "ws1", "pid": 1, "time": now - 130}))
         write_heartbeat(str(tmp_path), "ws1", 0,
-                        current_experiment="exp_0000",
                         clock=lambda: now - 130)
         status = read_status(str(tmp_path), clock=lambda: now)
         assert (status.claimed, status.stale) == (1, 1)
+
+    def test_current_experiment_is_the_newest_held_claim(self,
+                                                         tmp_path):
+        """A worker runs the newest claim it holds without a result.  A
+        restarted worker that reuses a dead one's name holds both its
+        own claim and the dead one's until recovery takes that."""
+        now = 1000.0
+        os.makedirs(tmp_path / "claims")
+        os.makedirs(tmp_path / "results")
+        for name, worker, claimed_at in (
+                ("exp_0000", "ws0", now - 300),   # finished
+                ("exp_0001", "ws0", now - 200),   # the dead ws0's
+                ("exp_0003", "ws0", now - 10),    # the new ws0's
+                ("exp_0002", "ws1", now - 100)):
+            (tmp_path / "claims" / f"{name}.txt.claim").write_text(
+                json.dumps({"worker": worker, "pid": 1,
+                            "time": claimed_at}))
+        (tmp_path / "results" / "exp_0000.json").write_text(
+            json.dumps({"outcome": "sdc"}))
+        for worker in ("ws0", "ws1", "ws2"):
+            write_heartbeat(str(tmp_path), worker, 0,
+                            clock=lambda: now - 5)
+        status = read_status(str(tmp_path), clock=lambda: now)
+        running = {worker: beat["current_experiment"]
+                   for worker, beat in status.workers.items()}
+        assert running == {"ws0": "exp_0003", "ws1": "exp_0002",
+                           "ws2": None}
+        text = render_status(status)
+        assert "ws0: live 5s ago done=0 running=exp_0003" in text
+        assert "running=exp_0001" not in text
 
     def test_single_completed_result_reports_no_bogus_eta(self,
                                                           tmp_path):
@@ -531,30 +557,38 @@ class TestCampaignIntegration:
     def test_worker_asks_git_for_the_revision_once(self, runner,
                                                    tmp_path,
                                                    monkeypatch):
-        """Outside a git checkout ``git_describe`` gives None: the
-        worker records that in every manifest instead of asking
-        again for each experiment."""
-        import repro.campaign.now
-        import repro.telemetry.campaign
+        """Outside a git checkout ``git describe`` fails and the
+        revision is None.  A process asks once: a forked job, whose
+        coordinator asks before it forks, and then an in-process job
+        record None in every manifest without asking again."""
+        import subprocess
+
         from repro.campaign import SEUGenerator, SharedDirCampaign
-        calls = []
+        from repro.telemetry.campaign import git_describe
+        asked = tmp_path / "asked"
 
-        def outside_a_checkout(cwd=None):
-            calls.append(cwd)
-            return None
+        def outside_a_checkout(argv, **kwargs):
+            with open(asked, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return subprocess.CompletedProcess(argv, 128, "", "")
 
-        for module in (repro.campaign.now, repro.telemetry.campaign):
-            monkeypatch.setattr(module, "git_describe",
-                                outside_a_checkout)
-        campaign = SharedDirCampaign(str(tmp_path), "pi", "tiny",
-                                     heartbeat_interval=0)
-        generator = SEUGenerator(runner.golden.profile, seed=14)
-        campaign.publish(runner, generator.batch(3), seed=14)
-        assert campaign.worker_loop("ws0", runner) == 3
-        assert len(calls) == 1
-        for name in os.listdir(tmp_path / "manifests"):
-            with open(tmp_path / "manifests" / name) as handle:
-                assert json.load(handle)["git"] is None
+        git_describe.cache_clear()
+        monkeypatch.setattr(subprocess, "run", outside_a_checkout)
+        try:
+            for workers in (2, 1):
+                share = tmp_path / f"share{workers}"
+                campaign = SharedDirCampaign(str(share), "pi", "tiny")
+                generator = SEUGenerator(runner.golden.profile, seed=14)
+                campaign.publish(runner, generator.batch(3), seed=14)
+                campaign.run_local(workers=workers, runner=runner)
+                manifests = sorted(os.listdir(share / "manifests"))
+                assert len(manifests) == 3
+                for name in manifests:
+                    with open(share / "manifests" / name) as handle:
+                        assert json.load(handle)["git"] is None
+        finally:
+            git_describe.cache_clear()
+        assert asked.read_text().split() == [str(os.getpid())]
 
     def test_worker_loop_writes_heartbeats_and_manifests(
             self, runner, tmp_path):
