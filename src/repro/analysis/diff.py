@@ -31,14 +31,18 @@ diffed, cached, archived and gated on in CI.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass
 
 from ..campaign.sampling import proportion_confidence_interval
-from ..telemetry.campaign import HostTime, read_results
+from ..telemetry.campaign import (
+    HostTime,
+    canonical_json_bytes,
+    digest_bytes,
+    read_results,
+)
 from .coverage import (
     DIMENSION_TITLES,
     DIMENSIONS,
@@ -57,13 +61,6 @@ GOOD_OUTCOMES = frozenset({"correct", "strictly_correct",
 
 SUMMARY_SCHEMA = "gemfi.campaign_summary.v2"
 DIFF_SCHEMA = "gemfi.campaign_diff.v2"
-
-
-def canonical_summary_bytes(payload: dict) -> bytes:
-    """Digest-stable encoding of a summary/diff payload (sorted keys,
-    minimal separators — the content store's canonical JSON form)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
 
 
 # -- shared two-proportion significance ---------------------------------------
@@ -247,12 +244,11 @@ class CampaignSummary:
         return self.payload.get("name") or ""
 
     def canonical_bytes(self) -> bytes:
-        return canonical_summary_bytes(self.payload)
+        return canonical_json_bytes(self.payload)
 
     def digest(self) -> str:
-        """SHA-256 of the canonical payload bytes — the summary's
-        content-store address."""
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        """SHA-256 of the canonical payload bytes."""
+        return digest_bytes(self.canonical_bytes())
 
 
 # -- campaign diffs -----------------------------------------------------------
@@ -442,7 +438,7 @@ class CampaignDiff:
         return self.verdict == "regressed"
 
     def canonical_bytes(self) -> bytes:
-        return canonical_summary_bytes(self.payload)
+        return canonical_json_bytes(self.payload)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -34,6 +34,10 @@ Campaign-as-a-service (repro.service):
     gemfi jobs --url http://host:8642
     gemfi fetch --url http://host:8642 <digest> -o results.json
 
+`gemfi fetch DIGEST` answers the result set with that digest: it is
+derived from the share of the job that recorded the digest, and
+checked against it, on every fetch.
+
 (`python -m repro ...` works identically.)
 """
 
@@ -113,10 +117,14 @@ def _workload_or_file(text: str) -> str:
     return text if text in WORKLOAD_NAMES else _existing_file(text)
 
 
-def _share_dir(text: str) -> str:
+def _is_share(path: str) -> bool:
     """A directory holding any of a campaign share's subdirectories."""
-    if not any(os.path.isdir(os.path.join(text, sub))
-               for sub in SHARE_DIRS):
+    return any(os.path.isdir(os.path.join(path, sub))
+               for sub in SHARE_DIRS)
+
+
+def _share_dir(text: str) -> str:
+    if not _is_share(text):
         raise argparse.ArgumentTypeError(
             f"not a campaign share (none of "
             f"{', '.join(sub + '/' for sub in SHARE_DIRS)}): {text}")
@@ -561,7 +569,7 @@ def _load_summary(ref: str, url: str | None = None,
     import json
 
     from .analysis.diff import CampaignSummary
-    if os.path.isdir(ref):
+    if _is_share(ref):
         return CampaignSummary.from_share(ref)
     if os.path.isfile(ref):
         with open(ref, "r", encoding="utf-8") as handle:
@@ -674,35 +682,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store_verify(args: argparse.Namespace) -> int:
-    """Integrity-sweep a service content store: recompute every
-    object's digest and list corrupt/orphaned entries, exiting
-    nonzero when anything is wrong."""
-    import json
-
-    from .service.store import ContentStore
-    root = args.data_dir
-    if os.path.isdir(os.path.join(root, "store", "objects")):
-        root = os.path.join(root, "store")  # service data dir
-    elif not os.path.isdir(os.path.join(root, "objects")):
-        print(f"error: {args.data_dir!r} has no content store "
-              f"(expected store/objects/ or objects/)",
-              file=sys.stderr)
-        return 2
-    report = ContentStore(root).verify_all()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"# {report['checked']} objects checked: "
-              f"{len(report['corrupt'])} corrupt, "
-              f"{len(report['orphaned'])} orphaned")
-        for digest in report["corrupt"]:
-            print(f"corrupt  {digest}")
-        for path in report["orphaned"]:
-            print(f"orphaned {path}")
-    return 0 if report["ok"] else 1
-
-
 def cmd_workloads(_args: argparse.Namespace) -> int:
     for name in WORKLOAD_NAMES:
         spec = build(name, "small")
@@ -778,9 +757,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
                                               "cancelled"):
             job = client.wait(job["id"], timeout=args.timeout,
                               poll=args.poll)
-    except ServiceError as exc:
+    except (ServiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     if args.json:
         print(json.dumps(job, indent=2, sort_keys=True))
     else:
@@ -863,8 +844,8 @@ def cmd_usage(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
-    """Fetch a stored artifact by digest (or a job's results/report)
-    and verify the content address on the way out."""
+    """Fetch the result set with a digest (or a job's results/report)
+    and verify the digest on the way out."""
     import hashlib
 
     from .service import ServiceClient, ServiceError
@@ -886,9 +867,11 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         else:
             digest = args.digest
             data = client.fetch(digest)
-    except ServiceError as exc:
+    except (ServiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     if digest is not None:
         actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
@@ -1167,22 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'regressed' (CI regression gate)")
     cmp_p.set_defaults(func=cmd_compare)
 
-    store_p = sub.add_parser(
-        "store",
-        help="campaign-service content store maintenance")
-    store_sub = store_p.add_subparsers(dest="store_command",
-                                       required=True)
-    verify_p = store_sub.add_parser(
-        "verify",
-        help="recompute every stored object's digest; exit 1 on "
-             "corrupt or orphaned entries")
-    verify_p.add_argument("--data-dir", required=True,
-                          help="service data dir (or the store root "
-                               "itself)")
-    verify_p.add_argument("--json", action="store_true",
-                          help="emit the raw verification report")
-    verify_p.set_defaults(func=cmd_store_verify)
-
     cov_p = sub.add_parser(
         "coverage",
         help="fault-space coverage analytics: space visited, outcome "
@@ -1218,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign service (HTTP API + job dispatcher)")
     serve_p.add_argument("data_dir",
                          help="service state directory (queue.db, "
-                              "content store, per-job shares)")
+                              "per-job shares, logs)")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8642,
                          help="TCP port (0 = pick a free one)")
@@ -1290,7 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fetch_p = sub.add_parser(
         "fetch",
-        help="fetch a stored artifact by digest (sha256-verified), "
+        help="fetch the result set with a digest (sha256-verified), "
              "or a job's results by job id")
     fetch_p.add_argument("digest",
                          help="a SHA-256 digest, or a job-... id "

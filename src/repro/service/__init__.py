@@ -1,4 +1,4 @@
-"""Campaign-as-a-service: HTTP API, job queue, content-addressed store.
+"""Campaign-as-a-service: HTTP API, job queue, dispatcher.
 
 ProFIPy frames software fault injection as-a-Service (submit / monitor
 / report endpoints); FINJ ships a client/server engine with task
@@ -11,12 +11,11 @@ directories and become **jobs** submitted to a long-lived service —
 * :mod:`repro.service.queue` — a crash-safe persistent job queue
   (SQLite WAL) with per-tenant quotas, priorities and lease-based
   dispatch;
-* :mod:`repro.service.store` — a content-addressed store (SHA-256 of
-  canonical bytes) holding each job's canonical result set once;
 * :mod:`repro.service.dispatcher` — leases jobs and runs each as the
   paper's shared-dir NoW protocol, through
   :meth:`~repro.campaign.now.SharedDirCampaign.run_local` as
-  ``gemfi campaign --share-dir`` does;
+  ``gemfi campaign --share-dir`` does, and records the SHA-256 digest
+  of the job's canonical result set;
 * :mod:`repro.service.api` — the endpoint handlers plus the
   :class:`~repro.service.api.Service` composition root behind
   ``gemfi serve``;
@@ -31,11 +30,15 @@ directories and become **jobs** submitted to a long-lived service —
   over the API — live job explorer, SVG timelines, the merged alerts
   feed and inlined reports.
 
-The existing heartbeat/span/watchdog machinery is the service's
-health plane: job status streams reuse ``read_status`` and the
-watchdog rules over each job's private share directory.
+A job's share is its only result set: the existing
+heartbeat/span/watchdog machinery is the service's health plane (job
+status streams reuse ``read_status`` and the watchdog rules over each
+job's private share directory), and results, reports, summaries and
+compares are derived from the share on request, the results checked
+against the job's ``result_digest`` on every read.
 """
 
+from ..telemetry.campaign import canonical_json_bytes, digest_bytes
 from .api import Service, ServiceApp
 from .client import ServiceClient, ServiceError
 from .console import Console
@@ -50,10 +53,9 @@ from .jobs import (
 )
 from .observability import ServiceObserver, new_request_id
 from .queue import JobQueue, LeaseError, QuotaExceeded, UnknownJobError
-from .store import ContentStore, canonical_json_bytes, digest_bytes
 
 __all__ = [
-    "Console", "ContentStore", "Dispatcher", "JOB_STATES", "Job",
+    "Console", "Dispatcher", "JOB_STATES", "Job",
     "JobQueue",
     "JobSpec", "JobSpecError", "LeaseError", "QuotaExceeded",
     "Service", "ServiceApp", "ServiceClient", "ServiceError",

@@ -1,9 +1,8 @@
 """The campaign service API and its composition root.
 
-ProFIPy-style FIaaS surface over the job queue, the dispatcher and the
-content store::
+ProFIPy-style FIaaS surface over the job queue and the dispatcher::
 
-    GET    /v1/healthz               liveness + queue/store summary
+    GET    /v1/healthz               liveness + queue summary
     POST   /v1/jobs                  submit a workload+fault-config job
     GET    /v1/jobs[?tenant=]        list jobs + per-tenant state counts
     GET    /v1/jobs/{id}             one job
@@ -12,11 +11,10 @@ content store::
     GET    /v1/jobs/{id}/events      chunked JSONL: status + watchdog
                                      alerts until the job is terminal
     GET    /v1/jobs/{id}/report      outcome report (md/html)
-    GET    /v1/jobs/{id}/results     canonical result set (JSON)
-    GET    /v1/jobs/{id}/summary     campaign summary, derived from
-                                     the share or stored result set
-    GET    /v1/blobs/{digest}        any stored artifact by digest
-    GET    /v1/store/stats           content-store object/byte counts
+    GET    /v1/jobs/{id}/results     canonical result set (JSON),
+                                     checked against result_digest
+    GET    /v1/jobs/{id}/summary     campaign summary of the share
+    GET    /v1/blobs/{digest}        the result set with this digest
     GET    /v1/usage[?tenant=]       persisted per-tenant metering
     GET    /v1/baselines             named baselines
     POST   /v1/baselines             tag a done job as a baseline
@@ -28,16 +26,18 @@ content store::
 Status and event streams are the existing telemetry health plane —
 ``read_status`` and the watchdog rules — evaluated over the job's
 private share directory; the service adds no second source of truth.
-Reports, summaries and compares are derived the same way: from the
-job's share, or from its stored result set when it has no share.
+Results, reports, summaries and compares are derived the same way,
+from the job's share, and a job without one answers 404.  The result
+set is canonicalised on every read and checked against the job's
+``result_digest``: a share edited after its job finished answers 409.
 The same discipline holds for ``/metrics``: every counter is hung off
 one shared :class:`~repro.service.observability.ServiceObserver` by
-the layer that owns the event (HTTP handler, queue, store,
-dispatcher), and the handler only refreshes the point-in-time gauges
-(queue depth, store size, usage totals) at scrape time.
+the layer that owns the event (HTTP handler, queue, dispatcher), and
+the handler only refreshes the point-in-time gauges (queue depth,
+usage totals) at scrape time.
 
-:class:`Service` wires queue + store + dispatcher + HTTP server into
-one deployable unit (``gemfi serve``).
+:class:`Service` wires queue + dispatcher + HTTP server into one
+deployable unit (``gemfi serve``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,12 @@ import os
 import threading
 import time
 
-from ..telemetry.campaign import read_status
+from ..telemetry.campaign import (
+    canonical_json_bytes,
+    digest_bytes,
+    read_results,
+    read_status,
+)
 from ..telemetry.export import (
     OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
@@ -63,10 +68,11 @@ from .http import (
     bound_port,
     start_http_server,
 )
-from .jobs import JobSpec, JobSpecError, is_integer
+from .jobs import JobSpec, JobSpecError, canonical_results, is_integer
 from .observability import HELP_TEXTS, LOG_DIR, ServiceObserver
 from .queue import USAGE_FIELDS, JobQueue, QuotaExceeded, UnknownJobError
-from .store import ContentStore
+
+_HEX = frozenset("0123456789abcdef")
 
 
 def _jsonl(obj) -> bytes:
@@ -105,14 +111,13 @@ def _query_float(request: Request, name: str,
 
 
 class ServiceApp:
-    """Endpoint handlers over a queue + store pair."""
+    """Endpoint handlers over a job queue."""
 
-    def __init__(self, queue: JobQueue, store: ContentStore,
+    def __init__(self, queue: JobQueue,
                  observer: ServiceObserver | None = None,
                  ui: bool = False,
                  clock=time.time) -> None:
         self.queue = queue
-        self.store = store
         self.observer = observer
         self._clock = clock
         self.router = Router()
@@ -129,7 +134,6 @@ class ServiceApp:
         add("GET", "/v1/jobs/{id}/coverage", self.job_coverage)
         add("GET", "/v1/jobs/{id}/summary", self.job_summary)
         add("GET", "/v1/blobs/{digest}", self.blob)
-        add("GET", "/v1/store/stats", self.store_stats)
         add("GET", "/v1/usage", self.usage)
         add("GET", "/v1/baselines", self.baselines_index)
         add("POST", "/v1/baselines", self.tag_baseline)
@@ -164,7 +168,6 @@ class ServiceApp:
             "ok": True,
             "queue_depth": self.queue.depth(),
             "tenants": self.queue.tenant_counts(),
-            "store": self.store.stats(),
         })
 
     async def submit(self, request: Request) -> Response:
@@ -290,26 +293,34 @@ class ServiceApp:
             return Response.text(text, content_type=content_type)
         raise HTTPError(404, f"no report for job {job.id} yet")
 
+    def _result_set(self, job) -> Response:
+        """The canonical result set of *job*'s share, whose SHA-256 must
+        be the job's ``result_digest``: the digest is a checked claim
+        about the share, so an edited share answers 409, not bytes."""
+        share = self._share(job)
+        if not job.result_digest or share is None:
+            raise HTTPError(404, f"no result set for job {job.id}")
+        data = canonical_json_bytes(canonical_results(
+            [result.record for result in read_results(share)]))
+        actual = digest_bytes(data)
+        if actual != job.result_digest:
+            raise HTTPError(409, f"job {job.id}: share hashes to "
+                                 f"{actual}, not {job.result_digest}")
+        return Response.binary(data, content_type="application/json")
+
     async def job_results(self, request: Request) -> Response:
-        job = self._job(request)
-        if not job.result_digest \
-                or not self.store.has(job.result_digest):
-            raise HTTPError(404,
-                            f"no stored results for job {job.id} yet")
-        return Response.binary(self.store.get(job.result_digest),
-                               content_type="application/json")
+        return self._result_set(self._job(request))
 
     async def blob(self, request: Request) -> Response:
+        """The result set with this digest: that of the newest done job
+        that ran (not a dedup twin) and recorded it."""
         digest = request.params["digest"]
-        try:
-            data = self.store.get(digest)
-        except ValueError:
-            raise HTTPError(400, f"not a digest: {digest}") from None
-        except KeyError:
-            raise HTTPError(404, f"no object {digest}") from None
-        content_type = "application/json" \
-            if data[:1] in (b"{", b"[") else "application/octet-stream"
-        return Response.binary(data, content_type=content_type)
+        if len(digest) != 64 or not set(digest) <= _HEX:
+            raise HTTPError(400, f"not a digest: {digest}")
+        job = self.queue.job_for_result(digest)
+        if job is None:
+            raise HTTPError(404, f"no result set {digest}")
+        return self._result_set(job)
 
     async def job_coverage(self, request: Request) -> Response:
         """Fault-space coverage analytics for one job's share: space
@@ -327,27 +338,18 @@ class ServiceApp:
     # -- summaries, baselines and differential analytics ---------------------
 
     def _summary_payload(self, ref: str) -> dict:
-        """Resolve *ref* (a job id or baseline name) to a campaign
-        summary payload, derived from the job's share, or from its
-        stored result set when it has no share."""
+        """Resolve *ref* (a job id or baseline name) to the campaign
+        summary payload of the job's share."""
         job_id = self.queue.resolve_baseline(ref) or ref
         try:
             job = self.queue.get(job_id)
         except UnknownJobError:
             raise HTTPError(404, f"no baseline or job: {ref}") from None
-        from ..analysis.diff import CampaignSummary
         share = self._share(job)
-        if share is not None:
-            return CampaignSummary.from_share(share,
-                                              name=job.id).payload
-        if job.result_digest and self.store.has(job.result_digest):
-            results = json.loads(
-                self.store.get(job.result_digest).decode("utf-8"))
-            return CampaignSummary.from_results(
-                results, name=job.id,
-                spec=job.spec.as_dict()).payload
-        raise HTTPError(404,
-                        f"no summary available for job {job_id} yet")
+        if share is None:
+            raise HTTPError(404, f"no campaign share for job {job.id}")
+        from ..analysis.diff import CampaignSummary
+        return CampaignSummary.from_share(share, name=job.id).payload
 
     async def job_summary(self, request: Request) -> Response:
         # The ref may be a baseline name, so resolve it the same way
@@ -407,9 +409,6 @@ class ServiceApp:
         return Response.json({"compare": self.compare_payload(
             base, head, confidence, margin)})
 
-    async def store_stats(self, request: Request) -> Response:
-        return Response.json(self.store.stats())
-
     async def usage(self, request: Request) -> Response:
         tenant = request.query.get("tenant")
         return Response.json({"usage": self.queue.usage(tenant=tenant)})
@@ -423,8 +422,7 @@ class ServiceApp:
         registry = observer.registry
         with observer._lock:
             for prefix in ("queue.depth", "queue.tenant_active",
-                           "queue.tenant_quota", "store.objects",
-                           "store.bytes", "usage.jobs",
+                           "queue.tenant_quota", "usage.jobs",
                            "usage.experiments", "usage.instructions",
                            "usage.wall_seconds", "usage.kips"):
                 registry.prune(prefix)
@@ -435,9 +433,6 @@ class ServiceApp:
                                tenant=tenant)
             observer.set_gauge("queue.tenant_quota",
                                self.queue.quota(tenant), tenant=tenant)
-        stats = self.store.stats()
-        observer.set_gauge("store.objects", stats["objects"])
-        observer.set_gauge("store.bytes", stats["bytes"])
         for tenant, totals in sorted(self.queue.usage().items()):
             for field in USAGE_FIELDS:
                 observer.set_gauge(f"usage.{field}", totals[field],
@@ -465,13 +460,15 @@ class ServiceApp:
 
 
 class Service:
-    """queue + store + dispatcher + HTTP server, one data directory::
+    """queue + dispatcher + HTTP server, one data directory::
 
         data_dir/
           queue.db      the persistent job queue (SQLite WAL)
-          store/        the content-addressed artifact store
-          shares/<job>  one campaign share per job (telemetry plane)
+          shares/<job>  one campaign share per job: its only result set
           logs/         JSONL access + error logs (observability)
+
+    A data dir written by an older version also holds ``store/``, a
+    copy of each result set; nothing reads it.
 
     *ui* registers the embedded web console under ``GET /ui``; it never
     writes inside a job share, so same-seed campaign results stay
@@ -494,14 +491,11 @@ class Service:
         self.queue = JobQueue(os.path.join(data_dir, "queue.db"),
                               default_quota=default_quota,
                               observer=self.observer, clock=clock)
-        self.store = ContentStore(os.path.join(data_dir, "store"),
-                                  observer=self.observer)
         self.dispatcher = Dispatcher(
-            self.queue, self.store, data_dir,
+            self.queue, data_dir,
             lease_seconds=lease_seconds, poll_seconds=poll_seconds,
             observer=self.observer, clock=clock)
-        self.app = ServiceApp(self.queue, self.store,
-                              observer=self.observer,
+        self.app = ServiceApp(self.queue, observer=self.observer,
                               ui=ui, clock=clock)
         self._stop = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None

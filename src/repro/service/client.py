@@ -41,6 +41,25 @@ class ServiceError(Exception):
         self.payload = payload or {}
 
 
+def _json_object(data: bytes) -> dict:
+    """*data* as a JSON object, or ``{}``."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return {}
+    return payload if isinstance(payload, dict) else {}
+
+
+def _error(status: int, data: bytes) -> ServiceError:
+    """The error of a non-2xx answer: its JSON ``error`` message, else
+    the start of its body."""
+    payload = _json_object(data)
+    return ServiceError(status,
+                        payload.get("error", data[:200].decode(
+                            "utf-8", "replace")),
+                        payload)
+
+
 class ServiceClient:
     def __init__(self, url: str, tenant: str = "default",
                  timeout: float = 30.0) -> None:
@@ -120,16 +139,17 @@ class ServiceClient:
               query: dict | None = None) -> dict:
         status, data = self._request(method, path, body=body,
                                      query=query)
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            payload = {}
         if status >= 400:
-            raise ServiceError(status,
-                               payload.get("error", data[:200].decode(
-                                   "utf-8", "replace")),
-                               payload)
-        return payload
+            raise _error(status, data)
+        return _json_object(data)
+
+    def _body(self, path: str, query: dict | None = None) -> bytes:
+        """The raw body of a GET; an error answers :class:`ServiceError`
+        with the JSON error message."""
+        status, data = self._request("GET", path, query=query)
+        if status >= 400:
+            raise _error(status, data)
+        return data
 
     # -- API surface ----------------------------------------------------------
 
@@ -157,30 +177,15 @@ class ServiceClient:
         return self._json("GET", f"/v1/jobs/{job_id}/status")
 
     def report(self, job_id: str, fmt: str = "md") -> str:
-        status, data = self._request(
-            "GET", f"/v1/jobs/{job_id}/report", query={"format": fmt})
-        if status >= 400:
-            raise ServiceError(status,
-                               data[:200].decode("utf-8", "replace"))
-        return data.decode("utf-8")
+        return self._body(f"/v1/jobs/{job_id}/report",
+                          query={"format": fmt}).decode("utf-8")
 
     def results(self, job_id: str) -> list[dict]:
-        status, data = self._request("GET",
-                                     f"/v1/jobs/{job_id}/results")
-        if status >= 400:
-            raise ServiceError(status,
-                               data[:200].decode("utf-8", "replace"))
-        return json.loads(data.decode("utf-8"))
+        return json.loads(self._body(f"/v1/jobs/{job_id}/results"))
 
     def fetch(self, digest: str) -> bytes:
-        status, data = self._request("GET", f"/v1/blobs/{digest}")
-        if status >= 400:
-            raise ServiceError(status,
-                               data[:200].decode("utf-8", "replace"))
-        return data
-
-    def store_stats(self) -> dict:
-        return self._json("GET", "/v1/store/stats")
+        """The canonical result set whose SHA-256 is *digest*."""
+        return self._body(f"/v1/blobs/{digest}")
 
     def usage(self, tenant: str | None = None) -> dict:
         query = {"tenant": tenant} if tenant else None
@@ -188,7 +193,7 @@ class ServiceClient:
 
     def summary(self, ref: str) -> dict:
         """The campaign summary payload of a job id or baseline name,
-        derived from the job's share or stored result set."""
+        derived from the job's share."""
         return self._json("GET",
                           f"/v1/jobs/{ref}/summary")["summary"]
 
@@ -215,11 +220,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The raw OpenMetrics exposition from ``GET /metrics``."""
-        status, data = self._request("GET", "/metrics")
-        if status >= 400:
-            raise ServiceError(status,
-                               data[:200].decode("utf-8", "replace"))
-        return data.decode("utf-8")
+        return self._body("/metrics").decode("utf-8")
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.5) -> dict:

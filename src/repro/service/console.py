@@ -474,7 +474,7 @@ class Console:
         if share is None:
             raise HTTPError(404, f"job {job.id} has no share "
                                  "directory (not dispatched yet, or "
-                                 "answered from the store)")
+                                 "removed)")
         timebase = request.query.get("timebase", "host")
         try:
             trace = build_timeline(share, timebase=timebase)

@@ -2,10 +2,11 @@
 
 The dispatcher is the service's execution half: it drains the
 persistent queue, runs each job as a campaign on a **private share**
-under the service data directory (``shares/<job-id>``), and stores the
-job's canonical result set in the content store.  The share and the
-result set are all a finished job leaves: its report, summary and
-comparisons are derived from them on request.  Each job is one
+under the service data directory (``shares/<job-id>``), and records
+the SHA-256 digest of the job's canonical result set.  The share is
+all a finished job leaves: its results, report, summary and
+comparisons are derived from it on request, and the results are
+checked against the digest on every read.  Each job is one
 :meth:`~repro.campaign.now.SharedDirCampaign.publish` and one
 :meth:`~repro.campaign.now.SharedDirCampaign.run_local` — the paper's
 NoW protocol, exactly as ``gemfi campaign --share-dir`` runs it.  A
@@ -21,8 +22,8 @@ if the dispatcher dies instead, the lease expires and
 recovery without a coordinator.
 
 With an observer attached the dispatcher times every job phase
-(golden run, publish, campaign, collect, and ``report``: storing the
-result set) into histograms and meters completed work per tenant into
+(golden run, publish, campaign, collect, and ``report``: hashing the
+canonical result set) into histograms and meters completed work per tenant into
 the queue's persistent usage table.  A job submitted with
 ``trace: true`` gets its span tree rooted at the HTTP request that
 created it: the dispatcher writes a ``/request`` span (stamped with
@@ -43,6 +44,8 @@ from ..telemetry.campaign import (
     SERVICE_FILE,
     HostTime,
     PeriodicBeat,
+    canonical_json_bytes,
+    digest_bytes,
     read_results,
     write_atomic,
 )
@@ -52,19 +55,17 @@ from ..workloads import build
 from .jobs import Job, canonical_results
 from .observability import PHASE_BOUNDS
 from .queue import JobQueue, LeaseError
-from .store import ContentStore, canonical_json_bytes
 
 #: path of the originating-request span in a service-traced campaign.
 REQUEST_PATH = "/request"
 
 
 class Dispatcher:
-    def __init__(self, queue: JobQueue, store: ContentStore,
-                 data_dir: str, lease_seconds: float = 600.0,
+    def __init__(self, queue: JobQueue, data_dir: str,
+                 lease_seconds: float = 600.0,
                  poll_seconds: float = 0.5, owner: str | None = None,
                  observer=None, clock=time.time) -> None:
         self.queue = queue
-        self.store = store
         self.data_dir = data_dir
         self.shares_dir = os.path.join(data_dir, "shares")
         self.lease_seconds = lease_seconds
@@ -97,7 +98,7 @@ class Dispatcher:
 
     def run_job(self, job: Job) -> str:
         """Execute one leased job end to end; returns the digest of its
-        stored result set for :meth:`JobQueue.complete`."""
+        canonical result set for :meth:`JobQueue.complete`."""
         spec = job.spec
         share_dir = os.path.join(self.shares_dir, job.id)
         phase_started = time.monotonic()
@@ -134,8 +135,8 @@ class Dispatcher:
             campaign.run_local(spec.workers, runner=runner)
         self._phase_done("campaign", phase_started)
         phase_started = time.monotonic()
-        # The job's one read of its results: usage and the stored
-        # result set both fold these.
+        # The job's one read of its results: usage and the result
+        # digest both fold these.
         results = read_results(share_dir)
         self._phase_done("collect", phase_started)
         if len(results) != spec.experiments:
@@ -145,7 +146,7 @@ class Dispatcher:
         records = [result.record for result in results]
         self._record_usage(job, records)
         phase_started = time.monotonic()
-        result_digest = self.store.put_bytes(
+        result_digest = digest_bytes(
             canonical_json_bytes(canonical_results(records)))
         self._phase_done("report", phase_started)
         return result_digest

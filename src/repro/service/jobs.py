@@ -2,10 +2,10 @@
 
 A **job** is one campaign submitted to the service: a workload + fault
 configuration (:class:`JobSpec`) plus queue bookkeeping (tenant,
-priority, lease, its share and the digest of its stored result set).
-Specs are validated at the API boundary and hashed canonically, so
-re-submitting the same campaign is detectable (and its stored result
-reusable) before a single instruction is simulated.
+priority, lease, its share and the digest of its result set).  Specs
+are validated at the API boundary and hashed canonically, so
+re-submitting the same campaign is detectable (and its share reusable)
+before a single instruction is simulated.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .store import canonical_json_bytes, digest_bytes
+from ..telemetry.campaign import canonical_json_bytes, digest_bytes
 
 JOB_STATES = ("queued", "leased", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
@@ -32,7 +32,7 @@ NONDETERMINISTIC_RESULT_FIELDS = ("wall_seconds", "phases")
 def canonical_results(results: list[dict]) -> list[dict]:
     """Strip host-dependent fields from campaign result records so the
     same seed produces byte-identical canonical JSON on any machine —
-    the form the content store hashes and serves."""
+    the form ``result_digest`` hashes and ``/results`` serves."""
     canonical = []
     for entry in results:
         canonical.append({key: value for key, value in entry.items()

@@ -1,8 +1,8 @@
 """The service's observability plane: metrics, request ids, logs.
 
 One :class:`ServiceObserver` is shared by every layer of the service —
-the HTTP connection handler, the endpoint handlers, the job queue, the
-content store and the dispatcher all hang their counters off the same
+the HTTP connection handler, the endpoint handlers, the job queue and
+the dispatcher all hang their counters off the same
 :class:`~repro.telemetry.metrics.MetricsRegistry`, which ``GET
 /metrics`` renders as OpenMetrics text
 (:func:`repro.telemetry.export.render_openmetrics`).
@@ -59,8 +59,8 @@ HELP_TEXTS = {
     "http_connections_open": "TCP connections currently open.",
     "http_errors": "Requests that hit an unhandled exception (500).",
     "queue_jobs_submitted": "Jobs accepted into the queue, by tenant.",
-    "queue_dedup_hits": "Submissions answered born-done from a stored "
-                        "identical result.",
+    "queue_dedup_hits": "Submissions answered born-done from an "
+                        "identical finished job.",
     "queue_quota_rejections": "Submissions rejected by tenant quota.",
     "queue_leases": "Jobs leased to a dispatcher.",
     "queue_requeued": "Expired leases returned to the queue.",
@@ -69,12 +69,6 @@ HELP_TEXTS = {
     "queue_tenant_active": "Active (queued+leased) jobs, by tenant.",
     "queue_tenant_quota": "Active-job quota, by tenant (0 = "
                           "unlimited).",
-    "store_writes": "Objects written to the content store.",
-    "store_dedup_hits": "put() calls answered by an existing object.",
-    "store_bytes_written": "Bytes written to the content store.",
-    "store_reads": "Objects read from the content store.",
-    "store_objects": "Objects currently in the content store.",
-    "store_bytes": "Bytes currently in the content store.",
     "job_phase_seconds": "Wall seconds per dispatcher job phase.",
     "jobs_executed": "Jobs executed by this dispatcher, by outcome.",
     "usage_jobs": "Completed jobs, by tenant (persisted metering).",

@@ -4,9 +4,9 @@ leases.
 FINJ-style dispatch discipline over a single SQLite database:
 
 * **submit** — validated specs enter ``queued`` unless the tenant is
-  over its active-job quota; re-submitting a spec whose result is
-  already stored short-circuits straight to ``done`` (content-store
-  dedup, surfaced at the queue layer);
+  over its active-job quota; re-submitting a spec that already ran to
+  ``done`` short-circuits straight to ``done`` on that job's share
+  (dedup, surfaced at the queue layer);
 * **lease** — dispatchers atomically take the highest-priority oldest
   job (``BEGIN IMMEDIATE``, single winner even with several dispatcher
   processes on one queue) and must finish or extend the lease before
@@ -20,9 +20,10 @@ FINJ-style dispatch discipline over a single SQLite database:
 * **baselines** — a name for a ``done`` job, usable wherever a job id
   is accepted for comparison.
 
-A finished job row records two places: ``result_digest`` (the result
-set in the content store) and ``share_dir`` (the campaign share).
-Every other view of the job is derived from those.
+A finished job row records ``share_dir`` (the campaign share) and
+``result_digest`` (the SHA-256 of the share's canonical result set).
+Every view of the job is derived from the share, and the result set
+is checked against the digest on every read.
 
 The database lives in WAL mode, so the HTTP API (readers) and the
 dispatcher (writer) share it without blocking each other, and
@@ -146,9 +147,9 @@ class JobQueue:
         """Enqueue *spec* for *tenant*.
 
         With *reuse* (the default), a spec whose digest already has a
-        stored result — an identical campaign completed earlier —
-        creates a job that is born ``done``, pointing at the donor's
-        result set and share (the content store holds one copy).
+        result — an identical campaign completed earlier — creates a
+        job that is born ``done``, carrying the donor's result digest
+        and share (the share holds the one copy).
         Raises :class:`QuotaExceeded` when the tenant's active jobs are
         at quota (reused jobs are never active, so they always
         succeed).
@@ -465,6 +466,17 @@ class JobQueue:
         if row is None:
             raise UnknownJobError(job_id)
         return Job.from_row(row)
+
+    def job_for_result(self, result_digest: str) -> Job | None:
+        """The newest done job that ran (not a dedup twin) with this
+        result digest, or None."""
+        with closing(self._connect()) as conn:
+            row = conn.execute(
+                "SELECT * FROM jobs WHERE result_digest = ? AND "
+                "state = 'done' AND reused_from IS NULL "
+                "ORDER BY finished DESC LIMIT 1",
+                (result_digest,)).fetchone()
+        return Job.from_row(row) if row is not None else None
 
     def list_jobs(self, tenant: str | None = None,
                   states: tuple[str, ...] | None = None) -> list[Job]:

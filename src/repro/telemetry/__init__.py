@@ -34,7 +34,6 @@ The pillars (see ``docs/observability.md``):
 from .campaign import (
     CampaignStatus,
     PeriodicBeat,
-    campaign_metrics,
     diff_stats,
     git_describe,
     parse_stats,
@@ -137,7 +136,7 @@ __all__ = [
     "Scalar", "Scope", "Span", "TraceBus", "TraceContext", "TraceEvent",
     "Tracer", "alerts_feed", "append_alerts",
     "build_timeline",
-    "campaign_metrics", "collect_pipeline", "dashboard_view",
+    "collect_pipeline", "dashboard_view",
     "diff_stats", "evaluate_alerts", "events_from_jsonl",
     "events_to_jsonl", "follow_jsonl", "format_value", "git_describe",
     "hamming", "labelled", "latency_histogram", "load_share",

@@ -23,8 +23,8 @@ the workers:
 
 Every view of a share reads its ``results/`` once, through
 :func:`read_results`, and folds the records it needs; the host-time
-figures of every surface (status, report, campaign summary,
-``host.*`` metrics, usage metering) come from one fold,
+figures of every surface (status, report, campaign summary, usage
+metering) come from one fold,
 :class:`HostTime`, which also renders its own status lines and report
 tables.
 
@@ -36,6 +36,7 @@ function behind ``gemfi stats-diff``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import socket
@@ -47,7 +48,6 @@ from typing import NamedTuple
 
 from ..core.fault import LocationKind
 from ..core.parser import FaultParseError, parse_fault_file
-from .metrics import MetricsRegistry
 
 HEARTBEAT_DIR = "heartbeats"
 MANIFEST_DIR = "manifests"
@@ -145,6 +145,18 @@ def write_atomic(path: str, data: str | bytes) -> None:
     with open(tmp, "wb") as handle:
         handle.write(data)
     os.replace(tmp, path)
+
+
+def canonical_json_bytes(obj) -> bytes:
+    """The canonical (digest-stable) encoding of a JSON value: sorted
+    keys, minimal separators, UTF-8."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+def digest_bytes(data: bytes) -> str:
+    """The SHA-256 hex digest of *data*."""
+    return hashlib.sha256(data).hexdigest()
 
 
 # -- heartbeats --------------------------------------------------------------
@@ -808,43 +820,6 @@ def render_status(status: CampaignStatus) -> str:
             lines.append(f"{head} not reached "
                          f"(max half-width +-{half * 100:.1f}%)")
     return "\n".join(lines)
-
-
-# -- per-outcome campaign metrics --------------------------------------------
-
-
-def campaign_metrics(results) -> MetricsRegistry:
-    """Aggregate experiment results into a metrics registry: experiment
-    counts plus per-outcome wall-time distributions (the Figs. 4-8 raw
-    material, dumped in the diffable stats format), and the host-time
-    roll-up: campaign KIPS and the boot/window/injection/drain
-    attribution of the total wall time (profiler phase stamps).
-
-    Accepts :class:`~repro.campaign.runner.ExperimentResult` objects or
-    the result dicts workers write to the share.  A record without a
-    wall time counts as 0 s, its instructions included.
-    """
-    registry = MetricsRegistry()
-    campaign = registry.scope("campaign")
-    total = campaign.counter("experiments")
-    injected = campaign.counter("injected")
-    host = HostTime()
-    for result in results:
-        entry = result if isinstance(result, dict) else result.as_dict()
-        outcome = entry.get("outcome", "unknown")
-        wall = float(entry.get("wall_seconds", 0.0))
-        total.inc()
-        if entry.get("injected"):
-            injected.inc()
-        campaign.counter(f"outcome.{outcome}").inc()
-        campaign.distribution(f"wall_seconds.{outcome}").record(wall)
-        campaign.distribution("wall_seconds.all").record(wall)
-        host.add({**entry, "wall_seconds": wall})
-    if host.wall_total > 0:
-        campaign.set("host.kips", round(host.kips, 3))
-    for phase, seconds in sorted(host.phases.items()):
-        campaign.set(f"host.phase_seconds.{phase}", round(seconds, 6))
-    return registry
 
 
 # -- the Section IV.A stats diff ---------------------------------------------

@@ -4,10 +4,8 @@ gem5 builds its ``stats.txt`` from typed statistic objects — scalars,
 distributions, histograms and formulas — registered under dotted
 hierarchical names.  This module provides the same vocabulary for the
 reproduction: :mod:`repro.sim.stats` assembles a :class:`MetricsRegistry`
-per simulator, and campaign-level aggregation
-(:func:`repro.telemetry.campaign.campaign_metrics`) reuses the identical
-types, so every dump in the system renders in the one sorted
-``name value`` format the Section IV.A validation diffs.
+per simulator, and every dump renders in the one sorted ``name value``
+format the Section IV.A validation diffs.
 
 All statistics are deterministic: insertion order never leaks into the
 dump (it is sorted), and floating-point values are formatted with a

@@ -17,8 +17,8 @@ possible mechanism:
 * a :class:`Tracer` manages the open-span stack of one worker and
   appends records to ``share/spans/<worker>.jsonl`` through a
   :class:`JsonlSpanSink`.  Each span is written twice: an ``open``
-  record at start (so the watchdog can see in-flight experiments) and a
-  full ``span`` record at finish.
+  record at start (so ``gemfi timeline`` can show in-flight spans) and
+  a full ``span`` record at finish.
 
 Like the trace bus and the profiler, the whole layer is zero-overhead
 when disabled: a runner/simulator without a tracer carries
@@ -314,7 +314,8 @@ def load_spans(share_dir: str) -> tuple[list[dict], list[dict]]:
 
     A span is *open* when its ``open`` record has no matching ``span``
     record yet — an experiment in flight, or one whose worker died
-    mid-run (the watchdog's stalled/dead detection feeds on these).
+    mid-run.  Only ``gemfi timeline`` reads these: the watchdog reads
+    in-flight experiments from the claims.
     """
     records = read_span_records(share_dir)
     finished = [r for r in records if r.get("ev") == "span"]

@@ -265,10 +265,14 @@ class TestArgumentErrors:
         ["report", "/nonexistent/share"],
         ["coverage", "/nonexistent/share"],
         ["timeline", "/nonexistent/share"],
+        ["compare", "{share}", "{empty}"],
+        ["compare", "{share}", "{empty}", "--gate"],
+        ["store", "verify", "--data-dir", "{tmp}"],
     ])
     def test_bad_argument_exits_2(self, argv, tmp_path, minic_file,
                                   capsys):
         (tmp_path / "results").mkdir()  # so {tmp} is an empty share
+        (tmp_path / "empty").mkdir()    # a directory that is no share
         (tmp_path / "bad_inst.txt").write_text(
             "RegisterInjectedFault Inst:abc Flip:3 Threadid:0 "
             "system.cpu0 occ:1 int 1\n")
@@ -283,7 +287,8 @@ class TestArgumentErrors:
                  {"label": "bit 0", "outcomes": {"sdc": {}}}]}}}}))
         (tmp_path / "flat.json").write_text(
             json.dumps({"outcomes": {"sdc": 3}}))
-        argv = [arg.format(tmp=tmp_path, prog=minic_file, data=DATA)
+        argv = [arg.format(tmp=tmp_path, prog=minic_file, data=DATA,
+                           share=tmp_path, empty=tmp_path / "empty")
                 for arg in argv]
         with pytest.raises(SystemExit) as caught:
             main(argv)
@@ -457,53 +462,40 @@ class TestCompareCommand:
         assert main(["report", head, "--baseline", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_report_baseline_that_is_no_share(self, shares, tmp_path,
+                                              capsys):
+        """A directory holding none of a share's subdirectories is an
+        unresolvable baseline, not a campaign of 0 experiments."""
+        _, head = shares
+        assert main(["report", head, "--baseline", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
-class TestStoreVerifyCommand:
-    """``gemfi store verify``: content-store integrity sweep."""
 
-    def test_clean_store(self, tmp_path, capsys):
-        from repro.service.store import ContentStore
-        store = ContentStore(str(tmp_path / "store"))
-        store.put_bytes(b"object one")
-        store.put_bytes(b"object two")
-        assert main(["store", "verify",
-                     "--data-dir", str(tmp_path / "store")]) == 0
-        assert "2 objects checked: 0 corrupt, 0 orphaned" in \
-            capsys.readouterr().out
+class TestUnreachableService:
+    """Every service client command answers a service that is not
+    there with one ``error:`` line and exit 2."""
 
-    def test_data_dir_resolution(self, tmp_path, capsys):
-        from repro.service.store import ContentStore
-        # A service data dir holds the store under store/.
-        ContentStore(str(tmp_path / "store")).put_bytes(b"payload")
-        assert main(["store", "verify",
-                     "--data-dir", str(tmp_path)]) == 0
-        assert "1 objects checked" in capsys.readouterr().out
+    @pytest.fixture
+    def url(self):
+        import socket
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        return f"http://127.0.0.1:{port}"  # closed: nothing listens
 
-    def test_corruption_and_orphans_exit_nonzero(self, tmp_path,
-                                                 capsys):
-        import os
-        from repro.service.store import ContentStore
-        store = ContentStore(str(tmp_path / "store"))
-        digest = store.put_bytes(b"soon corrupt")
-        path = os.path.join(str(tmp_path / "store"), "objects",
-                            digest[:2], digest[2:])
-        with open(path, "ab") as handle:
-            handle.write(b"XX")
-        orphan_dir = os.path.join(str(tmp_path / "store"), "objects",
-                                  "ab")
-        os.makedirs(orphan_dir, exist_ok=True)
-        with open(os.path.join(orphan_dir, "stray.tmp"), "wb"):
-            pass
-        assert main(["store", "verify",
-                     "--data-dir", str(tmp_path / "store"),
-                     "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-        assert digest in payload["corrupt"]
-        assert any("stray.tmp" in entry
-                   for entry in payload["orphaned"])
-
-    def test_missing_store_usage_error(self, tmp_path, capsys):
-        assert main(["store", "verify",
-                     "--data-dir", str(tmp_path / "nope")]) == 2
-        assert "no content store" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["submit", "-w", "pi", "-n", "1"],
+        ["fetch", "0" * 64],
+        ["jobs"],
+        ["usage"],
+    ])
+    def test_exits_2_with_one_error_line(self, argv, url, capsys):
+        assert main(argv + ["--url", url]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -2,15 +2,14 @@
 
 Two hand-built shares (``head`` and ``base``) with a fixed clock and
 fixed file mtimes feed every view of a campaign — ``gemfi report``,
-``coverage``, ``compare``, ``status``, one dashboard frame,
-``campaign_metrics`` and the campaign summary — and each
-output is compared byte for byte with a file under
-``tests/data/renders/``.  The console pages' JSON islands and the
-inlined report page are pinned the same way.
+``coverage``, ``compare``, ``status``, one dashboard frame and the
+campaign summary — and each output is compared byte for byte with a
+file under ``tests/data/renders/``.  The console pages' JSON islands
+and the inlined report page are pinned the same way.
 
 The results carry every field the folds read, and one canonical
-record has ``wall_seconds`` and ``phases`` stripped, the shape the
-content store serves.
+record has ``wall_seconds`` and ``phases`` stripped, the shape
+``/v1/jobs/{id}/results`` serves.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ from repro.service.api import ServiceApp
 from repro.service.http import Request
 from repro.service.jobs import JobSpec
 from repro.service.queue import JobQueue
-from repro.service.store import ContentStore
 from repro.telemetry import (
-    campaign_metrics,
     read_status,
     render_dashboard,
     render_status,
@@ -210,8 +207,7 @@ def _console_pages(root: str, head: str, base: str) -> dict[str, str]:
     """Console pages over the two shares as jobs of one service.  Job
     ids come from a counting uuid4, so they are fixed too."""
     queue = JobQueue(os.path.join(root, "queue.db"))
-    store = ContentStore(os.path.join(root, "store"))
-    app = ServiceApp(queue, store, ui=True, clock=_clock)
+    app = ServiceApp(queue, ui=True, clock=_clock)
     ids = iter(range(1, 100))
     with mock.patch("repro.service.queue.uuid.uuid4",
                     lambda: uuid.UUID(int=next(ids) << 80)):
@@ -264,7 +260,6 @@ def render_all(root: str) -> dict[str, str]:
         "status_coverage.json": json.dumps(covered.as_dict(), indent=2,
                                            sort_keys=True) + "\n",
         "dashboard.txt": render_dashboard(head, clock=_clock)[0] + "\n",
-        "metrics.txt": campaign_metrics(_records(head)).dump(),
         "summary.json": CampaignSummary.from_share(head)
         .canonical_bytes().decode("utf-8") + "\n",
     }
@@ -366,8 +361,7 @@ class TestOneReadPerView:
 
     def test_event_frame(self, monkeypatch, head, tmp_path):
         queue = JobQueue(str(tmp_path / "queue.db"))
-        app = ServiceApp(queue, ContentStore(str(tmp_path / "store")),
-                         clock=_clock)
+        app = ServiceApp(queue, clock=_clock)
         job = queue.submit(JobSpec.from_dict({"workload": "pi"}))
         queue.record_share(job.id, head)
         request = Request(method="GET", path="/", query={"max": "1"},
@@ -397,8 +391,7 @@ class TestOneReadPerView:
                                           workers):
         from repro.service import Dispatcher
         queue = JobQueue(str(tmp_path / "queue.db"))
-        store = ContentStore(str(tmp_path / "store"))
-        dispatcher = Dispatcher(queue, store, str(tmp_path))
+        dispatcher = Dispatcher(queue, str(tmp_path))
         job = queue.submit(JobSpec.from_dict(
             {"workload": "pi", "experiments": 3, "seed": 4,
              "workers": workers}))
@@ -407,11 +400,33 @@ class TestOneReadPerView:
         assert job.state == "done"
         self._assert_read_once(job.share_dir, reads)
         # GET /v1/jobs/{id}/report is the one `gemfi report` renders.
-        app = ServiceApp(queue, store)
+        app = ServiceApp(queue)
         request = Request(method="GET", path="/", query={},
                           params={"id": job.id})
         served = asyncio.run(app.job_report(request)).body
         assert served.decode("utf-8") == _cli("report", job.share_dir)
+
+    def test_results_route(self, monkeypatch, head, tmp_path):
+        """``/v1/jobs/{id}/results`` derives the result set from the
+        share and checks it against ``result_digest`` in one read."""
+        from repro.service import (canonical_json_bytes,
+                                   canonical_results, digest_bytes)
+        expected = canonical_json_bytes(canonical_results(_records(head)))
+        queue = JobQueue(str(tmp_path / "queue.db"))
+        job = queue.submit(JobSpec.from_dict({"workload": "pi"}))
+        queue.lease("test")
+        queue.record_share(job.id, head)
+        queue.complete(job.id, owner="test",
+                       result_digest=digest_bytes(expected))
+        app = ServiceApp(queue)
+        request = Request(method="GET", path="/", query={},
+                          params={"id": job.id})
+        responses = []
+        reads = _count_result_reads(
+            monkeypatch,
+            lambda: responses.append(asyncio.run(app.job_results(request))))
+        assert (responses[0].status, responses[0].body) == (200, expected)
+        self._assert_read_once(head, reads)
 
 
 def _count_claim_reads(monkeypatch, action) -> collections.Counter:
@@ -453,8 +468,7 @@ class TestOneClaimReadPerFrame:
 
     def test_event_frame(self, monkeypatch, head, tmp_path):
         queue = JobQueue(str(tmp_path / "queue.db"))
-        app = ServiceApp(queue, ContentStore(str(tmp_path / "store")),
-                         clock=_clock)
+        app = ServiceApp(queue, clock=_clock)
         job = queue.submit(JobSpec.from_dict({"workload": "pi"}))
         queue.record_share(job.id, head)
         request = Request(method="GET", path="/", query={"max": "1"},

@@ -1,4 +1,4 @@
-"""Campaign-as-a-service tests: store, queue, HTTP API, dispatch."""
+"""Campaign-as-a-service tests: queue, HTTP API, dispatch, result sets."""
 
 import asyncio
 import hashlib
@@ -14,7 +14,6 @@ import pytest
 
 from repro.campaign import CampaignRunner, SEUGenerator, SharedDirCampaign
 from repro.service import (
-    ContentStore,
     Dispatcher,
     JobQueue,
     JobSpec,
@@ -30,7 +29,7 @@ from repro.service import (
     digest_bytes,
 )
 from repro.service.http import HTTPError, Request, Response, Router
-from repro.telemetry import PeriodicBeat
+from repro.telemetry import PeriodicBeat, read_results
 from repro.workloads import build
 
 
@@ -45,50 +44,15 @@ class FakeClock:
         self.now += seconds
 
 
-# -- content store ------------------------------------------------------------
+# -- canonical JSON -----------------------------------------------------------
 
 
-class TestContentStore:
-    def test_put_get_round_trip(self, tmp_path):
-        store = ContentStore(str(tmp_path))
-        digest = store.put_bytes(b"hello")
-        assert digest == hashlib.sha256(b"hello").hexdigest()
-        assert store.get(digest) == b"hello"
-        assert store.has(digest)
-        assert store.verify(digest)
-
-    def test_put_is_idempotent_dedup(self, tmp_path):
-        store = ContentStore(str(tmp_path))
-        first = store.put_bytes(b"same bytes")
-        second = store.put_bytes(b"same bytes")
-        assert first == second
-        assert store.stats() == {"objects": 1,
-                                 "bytes": len(b"same bytes")}
-
-    def test_canonical_json_is_order_insensitive(self, tmp_path):
-        store = ContentStore(str(tmp_path))
-        a = store.put_json({"b": 2, "a": 1})
-        b = store.put_json({"a": 1, "b": 2})
-        assert a == b
-        assert store.get_json(a) == {"a": 1, "b": 2}
-
-    def test_missing_object_raises_keyerror(self, tmp_path):
-        store = ContentStore(str(tmp_path))
-        with pytest.raises(KeyError):
-            store.get("0" * 64)
-
-    def test_malformed_digest_raises_valueerror(self, tmp_path):
-        store = ContentStore(str(tmp_path))
-        with pytest.raises(ValueError):
-            store.get("../../etc/passwd")
-        with pytest.raises(ValueError):
-            store.path("abc")
-
-    def test_stats_counts_objects_and_bytes(self, tmp_path):
-        store = ContentStore(str(tmp_path))
-        store.put_bytes(b"x" * 10)
-        store.put_bytes(b"y" * 20)
-        assert store.stats() == {"objects": 2, "bytes": 30}
+class TestCanonicalJson:
+    def test_canonical_json_is_order_insensitive(self):
+        a = canonical_json_bytes({"b": 2, "a": 1})
+        b = canonical_json_bytes({"a": 1, "b": 2})
+        assert a == b == b'{"a":1,"b":2}'
+        assert digest_bytes(a) == hashlib.sha256(a).hexdigest()
 
 
 # -- job specs ----------------------------------------------------------------
@@ -376,7 +340,7 @@ class TestConcurrentLeaseExpiry:
 
 class TestCampaignArchive:
     """Baselines name done jobs; the summaries they resolve to are
-    derived from each job's share or stored result set."""
+    derived from each job's share."""
 
     def test_baseline_tagging(self, tmp_path):
         path = str(tmp_path / "q.db")
@@ -482,6 +446,7 @@ class TestServiceApi:
         health = client.healthz()
         assert health["ok"] is True
         assert health["queue_depth"] == 0
+        assert "store" not in health
 
     def test_submit_validates_and_lists(self, api_service):
         client = ServiceClient(api_service.url, tenant="alice")
@@ -829,10 +794,12 @@ class TestDispatcherAndE2E:
         assert done_job["state"] == "done"
         assert done_job["error"] is None
         assert done_job["result_digest"]
-        # The result set is the one stored artifact of a job.
+        # The share is a job's only result set: nothing is stored
+        # beside it.
         assert "report_digest" not in done_job
         assert "checkpoint_digest" not in done_job
-        assert ServiceClient(service.url).store_stats()["objects"] == 1
+        assert not os.path.exists(os.path.join(service.data_dir,
+                                               "store"))
 
     def test_results_digest_round_trip(self, service, done_job):
         client = ServiceClient(service.url)
@@ -892,10 +859,9 @@ class TestDispatcherAndE2E:
     def test_same_seed_rerun_lands_on_same_digest(self, service,
                                                   done_job):
         """Digest stability: forcing a full re-run (reuse=False) of
-        the same seed must produce the same content address, and the
-        store keeps a single deduplicated object."""
+        the same seed must produce the same digest, and both jobs'
+        shares serve the same bytes."""
         client = ServiceClient(service.url, tenant="e2e")
-        before = client.store_stats()["objects"]
         job = client.submit({"workload": "pi", "scale": "tiny",
                              "experiments": 3, "seed": 11},
                             reuse=False)
@@ -903,8 +869,12 @@ class TestDispatcherAndE2E:
         final = client.wait(job["id"], timeout=180)
         assert final["state"] == "done"
         assert final["result_digest"] == done_job["result_digest"]
-        # The result set is the only stored object, and it dedupes.
-        assert client.store_stats()["objects"] == before
+        fetched = client.fetch(final["result_digest"])
+        for ran in (done_job, final):
+            assert _get(service, f"/v1/jobs/{ran['id']}/results") == \
+                (200, fetched)
+        assert not os.path.exists(os.path.join(service.data_dir,
+                                               "store"))
 
     def test_job_status_exposes_campaign_share(self, service,
                                                done_job):
@@ -935,9 +905,7 @@ class TestDispatcherAndE2E:
         """A job whose campaign collapses must land in 'failed' with
         the cause, not wedge the dispatcher."""
         queue = JobQueue(str(tmp_path / "q.db"))
-        store = ContentStore(str(tmp_path / "store"))
-        dispatcher = Dispatcher(queue, store, str(tmp_path),
-                                lease_seconds=60)
+        dispatcher = Dispatcher(queue, str(tmp_path), lease_seconds=60)
 
         spec = JobSpec.from_dict({"workload": "pi",
                                   "experiments": 2})
@@ -969,9 +937,7 @@ class TestDispatcherAndE2E:
         now = [1000.0]
         clock = lambda: now[0]  # noqa: E731 - steppable clock
         queue = JobQueue(str(tmp_path / "q.db"), clock=clock)
-        dispatcher = Dispatcher(queue,
-                                ContentStore(str(tmp_path / "store")),
-                                str(tmp_path), lease_seconds=60,
+        dispatcher = Dispatcher(queue, str(tmp_path), lease_seconds=60,
                                 clock=clock)
         job = queue.submit(JobSpec.from_dict(
             {"workload": "pi", "scale": "tiny", "experiments": 2,
@@ -1025,6 +991,73 @@ class TestDispatcherAndE2E:
         status = read_status(share)
         assert status.service == {"job": done_job["id"],
                                   "tenant": "e2e"}
+
+
+# -- the share is the result set ----------------------------------------------
+
+
+class TestResultSetFromShare:
+    """``/results`` and ``/v1/blobs/{digest}`` derive the result set
+    from the job's share on each read and check it against the job's
+    ``result_digest``."""
+
+    @pytest.fixture(scope="class")
+    def service(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("svc-share")
+        service = Service(str(root / "data")).start()
+        yield service
+        service.stop()
+
+    def _done_job(self, service, seed):
+        client = ServiceClient(service.url)
+        try:
+            job = client.submit({"workload": "pi", "scale": "tiny",
+                                 "experiments": 2, "seed": seed})
+            job = client.wait(job["id"], timeout=180)
+        finally:
+            client.close()
+        assert job["state"] == "done"
+        return job
+
+    def test_edited_share_answers_409(self, service, capsys):
+        job = self._done_job(service, seed=21)
+        digest = job["result_digest"]
+        assert _get(service, f"/v1/blobs/{digest}")[0] == 200
+        results = os.path.join(job["share_dir"], "results")
+        path = os.path.join(results, sorted(os.listdir(results))[0])
+        with open(path, encoding="utf-8") as handle:
+            record = json.load(handle)
+        record["outcome"] = "sdc" if record["outcome"] != "sdc" \
+            else "crashed"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle)
+        edited = hashlib.sha256(canonical_json_bytes(canonical_results(
+            [r.record for r in read_results(job["share_dir"])]))
+        ).hexdigest()
+        assert edited != digest
+        for path in (f"/v1/jobs/{job['id']}/results",
+                     f"/v1/blobs/{digest}"):
+            status, body = _get(service, path)
+            assert status == 409, path
+            error = json.loads(body)["error"]
+            assert digest in error and edited in error, error
+        from repro.cli import main
+        assert main(["fetch", "--url", service.url, job["id"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:")
+        assert digest in errors[0] and edited in errors[0]
+
+    def test_removed_share_answers_404(self, service):
+        import shutil
+        job = self._done_job(service, seed=22)
+        shutil.rmtree(job["share_dir"])
+        for path in (f"/v1/jobs/{job['id']}/results",
+                     f"/v1/jobs/{job['id']}/summary",
+                     f"/v1/blobs/{job['result_digest']}",
+                     f"/v1/compare?base={job['id']}&head={job['id']}"):
+            assert _get(service, path)[0] == 404, path
 
 
 # -- data directories written before derived views -----------------------------
@@ -1095,13 +1128,22 @@ class TestOlderDataDir:
         campaign.publish(runner, SEUGenerator(runner.golden.profile,
                                               seed=3).batch(2), seed=3)
         campaign.worker_loop("ws0", runner)
-        store = ContentStore(str(data / "store"))
         report = render_report(load_share(str(share)), fmt="md")
         summary = CampaignSummary.from_share(str(share), name=old_id)
-        digests = (
-            store.put_json(canonical_results(campaign.collect())),
-            store.put_bytes(report.encode("utf-8")),
-            store.put_bytes(runner.golden.checkpoint))
+        # The objects such a data dir stored: its result set, its
+        # report and its checkpoint, each under its SHA-256.
+        results = canonical_json_bytes(
+            canonical_results(campaign.collect()))
+        objects = data / "store" / "objects"
+        digests = []
+        for blob in (results, report.encode("utf-8"),
+                     runner.golden.checkpoint):
+            digest = hashlib.sha256(blob).hexdigest()
+            (objects / digest[:2]).mkdir(parents=True, exist_ok=True)
+            (objects / digest[:2] / digest[2:]).write_bytes(blob)
+            digests.append(digest)
+        stored = sorted((path, path.read_bytes())
+                        for path in objects.rglob("*") if path.is_file())
         queued = JobSpec.from_dict({"workload": "pi", "scale": "tiny",
                                     "experiments": 1, "seed": 5})
         with closing(sqlite3.connect(str(data / "queue.db"))) as conn:
@@ -1142,6 +1184,9 @@ class TestOlderDataDir:
             assert client.summary(old_id) == summary.payload
             assert client.summary("v1") == summary.payload
             assert client.report(old_id) == report
+            assert _get(service, f"/v1/jobs/{old_id}/results") == \
+                (200, results)
+            assert client.fetch(digests[0]) == results
             assert client.compare("v1", old_id)["verdict"] == "unchanged"
             assert client.compare(old_id, new["id"])["base"]["name"] \
                 == old_id
@@ -1149,11 +1194,13 @@ class TestOlderDataDir:
                 new["id"]
             twin = client.submit(spec.as_dict())
             assert twin["reused_from"] == old_id
-            assert client.results(twin["id"]) == \
-                json.loads(store.get(digests[0]))
+            assert client.results(twin["id"]) == json.loads(results)
         finally:
             client.close()
             service.stop()
+        # Nothing reads or writes the old store.
+        assert sorted((path, path.read_bytes()) for path
+                      in objects.rglob("*") if path.is_file()) == stored
 
 
 # -- observability plane -------------------------------------------------------
@@ -1163,6 +1210,17 @@ def _http_conn(service):
     import http.client
     return http.client.HTTPConnection(service.host, service.port,
                                       timeout=10.0)
+
+
+def _get(service, path):
+    """GET *path*: (status, raw body bytes)."""
+    conn = _http_conn(service)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
 
 
 def _post_job(service, body):
@@ -1449,10 +1507,8 @@ class TestE2EObservability:
                   in families["job_phase_seconds"]["samples"]}
         assert {"golden", "publish", "campaign", "collect",
                 "report"} <= phases
-        store_writes = sum(
-            value for _, _, value
-            in families["store_writes"]["samples"])
-        assert store_writes >= 1
+        assert [name for name in families
+                if name.startswith("store_")] == []
         usage_exp = {labels.get("tenant"): value
                      for _, labels, value
                      in families["usage_experiments"]["samples"]}

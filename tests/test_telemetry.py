@@ -21,7 +21,6 @@ from repro.telemetry import (
     RingBufferSink,
     TraceBus,
     TraceEvent,
-    campaign_metrics,
     diff_stats,
     events_from_jsonl,
     events_to_jsonl,
@@ -498,20 +497,6 @@ class TestCampaignObservability:
         status = read_status(str(tmp_path), clock=lambda: now)
         assert status.todo == 0 and status.claimed == 0
         assert status.eta_seconds == 0.0
-
-    def test_campaign_metrics_from_dicts(self):
-        results = [
-            {"outcome": "masked", "wall_seconds": 1.0, "injected": True},
-            {"outcome": "sdc", "wall_seconds": 3.0, "injected": True},
-            {"outcome": "masked", "wall_seconds": 2.0,
-             "injected": False},
-        ]
-        flat = campaign_metrics(results).as_flat_dict()
-        assert flat["campaign.experiments"] == 3
-        assert flat["campaign.injected"] == 2
-        assert flat["campaign.outcome.masked"] == 2
-        assert flat["campaign.wall_seconds.all.count"] == 3
-        assert flat["campaign.wall_seconds.sdc.mean"] == 3.0
 
 
 # -- campaign runner integration ----------------------------------------------
